@@ -8,7 +8,6 @@ from .bands import (
     effective_mass,
     eval_band,
     eval_band_deriv,
-    eval_band_second_deriv,
     eval_chi,
     fold_k,
     solve_bands,
@@ -55,7 +54,6 @@ from .wkb import (
 )
 from .transform import (
     BlochCoeffs,
-    band_mass,
     band_masses,
     band_project,
     band_reconstruct,

@@ -122,59 +122,32 @@ def fold_k(k) -> np.ndarray:
     return np.mod(np.asarray(k, dtype=float) + 0.5, 1.0) - 0.5
 
 
-def _trig_modes(L: int) -> np.ndarray:
-    return np.fft.fftfreq(L, d=1.0 / L)  # integer mode numbers
-
-
-def eval_band(table: BandTable, m: int, k) -> np.ndarray:
-    """Band energy at arbitrary k via trigonometric interpolation of period 1.
+def _eval_trig(table: BandTable, m: int, k, deriv: int) -> np.ndarray:
+    """deriv-th k-derivative of the period-1 trigonometric interpolant of E_m.
 
     Collocates the stored values at the k-nodes; the Nyquist mode is
-    symmetrized so the interpolant is real.
+    symmetrized (real part of its basis function) so the interpolant is real.
     """
     table.check_band(m)
     L = table.grid.L
-    vals = table.energies[m - 1]
-    coeff = np.fft.fft(vals) / L
-    modes = _trig_modes(L)
+    coeff = np.fft.fft(table.energies[m - 1]) / L
+    w = 2.0 * np.pi * np.fft.fftfreq(L, d=1.0 / L)  # integer modes times 2*pi
     k = np.asarray(k, dtype=float)
     # phase relative to the first node k_1 = -1/2
-    theta = 2.0 * np.pi * np.multiply.outer(k + 0.5, modes)
-    basis = np.exp(1j * theta)
+    basis = (1j * w) ** deriv * np.exp(1j * np.multiply.outer(k + 0.5, w))
     if L % 2 == 0:
-        basis[..., L // 2] = np.cos(theta[..., L // 2])
+        basis[..., L // 2] = basis[..., L // 2].real
     return np.tensordot(basis, coeff, axes=1).real
+
+
+def eval_band(table: BandTable, m: int, k) -> np.ndarray:
+    """Band energy at arbitrary k via trigonometric interpolation of period 1."""
+    return _eval_trig(table, m, k, 0)
 
 
 def eval_band_deriv(table: BandTable, m: int, k) -> np.ndarray:
     """dE_m/dk of the trigonometric interpolant."""
-    table.check_band(m)
-    L = table.grid.L
-    vals = table.energies[m - 1]
-    coeff = np.fft.fft(vals) / L
-    modes = _trig_modes(L)
-    k = np.asarray(k, dtype=float)
-    theta = 2.0 * np.pi * np.multiply.outer(k + 0.5, modes)
-    dbasis = 2.0 * np.pi * modes * 1j * np.exp(1j * theta)
-    if L % 2 == 0:
-        dbasis[..., L // 2] = -2.0 * np.pi * modes[L // 2] * np.sin(theta[..., L // 2])
-    return np.tensordot(dbasis, coeff, axes=1).real
-
-
-def eval_band_second_deriv(table: BandTable, m: int, k) -> np.ndarray:
-    """d2E_m/dk2 of the trigonometric interpolant."""
-    table.check_band(m)
-    L = table.grid.L
-    vals = table.energies[m - 1]
-    coeff = np.fft.fft(vals) / L
-    modes = _trig_modes(L)
-    k = np.asarray(k, dtype=float)
-    theta = 2.0 * np.pi * np.multiply.outer(k + 0.5, modes)
-    w = 2.0 * np.pi * modes
-    d2basis = -(w ** 2) * np.exp(1j * theta)
-    if L % 2 == 0:
-        d2basis[..., L // 2] = -(w[L // 2] ** 2) * np.cos(theta[..., L // 2])
-    return np.tensordot(d2basis, coeff, axes=1).real
+    return _eval_trig(table, m, k, 1)
 
 
 def eval_chi(table: BandTable, m: int, k_index: int, y) -> np.ndarray:
@@ -285,25 +258,32 @@ def save_band_cache(table: BandTable, path) -> None:
 
 def load_band_cache(path, grid: SimulationGrid,
                     V: PeriodicPotential) -> BandTable:
-    """Load a cache written by save_band_cache, verifying the potential hash
-    and payload checksum."""
-    with open(path, "rb") as fh:
-        head = fh.read(4 + struct.calcsize("<IIIdQQ"))
-        if head[:4] != _CACHE_MAGIC:
-            raise IoFailure(f"{path}: bad band cache header")
-        L, M, Lambda, epsilon, vhash, digest = struct.unpack("<IIIdQQ", head[4:])
-        if L != grid.L or abs(epsilon - grid.epsilon) > 1e-15:
-            raise IoFailure(f"{path}: cache grid (L={L}, eps={epsilon}) mismatch")
-        if vhash != V.content_hash():
-            raise IoFailure(f"{path}: potential hash mismatch")
-        payload = fh.read()
-        if int.from_bytes(hashlib.sha256(payload).digest()[:8],
-                          "little") != digest:
-            raise IoFailure(f"{path}: band cache payload checksum mismatch")
-        energies = np.frombuffer(payload[:M * L * 8],
-                                 dtype="<f8").reshape(M, L).copy()
-        raw = np.frombuffer(payload[M * L * 8:],
-                            dtype="<f8").reshape(M, L, 2 * Lambda, 2)
-        vectors = raw[..., 0] + 1j * raw[..., 1]
+    """Load a cache written by save_band_cache, verifying the potential hash,
+    the payload checksum and the payload length."""
+    head_size = 4 + struct.calcsize("<IIIdQQ")
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(head_size)
+            payload = fh.read()
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    if len(head) != head_size or head[:4] != _CACHE_MAGIC:
+        raise IoFailure(f"{path}: bad band cache header")
+    L, M, Lambda, epsilon, vhash, digest = struct.unpack("<IIIdQQ", head[4:])
+    if L != grid.L or abs(epsilon - grid.epsilon) > 1e-15:
+        raise IoFailure(f"{path}: cache grid (L={L}, eps={epsilon}) mismatch")
+    if vhash != V.content_hash():
+        raise IoFailure(f"{path}: potential hash mismatch")
+    if int.from_bytes(hashlib.sha256(payload).digest()[:8],
+                      "little") != digest:
+        raise IoFailure(f"{path}: band cache payload checksum mismatch")
+    if len(payload) != 8 * M * L * (1 + 4 * Lambda):
+        raise IoFailure(f"{path}: payload of {len(payload)} bytes does not "
+                        f"hold M={M}, L={L}, Lambda={Lambda}")
+    energies = np.frombuffer(payload[:M * L * 8],
+                             dtype="<f8").reshape(M, L).copy()
+    raw = np.frombuffer(payload[M * L * 8:],
+                        dtype="<f8").reshape(M, L, 2 * Lambda, 2)
+    vectors = raw[..., 0] + 1j * raw[..., 1]
     return BandTable(grid=grid, M=M, Lambda=Lambda, energies=energies,
                      vectors=vectors, potential=V)

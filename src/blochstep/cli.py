@@ -4,8 +4,6 @@ asymptotic (WKB) runs, convergence studies, and the library self-test."""
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
@@ -14,10 +12,7 @@ import numpy as np
 from . import harness
 from .bands import save_band_cache, solve_bands
 from .grid import (
-    WaveField,
     build_grid,
-    discrete_norms,
-    field_difference,
     sample_gaussian,
     save_wavefield_binary,
     save_wavefield_csv,
@@ -25,26 +20,6 @@ from .grid import (
 from .potential import external_from_spec, lattice_from_spec
 from .steppers import StepperConfig, evolve
 from .wkb import wkb_compare, wkb_pipeline
-
-
-def _apply_thread_cap() -> None:
-    """Honor BLOCHDEC_THREADS by capping BLAS/FFT worker pools."""
-    cap = os.environ.get("BLOCHDEC_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        print(f"warning: ignoring non-integer BLOCHDEC_THREADS={cap!r}",
-              file=sys.stderr)
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 def _add_problem_flags(p: argparse.ArgumentParser, external_default="none"):
@@ -60,17 +35,9 @@ def _add_problem_flags(p: argparse.ArgumentParser, external_default="none"):
                    help="none | harmonic | step | linear:<E>")
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, files) -> None:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    import hashlib
-    blob = json.dumps(cfg, sort_keys=True, default=str)
-    manifest = {
-        "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
-        "config": cfg,
-        "files": sorted(str(Path(f).name) for f in files),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
+def _settings(args: argparse.Namespace) -> dict:
+    """The parsed flags, as recorded in manifest.json."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _band_setup(args):
@@ -95,7 +62,7 @@ def cmd_bands(args) -> int:
             row = [f"{grid.k_nodes[l]:.6g}"] + [
                 f"{table.energies[m, l]:.6g}" for m in range(args.M)]
             fh.write(",".join(row) + "\n")
-    _write_manifest(out, args, [cache, csv_path])
+    harness.write_manifest(out, _settings(args), [cache, csv_path])
     print(f"wrote {cache} and {csv_path}")
     return 0
 
@@ -127,7 +94,7 @@ def cmd_evolve(args) -> int:
         masses = traj.band_mass_history[-1]
         print("band masses:",
               " ".join(f"{v:.5f}" for v in masses))
-    _write_manifest(out, args, files)
+    harness.write_manifest(out, _settings(args), files)
     return 0
 
 
@@ -155,7 +122,7 @@ def cmd_compare(args) -> int:
         for scheme, l2, linf in rows:
             fh.write(f"{scheme},{l2:.6g},{linf:.6g}\n")
             print(f"{scheme}: l2 = {l2:.6g}, linf = {linf:.6g}")
-    _write_manifest(out, args, [path])
+    harness.write_manifest(out, _settings(args), [path])
     return 0
 
 
@@ -197,7 +164,7 @@ def cmd_wkb(args) -> int:
         print(f"phase/amplitude advanced to t = {traj.times[-1]:.6g}")
     if rep.detected:
         print(f"caustic trigger at t ~= {rep.t_c:.4f} (x ~= {rep.x_c:.4f})")
-    _write_manifest(out, args, files)
+    harness.write_manifest(out, _settings(args), files)
     return 0
 
 
@@ -294,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

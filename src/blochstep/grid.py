@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoFailure, NonIntegerCellCount, ResolutionTooSmall, ShapeMismatch
+from .errors import (
+    IoFailure,
+    NonFinite,
+    NonIntegerCellCount,
+    ResolutionTooSmall,
+    ShapeMismatch,
+)
 
 _WAVEFIELD_MAGIC = b"BDWF"
 
@@ -122,7 +128,7 @@ def discrete_norms(f) -> tuple[float, float]:
         values = np.asarray(f)
         dx = 2.0 * np.pi / values.size
     if not np.all(np.isfinite(values)):
-        raise ShapeMismatch("non-finite samples in norm computation")
+        raise NonFinite("non-finite samples in norm computation")
     absval = np.abs(values)
     linf = float(absval.max()) if absval.size else 0.0
     l2 = float(np.sqrt(dx * np.sum(absval ** 2)))

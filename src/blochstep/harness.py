@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -46,7 +44,6 @@ class ExperimentConfig:
     reference_spatial_factor: int = 2
     reference_temporal_factor: int = 10
     out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in ("spatial", "temporal"):
@@ -253,17 +250,24 @@ def _svg_loglog(report: ErrorReport) -> str:
     )
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True, default=str)
+def _config_dict(config) -> dict:
+    return asdict(config) if isinstance(config, ExperimentConfig) else dict(config)
+
+
+def config_hash(config) -> str:
+    """16-hex-digit hash of an ExperimentConfig or a plain settings mapping."""
+    blob = json.dumps(_config_dict(config), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def write_manifest(out_dir, config: ExperimentConfig, files) -> Path:
+def write_manifest(out_dir, config, files) -> Path:
+    """manifest.json with the config, its hash and the names of the files
+    written; config is an ExperimentConfig or a plain settings mapping."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config_hash": config_hash(config),
-        "config": asdict(config),
+        "config": _config_dict(config),
         "files": sorted(str(Path(f).name) for f in files),
     }
     path = out_dir / "manifest.json"
@@ -277,7 +281,7 @@ def write_manifest(out_dir, config: ExperimentConfig, files) -> Path:
 
 _CONFIG_CASTS = {
     "epsilon": float, "R": int, "M": int, "Lambda": int, "dt": float,
-    "T": float, "seed": int, "reference_spatial_factor": int,
+    "T": float, "reference_spatial_factor": int,
     "reference_temporal_factor": int,
     "schemes": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
     "dt_list": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
@@ -306,9 +310,8 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def selftest(verbose: bool = True) -> bool:
     """Small-size invariant sweep across the library; returns overall pass."""
-    from . import transform
-    from .bands import berry_connection, eval_band, fold_k
-    from .potential import from_samples, mathieu
+    from .bands import eval_band
+    from .potential import mathieu
     from .steppers import bd_step
     from .transform import (
         BlochCoeffs,

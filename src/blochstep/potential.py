@@ -134,13 +134,12 @@ def from_samples(samples, Lambda: int) -> PeriodicPotential:
 class ExternalPotential:
     """Slowly varying external potential U(x) on [0, 2*pi].
 
-    kind is one of none / linear / harmonic / step / sampled.  Linear carries
-    a force-field strength; sampled carries a table on a uniform x-grid.
+    kind is one of none / linear / harmonic / step.  Linear carries a
+    force-field strength.
     """
 
     kind: str
     strength: float = 0.0
-    table: Optional[np.ndarray] = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -153,10 +152,6 @@ class ExternalPotential:
         if self.kind == "step":
             # closed interval [pi/2, 3*pi/2]
             return ((x >= np.pi / 2) & (x <= 3 * np.pi / 2)).astype(float)
-        if self.kind == "sampled":
-            n = self.table.size
-            return np.interp(np.mod(x, TWO_PI), TWO_PI * np.arange(n) / n,
-                             self.table, period=TWO_PI)
         raise ValueError(f"unknown external potential kind {self.kind!r}")
 
     def derivative(self, x) -> np.ndarray:

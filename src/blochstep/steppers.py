@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .bands import BandTable
-from .errors import NonFinite, ShapeMismatch
+from .errors import NonFinite
 from .grid import WaveField, discrete_norms
 from .potential import EXTERNAL_NONE, ExternalPotential, PeriodicPotential
 from .transform import (

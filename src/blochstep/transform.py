@@ -1,22 +1,22 @@
-"""Cell transform pair and band projection/reconstruction, plus band-mass diagnostics.
+"""Cell transform pair and band projection/reconstruction, plus band masses.
 
 The cell transform maps physical samples psi_{l,r} to the mixed representation
 psi~_{l,r} indexed by (k_l, y_r) via a length-L DFT per r; the Brillouin offset
 k = -1/2 is folded into an explicit modulation so a standard FFT applies.
 Band projection contracts the mixed field against the R lowest-frequency
-Fourier coefficients of each eigenvector.
+Fourier coefficients of each eigenvector.  Band masses follow from the
+coefficients by Parseval, without rebuilding any band in physical space.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import BandTable
-from .errors import IoFailure, ShapeMismatch, TruncationMismatch
-from .grid import CellField, WaveField, discrete_norms
+from .errors import ShapeMismatch, TruncationMismatch
+from .grid import CellField, WaveField
 
 TWO_PI = 2.0 * np.pi
 
@@ -104,40 +104,13 @@ def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> Cel
 
 
 def band_masses(psi: WaveField, bands: BandTable) -> np.ndarray:
-    """Discrete L2 norm of each single-band reconstruction of psi, shape (M,)."""
-    tilde = cell_forward(psi)
-    C = band_project(tilde, bands)
-    masses = np.empty(bands.M)
-    for m in range(bands.M):
-        single = np.zeros_like(C.values)
-        single[m] = C.values[m]
-        part = cell_inverse(band_reconstruct(BlochCoeffs(bands, single)))
-        masses[m] = discrete_norms(part)[0]
-    return masses
+    """Discrete L2 norm of each single-band reconstruction of psi, shape (M,).
 
-
-def band_mass(psi: WaveField, bands: BandTable, m: int) -> tuple[float, float]:
-    """(norm, norm^2) of the band-m component of psi."""
-    bands.check_band(m)
-    tilde = cell_forward(psi)
-    C = band_project(tilde, bands)
-    single = np.zeros_like(C.values)
-    single[m - 1] = C.values[m - 1]
-    part = cell_inverse(band_reconstruct(BlochCoeffs(bands, single)))
-    norm = discrete_norms(part)[0]
-    return norm, norm ** 2
-
-
-def save_coeffs_csv(coeffs: BlochCoeffs, path) -> None:
-    """Debug dump: rows (m, l, Re C, Im C)."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "l", "re", "im"])
-            M, L = coeffs.values.shape
-            for m in range(M):
-                for l in range(L):
-                    v = coeffs.values[m, l]
-                    writer.writerow([m + 1, l + 1, f"{v.real:.12g}", f"{v.imag:.12g}"])
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    By Parseval over the length-L cell transform and the length-R window
+    transform, the band-m part of psi has squared norm
+    sum_l |C_{m,l}|^2 ||chi_win,{m,l}||^2 / (2*pi*L^2).
+    """
+    C = band_project(cell_forward(psi), bands).values
+    weight = np.sum(np.abs(_window_vectors(bands)) ** 2, axis=2)
+    L = bands.grid.L
+    return np.sqrt(np.sum(np.abs(C) ** 2 * weight, axis=1) / (TWO_PI * L * L))

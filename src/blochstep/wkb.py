@@ -114,8 +114,8 @@ def _spectral_derivative(f: np.ndarray) -> np.ndarray:
 def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
              phi0: Callable[[np.ndarray], np.ndarray], t_end: float,
              nx: int, dt: Optional[float] = None, cfl: float = 0.45,
-             caustic_factor: float = 50.0, probe_points: int = 200,
-             raise_at_caustic: bool = False) -> tuple[PhaseTrajectory, CausticReport]:
+             caustic_factor: float = 50.0,
+             probe_points: int = 200) -> tuple[PhaseTrajectory, CausticReport]:
     """March the band Hamilton-Jacobi equation up to t_end or the caustic.
 
     The caustic detector triggers when max |d(p)/dx| exceeds caustic_factor
@@ -125,8 +125,7 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     across the domain, capped by the solver grid) so that the onset time is
     stable under solver-grid refinement: at a forming discontinuity the raw
     grid-scale slope doubles with every refinement and would otherwise push
-    the detection time toward zero.  With raise_at_caustic the run raises
-    CausticReached instead of halting.
+    the detection time toward zero.
     """
     bands.check_band(m)
     x = TWO_PI * np.arange(nx) / nx
@@ -215,8 +214,6 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     report = CausticReport(detected=detected, t_c=t_c, x_c=x_c,
                            trigger_history=np.array(history),
                            threshold=threshold)
-    if detected and raise_at_caustic:
-        raise CausticReached(report)
     traj = PhaseTrajectory(band=m, x=x, times=np.array(times),
                            phi=np.array(phis), p=np.array(ps))
     return traj, report
@@ -513,15 +510,7 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
     """sup-norm difference table between the BD solution and the WKB field."""
     from .grid import discrete_norms, field_difference
     from .steppers import StepperConfig, step as advance
-
-    from .transform import (BlochCoeffs, band_project, band_reconstruct,
-                            cell_forward, cell_inverse)
-
-    def band_part(field):
-        C = band_project(cell_forward(field), bands)
-        single = np.zeros_like(C.values)
-        single[m - 1] = C.values[m - 1]
-        return cell_inverse(band_reconstruct(BlochCoeffs(bands, single)))
+    from .transform import band_masses
 
     traj, amp, rep = wkb_pipeline(bands, m, U, f, phi0, t_end, nx)
     chi = ChiInterpolator(bands, m)
@@ -534,11 +523,13 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
         t = n * t_end / n_steps
         if next_sample < n_samples and t >= sample_times[next_sample] - 1e-12:
             sc = reconstruct_sc(traj, amp, bands, m, grid, t, chi=chi)
-            d2, dinf = discrete_norms(field_difference(psi, sc))
+            diff = field_difference(psi, sc)
+            d2, dinf = discrete_norms(diff)
             l2s.append(d2)
             linfs.append(dinf)
-            bl2s.append(discrete_norms(
-                field_difference(band_part(psi), band_part(sc)))[0])
+            # the band projection is linear: the band-m part of the
+            # difference is the difference of the band-m parts
+            bl2s.append(band_masses(diff, bands)[m - 1])
             next_sample += 1
         if n < n_steps:
             psi = advance(psi, cfg)

@@ -15,6 +15,11 @@ def mathieu_table(small_grid):
 
 
 @pytest.fixture(scope="session")
+def kp_table(small_grid):
+    return solve_bands(kronig_penney(16), small_grid, 16, 4)
+
+
+@pytest.fixture(scope="session")
 def baseline_grid():
     return build_grid(1.0 / 32, 32)
 

@@ -9,6 +9,7 @@ from blochstep import (
     build_grid,
     effective_mass,
     eval_band,
+    eval_band_deriv,
     eval_chi,
     fold_k,
     from_samples,
@@ -135,6 +136,17 @@ def test_eval_band_offnode_against_direct_solve():
     assert abs(float(eval_band(tab, 1, k)) - exact) < 1e-8
 
 
+@pytest.mark.parametrize("L", [1, 7, 8])
+def test_eval_band_deriv_against_central_difference(L):
+    # even L exercises the symmetrized Nyquist mode, odd L has none
+    tab = solve_bands(kronig_penney(16), build_grid(1.0 / L, 8), 16, 2)
+    k = np.linspace(-1.3, 1.7, 31)
+    h = 1e-6
+    fd = (eval_band(tab, 2, k + h) - eval_band(tab, 2, k - h)) / (2 * h)
+    np.testing.assert_allclose(eval_band_deriv(tab, 2, k), fd,
+                               atol=1e-6 * (1 + np.max(np.abs(fd))))
+
+
 def test_eval_band_rejects_bad_index(mathieu_table):
     with pytest.raises(BandIndexOutOfRange):
         eval_band(mathieu_table, 9, 0.0)
@@ -238,6 +250,27 @@ def test_cache_roundtrip_and_corruption(tmp_path, mathieu_table):
     path.write_bytes(bytes(data))
     with pytest.raises(IoFailure):
         load_band_cache(path, mathieu_table.grid, mathieu_table.potential)
+
+
+def test_cache_damage_raises_io_failure(tmp_path, mathieu_table):
+    grid, V = mathieu_table.grid, mathieu_table.potential
+    with pytest.raises(IoFailure):
+        load_band_cache(tmp_path / "missing.bin", grid, V)
+    path = tmp_path / "bands.bin"
+    save_band_cache(mathieu_table, path)
+    data = path.read_bytes()
+    # cut inside the 36-byte header
+    path.write_bytes(data[:20])
+    with pytest.raises(IoFailure):
+        load_band_cache(path, grid, V)
+    # header M or Lambda off by one; the payload and its checksum are intact
+    for offset in (8, 12):
+        bad = bytearray(data)
+        bad[offset:offset + 4] = (int.from_bytes(data[offset:offset + 4], "little")
+                                  + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(bad))
+        with pytest.raises(IoFailure):
+            load_band_cache(path, grid, V)
 
 
 @settings(max_examples=20, deadline=None)

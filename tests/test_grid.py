@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochstep import build_grid, discrete_norms, sample_gaussian, WaveField
-from blochstep.errors import NonIntegerCellCount, ResolutionTooSmall, ShapeMismatch
+from blochstep.errors import (
+    NonFinite,
+    NonIntegerCellCount,
+    ResolutionTooSmall,
+    ShapeMismatch,
+)
 from blochstep.grid import field_difference, load_wavefield_binary, save_wavefield_binary
 
 
@@ -69,6 +74,15 @@ def test_norms_of_simple_fields():
     l2, linf = discrete_norms(one)
     assert abs(l2 - np.sqrt(2 * np.pi)) < 1e-12
     assert linf == 1.0
+
+
+def test_norms_reject_non_finite_samples():
+    grid = build_grid(1.0 / 4, 16)
+    for bad in (np.nan, np.inf):
+        values = np.ones((4, 16), dtype=complex)
+        values[1, 3] = bad
+        with pytest.raises(NonFinite):
+            discrete_norms(WaveField(grid, values))
 
 
 def test_field_difference_requires_matching_grids():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochstep import WaveField, build_grid, sample_gaussian
-from blochstep.errors import ReferenceTooCoarse, ShapeMismatch
+from blochstep.errors import IoFailure, ReferenceTooCoarse, ShapeMismatch
 from blochstep.harness import (
     ErrorReport,
     ExperimentConfig,
@@ -106,6 +106,26 @@ def test_manifest_lists_files_and_hash(tmp_path):
     manifest = json.loads(path.read_text())
     assert manifest["files"] == ["a.csv", "b.svg"]
     assert manifest["config_hash"] == config_hash(cfg)
+
+
+def test_cli_manifest_records_flags_and_hash(tmp_path):
+    from blochstep.cli import main
+    out = tmp_path / "bands"
+    assert main(["bands", "--eps", "0.25", "--R", "8", "--M", "2",
+                 "--Lambda", "8", "--out", str(out)]) == 0
+    import json
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["config", "config_hash", "files"]
+    assert manifest["files"] == ["bands.bin", "bands.csv"]
+    assert manifest["config"]["command"] == "bands"
+    assert "func" not in manifest["config"]
+    assert manifest["config_hash"] == config_hash(manifest["config"])
+
+
+def test_manifest_write_failure_is_io_failure(tmp_path):
+    (tmp_path / "manifest.json").mkdir()
+    with pytest.raises(IoFailure):
+        write_manifest(tmp_path, {"command": "bands"}, [])
 
 
 def test_config_file_roundtrip(tmp_path):

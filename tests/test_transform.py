@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from blochstep import (
     BlochCoeffs,
     WaveField,
-    band_mass,
     band_masses,
     band_project,
     band_reconstruct,
     build_grid,
     cell_forward,
     cell_inverse,
+    discrete_norms,
     eval_chi,
     mathieu,
     sample_gaussian,
@@ -160,9 +160,20 @@ def test_band_mass_single_band_field(mathieu_table):
     total = np.sqrt(np.sum(masses ** 2))
     assert masses[0] / total > 1 - 1e-10
     assert np.max(masses[1:]) < 1e-10 * masses[0]
-    norm, norm2 = band_mass(psi, mathieu_table, 1)
-    assert abs(norm - masses[0]) < 1e-12
-    assert abs(norm2 - masses[0] ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("table", ["mathieu_table", "kp_table"])
+def test_band_masses_match_single_band_reconstruction(table, request, rng):
+    # the Parseval form against the explicit physical-space band field
+    tab = request.getfixturevalue(table)
+    psi = random_field(tab.grid, rng)
+    masses = band_masses(psi, tab)
+    C = band_project(cell_forward(psi), tab)
+    for m in range(tab.M):
+        single = np.zeros_like(C.values)
+        single[m] = C.values[m]
+        part = cell_inverse(band_reconstruct(BlochCoeffs(tab, single)))
+        assert abs(masses[m] - discrete_norms(part)[0]) <= 1e-12
 
 
 def test_band_masses_complete_for_gaussian(baseline_mathieu):
