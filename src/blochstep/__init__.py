@@ -31,7 +31,9 @@ from .potential import (
     mathieu,
 )
 from .steppers import (
+    BDPropagator,
     StepperConfig,
+    TSPropagator,
     bd_periodic_flow,
     bd_step,
     evolve,
@@ -54,6 +56,7 @@ from .wkb import (
 )
 from .transform import (
     BlochCoeffs,
+    BlochTransform,
     band_masses,
     band_project,
     band_reconstruct,

@@ -185,12 +185,8 @@ def _neighbor_vector(table: BandTable, m: int, l: int) -> np.ndarray:
 def band_gap(table: BandTable, m: int, k_index: int) -> float:
     """Distance of E_m(k_l) to its nearest neighboring band."""
     E = table.energies[:, k_index]
-    gaps = []
-    if m >= 2:
-        gaps.append(abs(E[m - 1] - E[m - 2]))
-    if m < table.M:
-        gaps.append(abs(E[m] - E[m - 1]))
-    return min(gaps) if gaps else np.inf
+    return min((abs(E[m - 1] - E[j]) for j in (m - 2, m) if 0 <= j < table.M),
+               default=np.inf)
 
 
 def berry_connection(table: BandTable, m: int, k_index: int) -> complex:
@@ -239,9 +235,7 @@ def save_band_cache(table: BandTable, path) -> None:
     """Binary cache: magic, u32 L/M/Lambda, f64 epsilon, u64 potential hash,
     u64 payload checksum, then energies (f64) and coefficients (f64 pairs)
     in (m, l, lam) order."""
-    inter = np.empty(table.vectors.shape + (2,))
-    inter[..., 0] = table.vectors.real
-    inter[..., 1] = table.vectors.imag
+    inter = np.stack([table.vectors.real, table.vectors.imag], axis=-1)
     payload = table.energies.astype("<f8").tobytes() + inter.astype("<f8").tobytes()
     digest = int.from_bytes(
         hashlib.sha256(payload).digest()[:8], "little")

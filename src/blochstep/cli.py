@@ -22,7 +22,8 @@ from .steppers import StepperConfig, evolve
 from .wkb import wkb_compare, wkb_pipeline
 
 
-def _add_problem_flags(p: argparse.ArgumentParser, external_default="none"):
+def _add_problem_flags(p: argparse.ArgumentParser, external_default="none",
+                       out_default="out"):
     p.add_argument("--eps", type=float, default=1 / 32,
                    help="semiclassical parameter (1/eps must be an integer)")
     p.add_argument("--R", type=int, default=32, help="grid points per cell")
@@ -33,6 +34,7 @@ def _add_problem_flags(p: argparse.ArgumentParser, external_default="none"):
                    help="mathieu | kronig_penney | file:<path>")
     p.add_argument("--external", default=external_default,
                    help="none | harmonic | step | linear:<E>")
+    p.add_argument("--out", default=out_default)
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -73,12 +75,8 @@ def cmd_evolve(args) -> int:
     grid, lattice, table = _band_setup(args)
     U = external_from_spec(args.external)
     psi0 = sample_gaussian(grid)
-    if args.scheme == "bd":
-        cfg = StepperConfig("bd", args.order, args.T / args.steps,
-                            bands=table, external=U)
-    else:
-        cfg = StepperConfig("ts", args.order, args.T / args.steps,
-                            lattice=lattice, external=U)
+    cfg = StepperConfig(args.scheme, args.order, args.T / args.steps,
+                        bands=table, lattice=lattice, external=U)
     traj = evolve(psi0, cfg, args.T, args.steps,
                   snapshot_every=args.snapshot_every,
                   track_band_masses=args.scheme == "bd")
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="solve and cache a band table")
     _add_problem_flags(p)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("evolve", help="time-evolve a Gaussian wave packet")
@@ -217,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--snapshot-every", type=int, default=0)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("compare", help="BD vs TS errors against a fine reference")
@@ -225,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--bd-steps", type=int, default=100)
     p.add_argument("--ts-steps", type=int, default=1000)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("wkb", help="asymptotic phase/amplitude evolution")
@@ -239,20 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="BD steps when --compare is set")
     p.add_argument("--compare", action="store_true",
                    help="run the full solver alongside and emit differences")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_wkb)
 
     p = sub.add_parser("convergence", help="spatial or temporal error study")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--scenario", choices=("spatial", "temporal"),
                    default="spatial")
-    _add_problem_flags(p)
+    _add_problem_flags(p, out_default="")
     p.add_argument("--schemes", default="bd")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--dt-list", default="",
                    help="comma-separated decreasing steps (temporal)")
     p.add_argument("--T", type=float, default=0.1)
-    p.add_argument("--out", default="")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("selftest", help="fast invariant sweep of all modules")

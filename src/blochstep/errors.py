@@ -78,4 +78,4 @@ class ReferenceTooCoarse(BlochStepError):
 
 
 class IoFailure(BlochStepError):
-    """File output could not be written."""
+    """A file could not be read or written, or its contents are malformed."""

@@ -78,8 +78,8 @@ def build_grid(epsilon: float, R: int) -> SimulationGrid:
 
 
 @dataclass
-class WaveField:
-    """Complex samples psi_{l,r} on the physical two-scale grid."""
+class _GridSamples:
+    """(L, R) complex samples on a two-scale grid."""
 
     grid: SimulationGrid
     values: np.ndarray  # (L, R) complex
@@ -89,23 +89,17 @@ class WaveField:
         if self.values.shape != (self.grid.L, self.grid.R):
             raise ShapeMismatch(
                 f"values shape {self.values.shape} != {(self.grid.L, self.grid.R)}")
+
+
+class WaveField(_GridSamples):
+    """Complex samples psi_{l,r} on the physical two-scale grid."""
 
     def copy(self) -> "WaveField":
         return WaveField(self.grid, self.values.copy())
 
 
-@dataclass
-class CellField:
+class CellField(_GridSamples):
     """Mixed (k_l, y_r) representation of a wave field."""
-
-    grid: SimulationGrid
-    values: np.ndarray  # (L, R) complex
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.L, self.grid.R):
-            raise ShapeMismatch(
-                f"values shape {self.values.shape} != {(self.grid.L, self.grid.R)}")
 
 
 def sample_gaussian(grid: SimulationGrid) -> WaveField:
@@ -163,9 +157,7 @@ def save_wavefield_csv(psi: WaveField, path) -> None:
 def save_wavefield_binary(psi: WaveField, path) -> None:
     """Binary dump: 16-byte header (magic, u32 L, u32 R, u32 pad), f64 pairs."""
     header = _WAVEFIELD_MAGIC + struct.pack("<III", psi.grid.L, psi.grid.R, 0)
-    interleaved = np.empty((psi.grid.L, psi.grid.R, 2))
-    interleaved[..., 0] = psi.values.real
-    interleaved[..., 1] = psi.values.imag
+    interleaved = np.stack([psi.values.real, psi.values.imag], axis=-1)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
@@ -176,12 +168,17 @@ def save_wavefield_binary(psi: WaveField, path) -> None:
 
 def load_wavefield_binary(path, epsilon: float) -> WaveField:
     """Read a field written by save_wavefield_binary; grid is rebuilt from epsilon."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != _WAVEFIELD_MAGIC:
-            raise IoFailure(f"{path}: bad wavefield header")
-        L, R, _ = struct.unpack("<III", header[4:])
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(L, R, 2)
+    try:
+        with open(path, "rb") as fh:
+            header, payload = fh.read(16), fh.read()
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    if len(header) != 16 or header[:4] != _WAVEFIELD_MAGIC:
+        raise IoFailure(f"{path}: bad wavefield header")
+    L, R, _ = struct.unpack("<III", header[4:])
+    if len(payload) != 16 * L * R:
+        raise IoFailure(f"{path}: {len(payload)} payload bytes for L={L}, R={R}")
+    raw = np.frombuffer(payload, dtype="<f8").reshape(L, R, 2)
     grid = build_grid(epsilon, R)
     if grid.L != L:
         raise ShapeMismatch(f"file has L={L} but 1/epsilon={grid.L}")

@@ -128,57 +128,33 @@ def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
                     config.reference_spatial_factor * config.R)
     lattice = lattice_from_spec(config.lattice, n_fourier)
     U = external_from_spec(config.external)
-    reports = []
     if config.scenario == "spatial":
-        Rs = []
-        R = 4
-        while R <= config.R:
-            Rs.append(R)
-            R *= 2
-        ref = _reference_solution(config, Rs[-1], config.dt, lattice, U)
-        for scheme in config.schemes:
-            rows = []
-            for R in Rs:
-                psi, wall, drift = _run_once(config, scheme, R, config.dt,
-                                             lattice, U)
-                target = _restrict(ref, psi.grid)
-                l2, linf = compare_solutions(psi, target)
-                rows.append((1.0 / R, l2, linf, wall, drift))
-            reports.append(ErrorReport(
-                scheme=scheme, label="dx/eps",
-                levels=[r[0] for r in rows], l2=[r[1] for r in rows],
-                linf=[r[2] for r in rows],
-                orders=observed_orders([r[1] for r in rows]),
-                wall_clock=[r[3] for r in rows],
-                mass_drift=[r[4] for r in rows]))
+        label = "dx/eps"
+        runs = [(4 * 2 ** j, config.dt)  # R = 4, 8, ... up to config.R
+                for j in range(30) if 4 * 2 ** j <= config.R]
     else:
-        dts = list(config.dt_list) or [config.dt]
-        ref = _reference_solution(config, config.R, dts[-1], lattice, U)
-        target = None
-        for scheme in config.schemes:
-            rows = []
-            for dt in dts:
-                psi, wall, drift = _run_once(config, scheme, config.R, dt,
-                                             lattice, U)
-                if target is None or target.grid is not psi.grid:
-                    target = _restrict(ref, psi.grid)
-                l2, linf = compare_solutions(psi, target)
-                rows.append((dt, l2, linf, wall, drift))
-            reports.append(ErrorReport(
-                scheme=scheme, label="dt",
-                levels=[r[0] for r in rows], l2=[r[1] for r in rows],
-                linf=[r[2] for r in rows],
-                orders=observed_orders([r[1] for r in rows]),
-                wall_clock=[r[3] for r in rows],
-                mass_drift=[r[4] for r in rows]))
+        label = "dt"
+        runs = [(config.R, dt) for dt in list(config.dt_list) or [config.dt]]
+    ref = _reference_solution(config, *runs[-1], lattice, U)
+    reports = []
+    for scheme in config.schemes:
+        rows = []
+        for R, dt in runs:
+            psi, wall, drift = _run_once(config, scheme, R, dt, lattice, U)
+            l2, linf = compare_solutions(psi, _restrict(ref, psi.grid))
+            rows.append((1.0 / R if label == "dx/eps" else dt,
+                         l2, linf, wall, drift))
+        levels, l2s, linfs, walls, drifts = (list(c) for c in zip(*rows))
+        reports.append(ErrorReport(
+            scheme=scheme, label=label, levels=levels, l2=l2s, linf=linfs,
+            orders=observed_orders(l2s), wall_clock=walls,
+            mass_drift=drifts))
     return reports
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        if x != x:  # nan
-            return ""
-        return f"{x:.6g}"
+        return "" if x != x else f"{x:.6g}"  # nan prints as an empty cell
     return str(x)
 
 
@@ -187,26 +163,20 @@ def emit_report(report: ErrorReport, fmt: str, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{report.scheme}_{report.label.replace('/', '_')}"
+    orders = [float("nan")] + list(report.orders)  # no order on the first row
     try:
         if fmt == "csv":
             path = out_dir / f"{stem}.csv"
             lines = [f"{report.label},l2,linf,order,wall_clock,mass_drift"]
-            for i, lev in enumerate(report.levels):
-                order = report.orders[i - 1] if i >= 1 else float("nan")
-                lines.append(",".join([
-                    _fmt(lev), _fmt(report.l2[i]), _fmt(report.linf[i]),
-                    _fmt(order), _fmt(report.wall_clock[i]),
-                    _fmt(report.mass_drift[i])]))
+            lines += [",".join(_fmt(v) for v in row) for row in zip(
+                report.levels, report.l2, report.linf, orders,
+                report.wall_clock, report.mass_drift)]
             path.write_text("\n".join(lines) + "\n")
         elif fmt == "markdown-table":
             path = out_dir / f"{stem}.md"
-            head = f"| {report.label} | l2 | linf | order |"
-            sep = "|---|---|---|---|"
-            lines = [head, sep]
-            for i, lev in enumerate(report.levels):
-                order = report.orders[i - 1] if i >= 1 else float("nan")
-                lines.append(f"| {_fmt(lev)} | {_fmt(report.l2[i])} | "
-                             f"{_fmt(report.linf[i])} | {_fmt(order)} |")
+            lines = [f"| {report.label} | l2 | linf | order |", "|---|---|---|---|"]
+            lines += ["| " + " | ".join(_fmt(v) for v in row) + " |" for row in
+                      zip(report.levels, report.l2, report.linf, orders)]
             path.write_text("\n".join(lines) + "\n")
         elif fmt == "svg-lineplot":
             path = out_dir / f"{stem}.svg"

@@ -99,11 +99,8 @@ def kronig_penney(Lambda: int) -> PeriodicPotential:
     c = _coeff_array(Lambda)
     mid = 2 * Lambda - 1
     c[mid] = 0.5
-    for lam in range(1, 2 * Lambda):
-        if lam % 2 == 1:
-            val = np.sin(lam * np.pi / 2) / (np.pi * lam)
-            c[mid + lam] = val
-            c[mid - lam] = val
+    for lam in range(1, 2 * Lambda, 2):
+        c[mid + lam] = c[mid - lam] = np.sin(lam * np.pi / 2) / (np.pi * lam)
     return PeriodicPotential(Lambda, c, name="kronig_penney",
                              profile=_kronig_penney_profile)
 
@@ -184,12 +181,8 @@ def eval_external(U: ExternalPotential, x) -> np.ndarray:
 def external_from_spec(spec: str) -> ExternalPotential:
     """Parse 'none', 'linear:<E>', 'harmonic', or 'step'."""
     spec = spec.strip()
-    if spec == "none":
-        return ExternalPotential("none")
-    if spec == "harmonic":
-        return ExternalPotential("harmonic")
-    if spec == "step":
-        return ExternalPotential("step")
+    if spec in ("none", "harmonic", "step"):
+        return ExternalPotential(spec)
     if spec.startswith("linear:"):
         return ExternalPotential("linear", strength=float(spec.split(":", 1)[1]))
     raise ValueError(f"unknown external potential spec {spec!r}")

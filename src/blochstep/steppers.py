@@ -1,29 +1,77 @@
 """Time integrators: Bloch-decomposition stepper (BD) and classical
-time-splitting spectral stepper (TS), each in Lie and Strang variants."""
+time-splitting spectral stepper (TS), each in Lie and Strang variants, as
+propagators whose transform and phase tables are built once per step size."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 from .bands import BandTable
 from .errors import NonFinite
-from .grid import WaveField, discrete_norms
+from .grid import SimulationGrid, WaveField, discrete_norms
 from .potential import EXTERNAL_NONE, ExternalPotential, PeriodicPotential
-from .transform import (
-    band_masses,
-    band_project,
-    band_reconstruct,
-    cell_forward,
-    cell_inverse,
-)
+from .transform import BlochTransform
 
 
-@dataclass
+class _Splitting:
+    """Lie: flow(dt), then the phase; Strang: flow(dt/2), phase, flow(dt/2).
+    Adjacent Strang half-flows are not merged: for BD, projecting onto M
+    bands does not commute with the phase multiply."""
+
+    def step(self, psi: WaveField) -> WaveField:
+        out = self._flow(psi.values)
+        out *= self.phase
+        return WaveField(psi.grid, self._flow(out) if self.strang else out)
+
+
+class BDPropagator(_Splitting):
+    """The exact periodic flow exp(-i E_m(k_l) dt'/eps) on Bloch coefficients
+    (dt' = dt/2 for Strang) around the external phase exp(-i U(x) dt/eps)."""
+
+    def __init__(self, bands: BandTable, external: ExternalPotential,
+                 dt: float, order: str):
+        eps = bands.grid.epsilon
+        self.strang = order == "strang"
+        self.transform = BlochTransform(bands)
+        flow_dt = dt / 2 if self.strang else dt
+        self.band_phase = np.exp(-1j * bands.energies * (flow_dt / eps))
+        self.phase = np.exp(-1j * external(bands.grid.x_nodes) * (dt / eps))
+
+    def _flow(self, values):
+        tr = self.transform
+        return tr.reconstruct(tr.project(values) * self.band_phase)
+
+
+class TSPropagator(_Splitting):
+    """Pseudo-spectral free flow on the global [0, 2*pi]-periodic grid around
+    the exact phase of lattice + external potential, sampled pointwise at
+    x/eps with no smoothing of discontinuities."""
+
+    def __init__(self, grid: SimulationGrid, lattice: PeriodicPotential,
+                 external: ExternalPotential, dt: float, order: str):
+        eps = grid.epsilon
+        n = grid.n_points
+        self.strang = order == "strang"
+        kappa = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on [0, 2*pi]
+        flow_dt = dt / 2 if self.strang else dt
+        self.kinetic = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
+        vtot = lattice.sample(grid.x_nodes / eps) + external(grid.x_nodes)
+        self.phase = np.exp(-1j * vtot * (dt / eps))
+
+    def _flow(self, values):
+        spectrum = scipy.fft.fft(values.reshape(-1))
+        spectrum *= self.kinetic
+        return scipy.fft.ifft(spectrum, overwrite_x=True).reshape(values.shape)
+
+
+@dataclass(frozen=True)
 class StepperConfig:
-    """Scheme selection and per-step parameters for one solver setup."""
+    """Scheme selection and per-step parameters for one solver setup; frozen,
+    so the propagator it caches cannot go stale."""
 
     scheme: str                 # "bd" | "ts"
     splitting_order: str        # "lie" | "strang"
@@ -31,6 +79,8 @@ class StepperConfig:
     bands: Optional[BandTable] = None          # BD
     lattice: Optional[PeriodicPotential] = None  # TS
     external: ExternalPotential = field(default_factory=lambda: EXTERNAL_NONE)
+    _cached: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)  # ((L, R), propagator)
 
     def __post_init__(self):
         if self.scheme not in ("bd", "ts"):
@@ -44,15 +94,24 @@ class StepperConfig:
         if self.scheme == "ts" and self.lattice is None:
             raise ValueError("TS scheme needs a lattice potential")
 
+    def propagator(self, grid: SimulationGrid) -> BDPropagator | TSPropagator:
+        """This config's propagator on grid, built once and then reused."""
+        if self._cached is None or self._cached[0] != (grid.L, grid.R):
+            prop = (BDPropagator(self.bands, self.external, self.dt,
+                                 self.splitting_order) if self.scheme == "bd"
+                    else TSPropagator(grid, self.lattice, self.external,
+                                      self.dt, self.splitting_order))
+            object.__setattr__(self, "_cached", ((grid.L, grid.R), prop))
+        return self._cached[1]
+
 
 def bd_periodic_flow(psi: WaveField, bands: BandTable, dt: float,
                      eps: float) -> WaveField:
     """Exact flow of the periodic part: project to Bloch coefficients,
     advance phases by exp(-i E_m(k_l) dt / eps), reconstruct."""
-    tilde = cell_forward(psi)
-    C = band_project(tilde, bands)
-    C.values *= np.exp(-1j * bands.energies * (dt / eps))
-    return cell_inverse(band_reconstruct(C))
+    tr = BlochTransform(bands)
+    C = tr.project(psi.values) * np.exp(-1j * bands.energies * (dt / eps))
+    return WaveField(psi.grid, tr.reconstruct(C))
 
 
 def external_phase(psi: WaveField, U: ExternalPotential, dt: float,
@@ -62,54 +121,22 @@ def external_phase(psi: WaveField, U: ExternalPotential, dt: float,
     return WaveField(psi.grid, psi.values * phase)
 
 
+def step(psi: WaveField, config: StepperConfig) -> WaveField:
+    return config.propagator(psi.grid).step(psi)
+
+
 def bd_step(psi: WaveField, config: StepperConfig) -> WaveField:
     """One BD step; Strang symmetrizes the periodic flow around the phase."""
     if config.scheme != "bd":
         raise ValueError("bd_step called with a non-BD config")
-    eps = psi.grid.epsilon
-    dt = config.dt
-    if config.splitting_order == "lie":
-        out = bd_periodic_flow(psi, config.bands, dt, eps)
-        return external_phase(out, config.external, dt, eps)
-    out = bd_periodic_flow(psi, config.bands, dt / 2, eps)
-    out = external_phase(out, config.external, dt, eps)
-    return bd_periodic_flow(out, config.bands, dt / 2, eps)
-
-
-def _ts_kinetic(psi: WaveField, dt: float, eps: float) -> WaveField:
-    """Pseudo-spectral free flow on the global [0, 2*pi]-periodic grid."""
-    n = psi.grid.n_points
-    flat = psi.values.reshape(n)
-    kappa = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on [0, 2*pi]
-    out = np.fft.ifft(np.fft.fft(flat) * np.exp(-0.5j * eps * kappa ** 2 * dt))
-    return WaveField(psi.grid, out.reshape(psi.grid.L, psi.grid.R))
-
-
-def _ts_potential(psi: WaveField, lattice: PeriodicPotential,
-                  U: ExternalPotential, dt: float, eps: float) -> WaveField:
-    """Exact phase for the combined lattice + external potential, sampled
-    pointwise at x/eps with no smoothing of discontinuities."""
-    grid = psi.grid
-    vtot = lattice.sample(grid.x_nodes / eps) + U(grid.x_nodes)
-    return WaveField(grid, psi.values * np.exp(-1j * vtot * (dt / eps)))
+    return step(psi, config)
 
 
 def ts_step(psi: WaveField, config: StepperConfig) -> WaveField:
     """One classical time-splitting spectral step."""
     if config.scheme != "ts":
         raise ValueError("ts_step called with a non-TS config")
-    eps = psi.grid.epsilon
-    dt = config.dt
-    if config.splitting_order == "lie":
-        out = _ts_kinetic(psi, dt, eps)
-        return _ts_potential(out, config.lattice, config.external, dt, eps)
-    out = _ts_kinetic(psi, dt / 2, eps)
-    out = _ts_potential(out, config.lattice, config.external, dt, eps)
-    return _ts_kinetic(out, dt / 2, eps)
-
-
-def step(psi: WaveField, config: StepperConfig) -> WaveField:
-    return bd_step(psi, config) if config.scheme == "bd" else ts_step(psi, config)
+    return step(psi, config)
 
 
 @dataclass
@@ -128,27 +155,27 @@ def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
     """Apply N steps of size T/N, recording mass (and band masses on request)."""
     if N < 1 or T <= 0:
         raise ValueError("need N >= 1 and T > 0")
-    cfg = StepperConfig(config.scheme, config.splitting_order, T / N,
-                        bands=config.bands, lattice=config.lattice,
-                        external=config.external)
+    cfg = replace(config, dt=T / N)
     psi = psi0.copy()
     if not np.all(np.isfinite(psi.values)):
         raise NonFinite("non-finite field in the initial data")
+    prop = cfg.propagator(psi.grid)
     masses = [discrete_norms(psi)[0]]
     bmass = []
     if track_band_masses:
         if cfg.bands is None:
             raise ValueError("band-mass tracking needs a band table")
-        bmass.append(band_masses(psi, cfg.bands))
+        bloch = prop.transform if cfg.scheme == "bd" else BlochTransform(cfg.bands)
+        bmass.append(bloch.masses(psi.values))
     times = [0.0]
     snapshots = [psi.copy()] if snapshot_every else []
     for n in range(1, N + 1):
-        psi = step(psi, cfg)
+        psi = prop.step(psi)
         if not np.all(np.isfinite(psi.values)):
             raise NonFinite(f"non-finite field after step {n}")
         masses.append(discrete_norms(psi)[0])
         if track_band_masses:
-            bmass.append(band_masses(psi, cfg.bands))
+            bmass.append(bloch.masses(psi.values))
         if snapshot_every and (n % snapshot_every == 0 or n == N):
             times.append(n * T / N)
             snapshots.append(psi.copy())

@@ -1,10 +1,11 @@
-"""Cell transform pair and band projection/reconstruction, plus band masses.
+"""Cell transform pair, the Bloch transform, and band masses.
 
 The cell transform maps physical samples psi_{l,r} to the mixed representation
 psi~_{l,r} indexed by (k_l, y_r) via a length-L DFT per r; the Brillouin offset
 k = -1/2 is folded into an explicit modulation so a standard FFT applies.
-Band projection contracts the mixed field against the R lowest-frequency
-Fourier coefficients of each eigenvector.  Band masses follow from the
+The Bloch transform goes from physical samples to coefficients C_{m,l} by one
+global FFT, a gather onto the R lowest Fourier modes of each cell, and a
+contraction against the eigenvectors.  Band masses follow from the
 coefficients by Parseval, without rebuilding any band in physical space.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .bands import BandTable
 from .errors import ShapeMismatch, TruncationMismatch
@@ -67,20 +69,62 @@ def _window_vectors(bands: BandTable) -> np.ndarray:
     return bands.vectors[:, :, lo:lo + R]
 
 
+class BlochTransform:
+    """Physical samples <-> Bloch coefficients C_{m,l} of one band table.
+
+    Window mode lam of cell row l is bin kappa = L*lam + (l-1) - L/2 (mod LR)
+    of the FFT of the global samples psi_n, n = (l-1)*R + (r-1); for odd L
+    psi_n is first modulated by exp(i*pi*n/(LR)) and kappa rounded down."""
+
+    def __init__(self, bands: BandTable):
+        L, R = self.shape = (bands.grid.L, bands.grid.R)
+        self.chi = _window_vectors(bands).transpose(1, 0, 2)  # (L, M, R) view
+        lam = np.arange(R) - R // 2
+        self.index = (L * lam + np.arange(L)[:, None] - L // 2) % (L * R)
+        self.modulation = (np.exp(1j * np.pi * np.arange(L * R) / (L * R))
+                           if L % 2 else None)
+        self.weights = np.sum(np.abs(self.chi) ** 2, axis=2).T  # (M, L)
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients C, shape (M, L), of the (L, R) physical samples."""
+        if values.shape != self.shape:
+            raise ShapeMismatch("band table grid does not match the field grid")
+        flat = values.reshape(-1)
+        if self.modulation is not None:
+            flat = flat * self.modulation
+        G = np.conj(scipy.fft.fft(flat)[self.index])
+        # conj(chi . conj(G)) = conj(chi) . G, without a conjugated copy of chi
+        C = np.conj(np.matmul(self.chi, G[:, :, None])[:, :, 0].T)
+        C *= TWO_PI / self.shape[1]
+        return C
+
+    def reconstruct(self, C: np.ndarray) -> np.ndarray:
+        """(L, R) samples of sum_m C_{m,l} chi_{m,l}; the inverse of project
+        on fields spanned by the first M bands."""
+        L, R = self.shape
+        spectrum = np.empty(L * R, dtype=complex)
+        spectrum[self.index] = np.matmul(C.T[:, None, :], self.chi)[:, 0, :]
+        psi = scipy.fft.ifft(spectrum, overwrite_x=True)
+        # unit-coefficient-norm eigenvectors carry ||chi||^2_{L2(C)} = 2*pi,
+        # which the projection constant 2*pi/R does not divide out
+        psi *= R / TWO_PI
+        if self.modulation is not None:
+            psi *= np.conj(self.modulation)
+        return psi.reshape(L, R)
+
+    def masses(self, values: np.ndarray) -> np.ndarray:
+        """Discrete L2 norm of each single-band part of the samples, (M,).
+        By Parseval over the length-L cell transform and the length-R window
+        transform, band m has squared norm
+        sum_l |C_{m,l}|^2 ||chi_win,{m,l}||^2 / (2*pi*L^2)."""
+        L = self.shape[0]
+        return np.sqrt(np.sum(np.abs(self.project(values)) ** 2 * self.weights,
+                              axis=1) / (TWO_PI * L * L))
+
+
 def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:
     """Bloch coefficients C_{m,l} = (2*pi/R) sum over the windowed Fourier modes."""
-    grid = tilde.grid
-    if bands.grid.L != grid.L or bands.grid.R != grid.R:
-        raise ShapeMismatch("band table grid does not match the field grid")
-    k = grid.k_nodes
-    y = grid.y_nodes
-    g = tilde.values * np.exp(-1j * np.multiply.outer(k, y))
-    # FFT index j holds frequency lam = j (j < R/2) or j - R; shift to
-    # the ordered window lam = -R/2 .. R/2-1
-    G = np.fft.fftshift(np.fft.fft(g, axis=1), axes=1)
-    chi_win = _window_vectors(bands)
-    C = (TWO_PI / grid.R) * np.einsum("mlr,lr->ml", np.conj(chi_win), G)
-    return BlochCoeffs(bands, C)
+    return BlochCoeffs(bands, BlochTransform(bands).project(cell_inverse(tilde).values))
 
 
 def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> CellField:
@@ -91,26 +135,10 @@ def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> Cel
     elif bands is not coeffs.bands and (
             bands.M != coeffs.bands.M or bands.grid.L != coeffs.bands.grid.L):
         raise ShapeMismatch("coefficients tied to an incompatible band table")
-    grid = bands.grid
-    chi_win = _window_vectors(bands)
-    h = np.einsum("ml,mlr->lr", coeffs.values, chi_win)
-    # inverse of the fftshift ordering used in band_project
-    tilde = grid.R * np.fft.ifft(np.fft.ifftshift(h, axes=1), axis=1)
-    tilde *= np.exp(1j * np.multiply.outer(grid.k_nodes, grid.y_nodes))
-    # unit-coefficient-norm eigenvectors carry ||chi||^2_{L2(C)} = 2*pi,
-    # which the projection constant 2*pi/R does not divide out
-    tilde /= TWO_PI
-    return CellField(grid, tilde)
+    psi = BlochTransform(bands).reconstruct(coeffs.values)
+    return cell_forward(WaveField(bands.grid, psi))
 
 
 def band_masses(psi: WaveField, bands: BandTable) -> np.ndarray:
-    """Discrete L2 norm of each single-band reconstruction of psi, shape (M,).
-
-    By Parseval over the length-L cell transform and the length-R window
-    transform, the band-m part of psi has squared norm
-    sum_l |C_{m,l}|^2 ||chi_win,{m,l}||^2 / (2*pi*L^2).
-    """
-    C = band_project(cell_forward(psi), bands).values
-    weight = np.sum(np.abs(_window_vectors(bands)) ** 2, axis=2)
-    L = bands.grid.L
-    return np.sqrt(np.sum(np.abs(C) ** 2 * weight, axis=1) / (TWO_PI * L * L))
+    """Discrete L2 norm of each single-band reconstruction of psi, shape (M,)."""
+    return BlochTransform(bands).masses(psi.values)

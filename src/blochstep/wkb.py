@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 from .bands import (
     BandTable,
+    _neighbor_vector,
+    assemble_hk,
     berry_connection,
     eval_band,
     eval_band_deriv,
@@ -246,15 +249,9 @@ def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
         local = np.exp(0.5 * dt * (-0.5 * dv + beta_interp(pmid) * Ux))
         a = a * local
         # midpoint departure points of the characteristics
-        xs = np.concatenate([x, [TWO_PI]])
-        spline_v = CubicSpline(xs, np.concatenate([v, v[:1]]), bc_type="periodic")
         x_half = np.mod(x - 0.5 * dt * v, TWO_PI)
-        x_dep = np.mod(x - dt * spline_v(x_half), TWO_PI)
-        re = CubicSpline(xs, np.concatenate([a.real, a.real[:1]]),
-                         bc_type="periodic")
-        im = CubicSpline(xs, np.concatenate([a.imag, a.imag[:1]]),
-                         bc_type="periodic")
-        a = (re(x_dep) + 1j * im(x_dep)) * local
+        x_dep = np.mod(x - dt * _macro_spline(x, v)(x_half), TWO_PI)
+        a = _macro_spline(x, a)(x_dep) * local
         if not np.all(np.isfinite(a)):
             raise NonFinite(f"amplitude blew up at t = {phase.times[i + 1]:g}")
         out.append(a.copy())
@@ -300,7 +297,6 @@ class ChiInterpolator:
         # gauge holonomy of the band across one zone: the smooth continuation
         # obeys chi(y, k+1) = h * exp(-i y) * chi(y, k) with h = +-1 for a
         # real symmetric lattice potential (Zak phase 0 or pi)
-        from .bands import _neighbor_vector
         L = bands.grid.L
         wrap = np.vdot(bands.vectors[m - 1, L - 1],
                        _neighbor_vector(bands, m, L))
@@ -311,7 +307,6 @@ class ChiInterpolator:
         L = tab.grid.L
         pos = (k + 0.5) * L  # fractional node index
         w = pos - np.floor(pos)
-        from .bands import _neighbor_vector
         v0 = _neighbor_vector(tab, self.m, int(np.floor(pos)))
         v1 = _neighbor_vector(tab, self.m, int(np.floor(pos)) + 1)
         # align the second node to the first so the blend never cancels
@@ -330,8 +325,6 @@ class ChiInterpolator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        import scipy.linalg
-        from .bands import assemble_hk
         tab = self.bands
         lo = max(0, self.m - 2)
         hi = min(2 * tab.Lambda - 1, self.m)
@@ -509,14 +502,13 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
                 n_samples: int = 11) -> WkbComparison:
     """sup-norm difference table between the BD solution and the WKB field."""
     from .grid import discrete_norms, field_difference
-    from .steppers import StepperConfig, step as advance
-    from .transform import band_masses
+    from .steppers import BDPropagator
 
     traj, amp, rep = wkb_pipeline(bands, m, U, f, phi0, t_end, nx)
     chi = ChiInterpolator(bands, m)
     psi = build_wkb_initial(bands, m, f, phi0, grid)
     sample_times = np.linspace(0.0, t_end, n_samples)
-    cfg = StepperConfig("bd", "strang", t_end / n_steps, bands=bands, external=U)
+    prop = BDPropagator(bands, U, t_end / n_steps, "strang")
     l2s, linfs, bl2s = [], [], []
     next_sample = 0
     for n in range(n_steps + 1):
@@ -529,10 +521,10 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
             linfs.append(dinf)
             # the band projection is linear: the band-m part of the
             # difference is the difference of the band-m parts
-            bl2s.append(band_masses(diff, bands)[m - 1])
+            bl2s.append(prop.transform.masses(diff.values)[m - 1])
             next_sample += 1
         if n < n_steps:
-            psi = advance(psi, cfg)
+            psi = prop.step(psi)
     l2s = np.array(l2s)
     linfs = np.array(linfs)
     bl2s = np.array(bl2s)

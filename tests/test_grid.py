@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from blochstep import build_grid, discrete_norms, sample_gaussian, WaveField
 from blochstep.errors import (
+    IoFailure,
     NonFinite,
     NonIntegerCellCount,
     ResolutionTooSmall,
@@ -117,3 +118,18 @@ def test_binary_roundtrip(tmp_path, rng):
     save_wavefield_binary(psi, path)
     back = load_wavefield_binary(path, grid.epsilon)
     np.testing.assert_allclose(back.values, psi.values, atol=0)
+
+
+def test_binary_load_missing_file_is_io_failure(tmp_path):
+    with pytest.raises(IoFailure):
+        load_wavefield_binary(tmp_path / "absent.bin", 1.0 / 4)
+
+
+def test_binary_load_truncated_payload_is_io_failure(tmp_path, rng):
+    grid = build_grid(1.0 / 4, 8)
+    psi = WaveField(grid, rng.standard_normal((4, 8)) + 0j)
+    path = tmp_path / "field.bin"
+    save_wavefield_binary(psi, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(IoFailure):
+        load_wavefield_binary(path, grid.epsilon)

@@ -1,0 +1,186 @@
+"""The one-FFT Bloch transform and the precomputed propagators against the
+earlier two-stage path (length-L cell DFT, exp(-i k y) twiddle, length-R
+DFT and fftshift), kept here as a test-local oracle."""
+
+from dataclasses import FrozenInstanceError
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blochstep import (
+    BDPropagator,
+    BlochTransform,
+    CellField,
+    StepperConfig,
+    TSPropagator,
+    WaveField,
+    band_masses,
+    bd_periodic_flow,
+    build_grid,
+    cell_forward,
+    cell_inverse,
+    discrete_norms,
+    external_from_spec,
+    kronig_penney,
+    mathieu,
+    sample_gaussian,
+    solve_bands,
+)
+from blochstep.errors import ShapeMismatch
+from blochstep.steppers import step
+
+TWO_PI = 2.0 * np.pi
+HARMONIC = external_from_spec("harmonic")
+TOL = 1e-12
+
+
+# ---- oracle: the two-stage transform and the per-call TS step ----
+
+def _oracle_window(bands):
+    lo = bands.Lambda - bands.grid.R // 2
+    return bands.vectors[:, :, lo:lo + bands.grid.R]
+
+
+def _oracle_project(psi, bands):
+    grid = psi.grid
+    tilde = cell_forward(psi).values
+    g = tilde * np.exp(-1j * np.multiply.outer(grid.k_nodes, grid.y_nodes))
+    G = np.fft.fftshift(np.fft.fft(g, axis=1), axes=1)
+    return (TWO_PI / grid.R) * np.einsum("mlr,lr->ml",
+                                         np.conj(_oracle_window(bands)), G)
+
+
+def _oracle_reconstruct(C, bands):
+    grid = bands.grid
+    h = np.einsum("ml,mlr->lr", C, _oracle_window(bands))
+    tilde = grid.R * np.fft.ifft(np.fft.ifftshift(h, axes=1), axis=1)
+    tilde *= np.exp(1j * np.multiply.outer(grid.k_nodes, grid.y_nodes))
+    tilde /= TWO_PI
+    return cell_inverse(CellField(grid, tilde))
+
+
+def _oracle_flow(psi, bands, dt, eps):
+    C = _oracle_project(psi, bands) * np.exp(-1j * bands.energies * (dt / eps))
+    return _oracle_reconstruct(C, bands)
+
+
+def _oracle_bd_step(psi, bands, U, dt, order):
+    eps = psi.grid.epsilon
+    phase = np.exp(-1j * U(psi.grid.x_nodes) * (dt / eps))
+    if order == "lie":
+        return WaveField(psi.grid, _oracle_flow(psi, bands, dt, eps).values * phase)
+    out = WaveField(psi.grid, _oracle_flow(psi, bands, dt / 2, eps).values * phase)
+    return _oracle_flow(out, bands, dt / 2, eps)
+
+
+def _oracle_ts_step(psi, lattice, U, dt, order):
+    grid = psi.grid
+    eps = grid.epsilon
+    n = grid.n_points
+    kappa = np.fft.fftfreq(n, d=1.0 / n)
+
+    def kinetic(values, h):
+        spec = np.fft.fft(values.reshape(n)) * np.exp(-0.5j * eps * kappa ** 2 * h)
+        return np.fft.ifft(spec).reshape(grid.L, grid.R)
+
+    vtot = lattice.sample(grid.x_nodes / eps) + U(grid.x_nodes)
+    phase = np.exp(-1j * vtot * (dt / eps))
+    if order == "lie":
+        return WaveField(grid, kinetic(psi.values, dt) * phase)
+    return WaveField(grid, kinetic(kinetic(psi.values, dt / 2) * phase, dt / 2))
+
+
+# ---- cases ----
+
+LATTICES = {"mathieu": mathieu, "kp": kronig_penney}
+
+
+@lru_cache(maxsize=None)
+def _table(lattice, L, R):
+    grid = build_grid(1.0 / L, R)
+    return solve_bands(LATTICES[lattice](R), grid, R, 4)
+
+
+def _random_field(grid, rng):
+    return WaveField(grid, rng.standard_normal((grid.L, grid.R))
+                     + 1j * rng.standard_normal((grid.L, grid.R)))
+
+
+cases = st.tuples(st.sampled_from(sorted(LATTICES)),
+                  st.sampled_from([1, 2, 3, 5, 8, 32]),
+                  st.sampled_from([8, 16, 32]),
+                  st.integers(0, 2 ** 31 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases)
+def test_bloch_transform_matches_two_stage_oracle(case):
+    lattice, L, R, seed = case
+    tab = _table(lattice, L, R)
+    psi = _random_field(tab.grid, np.random.default_rng(seed))
+    tr = BlochTransform(tab)
+    C = tr.project(psi.values)
+    assert np.max(np.abs(C - _oracle_project(psi, tab))) <= TOL
+    back = tr.reconstruct(C)
+    assert np.max(np.abs(back - _oracle_reconstruct(C, tab).values)) <= TOL
+    assert np.max(np.abs(band_masses(psi, tab) - tr.masses(psi.values))) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases, st.sampled_from(["lie", "strang"]), st.sampled_from([0.03, -0.03]))
+def test_bd_propagator_matches_oracle(case, order, dt):
+    lattice, L, R, seed = case
+    tab = _table(lattice, L, R)
+    psi = _random_field(tab.grid, np.random.default_rng(seed))
+    eps = tab.grid.epsilon
+    out = BDPropagator(tab, HARMONIC, dt, order).step(psi)
+    ref = _oracle_bd_step(psi, tab, HARMONIC, dt, order)
+    assert np.max(np.abs(out.values - ref.values)) <= TOL
+    flow = bd_periodic_flow(psi, tab, dt, eps)
+    assert np.max(np.abs(flow.values - _oracle_flow(psi, tab, dt, eps).values)) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases, st.sampled_from(["lie", "strang"]), st.sampled_from([0.003, -0.003]))
+def test_ts_propagator_matches_oracle(case, order, dt):
+    lattice, L, R, seed = case
+    grid = build_grid(1.0 / L, R)
+    V = LATTICES[lattice](R)
+    psi = _random_field(grid, np.random.default_rng(seed))
+    out = TSPropagator(grid, V, HARMONIC, dt, order).step(psi)
+    ref = _oracle_ts_step(psi, V, HARMONIC, dt, order)
+    assert np.max(np.abs(out.values - ref.values)) <= TOL
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+def test_ts_propagator_conserves_mass(lattice):
+    grid = build_grid(1.0 / 32, 32)
+    prop = TSPropagator(grid, LATTICES[lattice](32), HARMONIC, 0.001, "strang")
+    psi = sample_gaussian(grid)
+    m0 = discrete_norms(psi)[0]
+    for _ in range(50):
+        psi = prop.step(psi)
+        assert abs(discrete_norms(psi)[0] - m0) <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["bd", "ts"])
+def test_cached_config_repeats_and_rejects_other_grids(scheme):
+    tab = _table("kp", 8, 16)
+    cfg = StepperConfig(scheme, "strang", 0.01, bands=tab,
+                        lattice=kronig_penney(16), external=HARMONIC)
+    psi = _random_field(tab.grid, np.random.default_rng(7))
+    first = step(psi, cfg)
+    prop = cfg.propagator(psi.grid)
+    again = step(psi, cfg)
+    assert cfg.propagator(psi.grid) is prop
+    assert np.array_equal(first.values, again.values)
+    other = sample_gaussian(build_grid(1.0 / 8, 32))
+    if scheme == "bd":
+        with pytest.raises(ShapeMismatch):
+            step(other, cfg)
+    assert np.array_equal(step(psi, cfg).values, first.values)
+    with pytest.raises(FrozenInstanceError):
+        cfg.dt = 0.02
