@@ -48,6 +48,38 @@ def assemble_hk(V: PeriodicPotential, k: float, Lambda: int) -> np.ndarray:
     return H
 
 
+def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
+                       hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs lo..hi (0-based, ascending) of H(k) for each k in 1-D ks:
+    energies (hi-lo+1, nk) and unit-norm vectors (hi-lo+1, nk, 2*Lambda).
+    H(k) is unreduced real tridiagonal, with simple eigenvalues, when V-hat is
+    real, zero for |lam| >= 2 and nonzero at +-1 (the cosine lattice); other
+    potentials take the dense complex eigh.  Both read the lower triangle."""
+    # the Toeplitz part V-hat(i - j), checked once: H(0) with V-hat(0) put back
+    T = assemble_hk(V, 0.0, Lambda)
+    diag = np.diag_indices_from(T)
+    T[diag] = V.vhat(0)
+    kin = 0.5 * (ks[:, None] - Lambda + np.arange(1, 2 * Lambda + 1) - 1) ** 2
+    e = np.diagonal(T, -1).real
+    tridiag = not np.tril(T).imag.any() and e.all() and not np.tril(T, -2).any()
+    energies = np.empty((hi - lo + 1, ks.size))
+    vectors = np.empty(energies.shape + (2 * Lambda,), dtype=complex)
+    for j, k in enumerate(ks):
+        try:
+            if tridiag:
+                vals, vecs = scipy.linalg.eigh_tridiagonal(
+                    T[diag].real + kin[j], e, select="i", select_range=(lo, hi))
+            else:
+                H = T.copy()
+                H[diag] += kin[j]
+                vals, vecs = scipy.linalg.eigh(H, subset_by_index=[lo, hi])
+        except scipy.linalg.LinAlgError as exc:
+            raise EigensolverFailure(f"eigensolver failed at k = {k}: {exc}") from exc
+        energies[:, j] = vals
+        vectors[:, j] = (vecs / np.linalg.norm(vecs, axis=0)).T
+    return energies, vectors
+
+
 def _anchor_phase(v: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude coefficient real positive."""
     j = int(np.argmax(np.abs(v)))
@@ -85,29 +117,19 @@ def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
                 M: int) -> BandTable:
     """Solve the truncated eigenproblem at every k-node and fix the gauge.
 
-    The M lowest eigenpairs per node come from a dense Hermitian solve
-    (LAPACK tridiagonalization path); eigenvectors are aligned along k by
-    parallel transport, with the phase anchor applied at the first node.
+    The M lowest eigenpairs per node come from _lowest_eigenpairs;
+    eigenvectors are aligned along k by parallel transport, with the phase
+    anchor applied at the first node.
     """
     if M > 2 * Lambda:
         raise BandCountExceedsTruncation(f"M = {M} > 2*Lambda = {2 * Lambda}")
     if 2 * Lambda <= grid.R:
         raise TruncationTooSmall(
             f"need Lambda > R/2 (Lambda={Lambda}, R={grid.R})")
-    L = grid.L
-    energies = np.empty((M, L))
-    vectors = np.empty((M, L, 2 * Lambda), dtype=complex)
-    for l, k in enumerate(grid.k_nodes):
-        H = assemble_hk(V, k, Lambda)
-        try:
-            vals, vecs = scipy.linalg.eigh(H, subset_by_index=[0, M - 1])
-        except scipy.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"eigh failed at k = {k}: {exc}") from exc
-        energies[:, l] = vals
-        vectors[:, l, :] = (vecs / np.linalg.norm(vecs, axis=0)).T
+    energies, vectors = _lowest_eigenpairs(V, Lambda, grid.k_nodes, 0, M - 1)
     for m in range(M):
         vectors[m, 0] = _anchor_phase(vectors[m, 0])
-        for l in range(1, L):
+        for l in range(1, grid.L):
             overlap = np.vdot(vectors[m, l - 1], vectors[m, l])
             if abs(overlap) > 1e-12:
                 vectors[m, l] *= np.conj(overlap) / abs(overlap)
@@ -161,32 +183,22 @@ def eval_chi(table: BandTable, m: int, k_index: int, y) -> np.ndarray:
                         table.vectors[m - 1, k_index], axes=1)
 
 
-def _neighbor_vector(table: BandTable, m: int, l: int) -> np.ndarray:
-    """Eigenvector at node index l, periodically wrapped.
-
-    Crossing the zone edge shifts the Fourier index by one:
-    chi-hat(lam, k+1) = chi-hat(lam+1, k), so the wrapped vector is a
-    one-slot shift of the stored one (the spilled coefficient is dropped).
-    """
-    L = table.grid.L
-    v = table.vectors[m - 1, l % L]
-    shift = l // L
-    if shift == 0:
-        return v
-    out = np.zeros_like(v)
-    # k -> k + 1 maps chi-hat(lam) -> chi-hat(lam + 1)
-    if shift > 0:
-        out[:-shift] = v[shift:]
-    else:
-        out[-shift:] = v[:shift]
-    return out
+def _neighbor_vector(table: BandTable, m: int, l) -> np.ndarray:
+    """Eigenvectors at node indices l (an int or int array), periodically
+    wrapped: crossing the zone edge maps chi-hat(lam, k+1) = chi-hat(lam+1, k),
+    so a wrapped vector is the stored one shifted by l // L slots, with the
+    spilled coefficients dropped."""
+    v = table.vectors[m - 1, np.mod(l, table.grid.L)]
+    src = np.arange(v.shape[-1]) + np.floor_divide(l, table.grid.L)[..., None]
+    inside = (src >= 0) & (src < v.shape[-1])
+    return np.where(inside, np.take_along_axis(
+        v, np.clip(src, 0, v.shape[-1] - 1), axis=-1), 0)
 
 
-def band_gap(table: BandTable, m: int, k_index: int) -> float:
-    """Distance of E_m(k_l) to its nearest neighboring band."""
-    E = table.energies[:, k_index]
-    return min((abs(E[m - 1] - E[j]) for j in (m - 2, m) if 0 <= j < table.M),
-               default=np.inf)
+def band_gap(energies: np.ndarray, i: int) -> np.ndarray:
+    """Distance of row i of energies (bands first) to its nearest neighboring row."""
+    near = [j for j in (i - 1, i + 1) if 0 <= j < len(energies)]
+    return np.abs(energies[near] - energies[i]).min(axis=0, initial=np.inf)
 
 
 def berry_connection(table: BandTable, m: int, k_index: int) -> complex:
@@ -197,7 +209,7 @@ def berry_connection(table: BandTable, m: int, k_index: int) -> complex:
     imaginary up to the finite-difference error.
     """
     table.check_band(m)
-    if band_gap(table, m, k_index) <= 1e-8:
+    if band_gap(table.energies[:, k_index], m - 1) <= 1e-8:
         raise BandGapTooSmall(f"band {m} nearly degenerate at node {k_index}")
     L = table.grid.L
     dk = 1.0 / L

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 from .bands import (
     BandTable,
+    _lowest_eigenpairs,
     _neighbor_vector,
-    assemble_hk,
+    band_gap,
     berry_connection,
     eval_band,
     eval_band_deriv,
@@ -277,13 +277,19 @@ def _berry_interpolator(bands: BandTable, m: int):
     return interp
 
 
+def _unit_conj(ov):
+    """Phase conj(ov)/|ov| aligning a vector to a reference; 1 where |ov| <= 1e-12."""
+    a = np.abs(ov)
+    return np.divide(np.conj(ov), a, out=np.ones_like(ov), where=a > 1e-12)
+
+
 class ChiInterpolator:
     """Off-node Bloch eigenvector evaluation, gauge-matched to a band table.
 
     Each distinct folded quasi-momentum (quantized to the cache resolution)
-    triggers one dense eigensolve; the fresh eigenvector phase is aligned by
-    maximal real overlap with the linear interpolation of the two bracketing
-    table vectors.
+    is solved once, at its first point in ravel order; the fresh eigenvector
+    phase is aligned by maximal real overlap with the linear interpolation
+    of the two bracketing table vectors.
     """
 
     def __init__(self, bands: BandTable, m: int, quantum: float = 1e-6,
@@ -294,55 +300,53 @@ class ChiInterpolator:
         self.quantum = quantum
         self.gap_floor = gap_floor
         self._cache: dict[int, np.ndarray] = {}
+        # points solved or evaluated at once: ~64 KB temporaries keep peak RSS flat
+        self._rows_per_block = max(1, 2 ** 12 // (2 * bands.Lambda))
+        # table vectors at node indices 0..L+1, which bracket every folded k,
+        # each paired with its successor aligned to it so that a blend never
+        # cancels (the wrapped node carries the band's gauge holonomy)
+        nodes = _neighbor_vector(bands, m, np.arange(bands.grid.L + 2))
+        ov = np.einsum("ij,ij->i", nodes[:-1].conj(), nodes[1:])
+        self._pairs = nodes[:-1], nodes[1:] * _unit_conj(ov)[:, None]
         # gauge holonomy of the band across one zone: the smooth continuation
         # obeys chi(y, k+1) = h * exp(-i y) * chi(y, k) with h = +-1 for a
         # real symmetric lattice potential (Zak phase 0 or pi)
-        L = bands.grid.L
-        wrap = np.vdot(bands.vectors[m - 1, L - 1],
-                       _neighbor_vector(bands, m, L))
-        self.holonomy = 1.0 if wrap.real >= 0 else -1.0
+        self.holonomy = 1.0 if ov[-2].real >= 0 else -1.0  # nodes L-1, L
 
-    def _reference(self, k: float) -> np.ndarray:
-        tab = self.bands
-        L = tab.grid.L
-        pos = (k + 0.5) * L  # fractional node index
-        w = pos - np.floor(pos)
-        v0 = _neighbor_vector(tab, self.m, int(np.floor(pos)))
-        v1 = _neighbor_vector(tab, self.m, int(np.floor(pos)) + 1)
-        # align the second node to the first so the blend never cancels
-        # (the wrapped node carries the band's gauge holonomy)
-        ov = np.vdot(v0, v1)
-        if abs(ov) > 1e-12:
-            v1 = v1 * (np.conj(ov) / abs(ov))
-        ref = (1 - w) * v0 + w * v1
-        nrm = np.linalg.norm(ref)
-        return ref / nrm if nrm > 0 else v0
+    def _solve(self, keys: np.ndarray, kf: np.ndarray) -> None:
+        """Solve, gap-check, gauge-align and cache the keys at folded kf."""
+        lo, hi = max(0, self.m - 2), min(2 * self.bands.Lambda - 1, self.m)
+        vals, vecs = _lowest_eigenpairs(self.bands.potential,
+                                        self.bands.Lambda, kf, lo, hi)
+        idx = self.m - 1 - lo
+        gap = band_gap(vals, idx)
+        j = int(np.argmin(gap))
+        if gap[j] <= self.gap_floor:
+            raise BandGapTooSmall(f"band {self.m} gap {gap[j]:g} at k = {kf[j]:g}")
+        pos = (kf + 0.5) * self.bands.grid.L  # fractional node index
+        node = np.floor(pos).astype(int)
+        w = (pos - node)[:, None]
+        ref = (1 - w) * self._pairs[0][node] + w * self._pairs[1][node]
+        ov = np.einsum("ij,ij->i", ref.conj(), vecs[idx])
+        v = vecs[idx] * _unit_conj(ov)[:, None]
+        self._cache.update(zip(keys.tolist(), map(np.copy, v)))
+
+    def _keys(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct keys of 1-D k (uncached ones solved) and each point's key index."""
+        if not np.all(np.isfinite(k)):
+            raise NonFinite("non-finite quasi-momentum")
+        kf = fold_k(k)
+        keys, first, inv = np.unique(np.rint(kf / self.quantum).astype(np.int64),
+                                     return_index=True, return_inverse=True)
+        todo = np.flatnonzero([key not in self._cache for key in keys.tolist()])
+        for b in range(0, todo.size, self._rows_per_block):
+            j = todo[b:b + self._rows_per_block]
+            self._solve(keys[j], kf[first[j]])
+        return keys, inv
 
     def coeffs(self, k: float) -> np.ndarray:
         """Unit-norm Fourier coefficients of chi_m(., k), lam in [-Lambda, Lambda)."""
-        kf = float(fold_k(k))
-        key = int(round(kf / self.quantum))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        tab = self.bands
-        lo = max(0, self.m - 2)
-        hi = min(2 * tab.Lambda - 1, self.m)
-        H = assemble_hk(tab.potential, kf, tab.Lambda)
-        vals, vecs = scipy.linalg.eigh(H, subset_by_index=[lo, hi])
-        idx = self.m - 1 - lo
-        gap = min(
-            [abs(vals[idx] - vals[j]) for j in range(len(vals)) if j != idx],
-            default=np.inf)
-        if gap <= self.gap_floor:
-            raise BandGapTooSmall(
-                f"band {self.m} gap {gap:g} at k = {kf:g}")
-        v = vecs[:, idx] / np.linalg.norm(vecs[:, idx])
-        ov = np.vdot(self._reference(kf), v)
-        if abs(ov) > 1e-12:
-            v = v * (np.conj(ov) / abs(ov))
-        self._cache[key] = v
-        return v
+        return self._cache[int(self._keys(np.ravel(k).astype(float))[0][0])]
 
     def chi_values(self, k, y) -> np.ndarray:
         """chi_m(y_i, k_i) elementwise for matching arrays k and y.
@@ -353,17 +357,20 @@ class ChiInterpolator:
         a(x) chi(x/eps, k(x)) exp(i phi/eps) would be discontinuous wherever
         the phase gradient crosses a zone edge.
         """
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        kf = fold_k(k)
-        shift = np.rint(k - kf)
+        kv, yv = np.ravel(k).astype(float), np.ravel(y).astype(float)
+        if not np.all(np.isfinite(yv)):
+            raise NonFinite("non-finite cell coordinate")
+        keys, inv = self._keys(kv)
+        shift = np.rint(kv - fold_k(kv))
         lam = np.arange(-self.bands.Lambda, self.bands.Lambda)
-        out = np.empty(k.shape, dtype=complex)
-        for i in np.ndindex(k.shape):
-            c = self.coeffs(kf[i])
-            out[i] = self.holonomy ** shift[i] \
-                * (np.exp(1j * (lam - shift[i]) * y[i]) @ c)
-        return out
+        out = np.empty(kv.size, dtype=complex)
+        for b in range(0, kv.size, self._rows_per_block):
+            blk = slice(b, b + self._rows_per_block)
+            used, local = np.unique(inv[blk], return_inverse=True)
+            rows = np.array([self._cache[key] for key in keys[used].tolist()])
+            out[blk] = np.einsum("ij,ij->i", np.exp(
+                1j * (lam - shift[blk, None]) * yv[blk, None]), rows[local])
+        return (self.holonomy ** shift * out).reshape(np.shape(k) or (1,))
 
 
 def _macro_spline(x: np.ndarray, f: np.ndarray):

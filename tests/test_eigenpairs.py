@@ -1,0 +1,238 @@
+"""The lowest-eigenpairs helper and the batched ChiInterpolator against the
+earlier per-k path (one assembled dense complex eigh per k) and the earlier
+per-point chi_values loop, kept here as a test-local oracle."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blochstep import (
+    ChiInterpolator,
+    build_grid,
+    fold_k,
+    from_samples,
+    kronig_penney,
+    mathieu,
+    solve_bands,
+)
+from blochstep.bands import _lowest_eigenpairs
+from blochstep.errors import EigensolverFailure, NonFinite
+
+TOL = 1e-12
+
+
+# ---- oracle: per-k assembly and dense eigh, per-point chi evaluation ----
+
+def _oracle_hk(V, k, Lambda):
+    i = np.arange(1, 2 * Lambda + 1)
+    H = V.vhat(i[:, None] - i[None, :])
+    H[np.diag_indices(2 * Lambda)] += 0.5 * (k - Lambda + i - 1) ** 2
+    return H
+
+
+def _oracle_eigenpairs(V, Lambda, ks, lo, hi):
+    energies = np.empty((hi - lo + 1, len(ks)))
+    vectors = np.empty((hi - lo + 1, len(ks), 2 * Lambda), dtype=complex)
+    for j, k in enumerate(ks):
+        vals, vecs = scipy.linalg.eigh(_oracle_hk(V, k, Lambda),
+                                       subset_by_index=[lo, hi])
+        energies[:, j] = vals
+        vectors[:, j, :] = (vecs / np.linalg.norm(vecs, axis=0)).T
+    return energies, vectors
+
+
+def _anchor(v):
+    j = int(np.argmax(np.abs(v)))
+    return v / (v[j] / abs(v[j]))
+
+
+def _oracle_table(V, grid, Lambda, M):
+    energies, vectors = _oracle_eigenpairs(V, Lambda, grid.k_nodes, 0, M - 1)
+    for m in range(M):
+        vectors[m, 0] = _anchor(vectors[m, 0])
+        for l in range(1, grid.L):
+            ov = np.vdot(vectors[m, l - 1], vectors[m, l])
+            if abs(ov) > 1e-12:
+                vectors[m, l] *= np.conj(ov) / abs(ov)
+            else:
+                vectors[m, l] = _anchor(vectors[m, l])
+    return energies, vectors
+
+
+def _oracle_neighbor(tab, m, l):
+    L = tab.grid.L
+    v = tab.vectors[m - 1, l % L]
+    shift = l // L
+    if shift == 0:
+        return v
+    out = np.zeros_like(v)
+    if shift > 0:
+        out[:-shift] = v[shift:]
+    else:
+        out[-shift:] = v[:shift]
+    return out
+
+
+class _OracleChi:
+    def __init__(self, tab, m, quantum=1e-6):
+        self.tab, self.m, self.quantum = tab, m, quantum
+        self.cache = {}
+        L = tab.grid.L
+        wrap = np.vdot(tab.vectors[m - 1, L - 1], _oracle_neighbor(tab, m, L))
+        self.holonomy = 1.0 if wrap.real >= 0 else -1.0
+
+    def _reference(self, k):
+        pos = (k + 0.5) * self.tab.grid.L
+        w = pos - np.floor(pos)
+        v0 = _oracle_neighbor(self.tab, self.m, int(np.floor(pos)))
+        v1 = _oracle_neighbor(self.tab, self.m, int(np.floor(pos)) + 1)
+        ov = np.vdot(v0, v1)
+        if abs(ov) > 1e-12:
+            v1 = v1 * (np.conj(ov) / abs(ov))
+        ref = (1 - w) * v0 + w * v1
+        return ref / np.linalg.norm(ref)
+
+    def coeffs(self, k):
+        kf = float(fold_k(k))
+        key = int(round(kf / self.quantum))
+        if key not in self.cache:
+            lo = max(0, self.m - 2)
+            hi = min(2 * self.tab.Lambda - 1, self.m)
+            _, vecs = scipy.linalg.eigh(
+                _oracle_hk(self.tab.potential, kf, self.tab.Lambda),
+                subset_by_index=[lo, hi])
+            v = vecs[:, self.m - 1 - lo]
+            v = v / np.linalg.norm(v)
+            ov = np.vdot(self._reference(kf), v)
+            if abs(ov) > 1e-12:
+                v = v * (np.conj(ov) / abs(ov))
+            self.cache[key] = v
+        return self.cache[key]
+
+    def chi_values(self, k, y):
+        kf = fold_k(k)
+        shift = np.rint(k - kf)
+        lam = np.arange(-self.tab.Lambda, self.tab.Lambda)
+        out = np.empty(k.shape, dtype=complex)
+        for i in np.ndindex(k.shape):
+            out[i] = self.holonomy ** shift[i] * (
+                np.exp(1j * (lam - shift[i]) * y[i]) @ self.coeffs(kf[i]))
+        return out
+
+
+# ---- cases ----
+
+def _asymmetric(Lambda):
+    """A real lattice potential without reflection symmetry: complex V-hat."""
+    y = 2 * np.pi * np.arange(8 * Lambda) / (8 * Lambda)
+    return from_samples(np.sin(y) + 0.3 * np.cos(2 * y) + 0.2 * np.sin(3 * y),
+                        Lambda)
+
+
+DENSE = {"kp": kronig_penney,
+         "free": lambda Lambda: from_samples(np.zeros(8 * Lambda), Lambda),
+         "asymmetric": _asymmetric}
+
+
+@lru_cache(maxsize=None)
+def _tables(lattice, L, Lambda, M):
+    V = (DENSE.get(lattice) or mathieu)(Lambda)
+    grid = build_grid(1.0 / L, 4)
+    return solve_bands(V, grid, Lambda, M), _oracle_table(V, grid, Lambda, M)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([4, 16, 32]), st.sampled_from([1, 7, 32]),
+       st.integers(1, 8))
+def test_mathieu_tridiagonal_tables_match_dense_oracle(Lambda, L, M):
+    table, (energies, vectors) = _tables("mathieu", L, Lambda, M)
+    assert np.max(np.abs(table.energies - energies)) <= TOL
+    assert np.max(np.abs(table.vectors - vectors)) <= TOL
+
+
+@pytest.mark.parametrize("lattice", sorted(DENSE))
+def test_dense_path_bitwise_equal_to_oracle(lattice):
+    table, (energies, vectors) = _tables(lattice, 7, 16, 4)
+    assert np.array_equal(table.energies, energies)
+    assert np.array_equal(table.vectors, vectors)
+    ks = np.linspace(-0.7, 0.6, 9)
+    got = _lowest_eigenpairs(table.potential, 16, ks, 1, 3)
+    want = _oracle_eigenpairs(table.potential, 16, ks, 1, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("lattice,tridiagonal", [
+    ("mathieu", True), ("kp", False), ("free", False), ("asymmetric", False)])
+def test_dispatch_picks_tridiagonal_only_for_the_cosine_lattice(
+        lattice, tridiagonal, monkeypatch):
+    calls = {"eigh": 0, "eigh_tridiagonal": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(scipy.linalg, name), _n=name, **kw):
+            calls[_n] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    V = (DENSE.get(lattice) or mathieu)(8)
+    _lowest_eigenpairs(V, 8, np.array([0.1, 0.2, 0.3]), 0, 2)
+    assert calls == ({"eigh": 0, "eigh_tridiagonal": 3} if tridiagonal
+                     else {"eigh": 3, "eigh_tridiagonal": 0})
+
+
+def _chi_points(rng, n, repeats):
+    """Quasi-momenta outside the zone, at +-1/2 and on zone shifts of
+    those, with some keys repeated; cell coordinates in [0, 2*pi)."""
+    k = np.concatenate([rng.uniform(-2.5, 2.5, n), [-0.5, 0.5, 1.5, -1.5]])
+    k = np.concatenate([k, rng.choice(k, repeats)])
+    return k, rng.uniform(0.0, 2 * np.pi, k.size)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["mathieu", "kp", "asymmetric"]), st.sampled_from([1, 32]),
+       st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+def test_chi_values_match_per_point_oracle(lattice, L, m, seed):
+    table, _ = _tables(lattice, L, 16, 4)
+    rng = np.random.default_rng(seed)
+    chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+    assert chi.holonomy == oracle.holonomy
+    for _ in range(2):  # the second call reuses part of the cache
+        k, y = _chi_points(rng, 40, 20)
+        k = k.reshape(4, -1)
+        y = y.reshape(4, -1)
+        got = chi.chi_values(k, y)
+        assert got.shape == k.shape
+        assert np.max(np.abs(got - oracle.chi_values(k, y))) <= TOL
+        assert sorted(chi._cache) == sorted(oracle.cache)
+    for key in oracle.cache:
+        assert np.max(np.abs(chi._cache[key] - oracle.cache[key])) <= TOL
+    assert np.max(np.abs(chi.coeffs(2.3) - oracle.coeffs(2.3))) <= TOL
+
+
+@pytest.mark.parametrize("k,y", [
+    (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 1.0), (0.1, np.nan)])
+def test_chi_values_non_finite_is_typed(mathieu_table, k, y):
+    chi = ChiInterpolator(mathieu_table, 1)
+    with pytest.raises(NonFinite):
+        chi.chi_values(np.array([0.2, k]), np.array([0.5, y]))
+
+
+def test_chi_coeffs_non_finite_is_typed(mathieu_table):
+    with pytest.raises(NonFinite):
+        ChiInterpolator(mathieu_table, 1).coeffs(np.nan)
+
+
+def _failing(*args, **kwargs):
+    raise scipy.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize("lattice,solver", [
+    ("kp", "eigh"), ("mathieu", "eigh_tridiagonal")])
+def test_eigensolver_failures_are_typed(lattice, solver, monkeypatch):
+    table, _ = _tables(lattice, 7, 16, 4)
+    monkeypatch.setattr(scipy.linalg, solver, _failing)
+    with pytest.raises(EigensolverFailure):
+        ChiInterpolator(table, 2).chi_values(np.array([0.3]), np.array([0.0]))
+    with pytest.raises(EigensolverFailure):
+        solve_bands(table.potential, table.grid, 16, 4)

@@ -122,6 +122,15 @@ def test_cli_manifest_records_flags_and_hash(tmp_path):
     assert manifest["config_hash"] == config_hash(manifest["config"])
 
 
+def test_cli_evolve_names_final_field_after_end_time(tmp_path):
+    from blochstep.cli import main
+    out = tmp_path / "evolve"
+    assert main(["evolve", "--scheme", "ts", "--eps", "0.125", "--R", "16",
+                 "--steps", "10", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("psi_t*")) == ["psi_t1.bin",
+                                                          "psi_t1.csv"]
+
+
 def test_manifest_write_failure_is_io_failure(tmp_path):
     (tmp_path / "manifest.json").mkdir()
     with pytest.raises(IoFailure):
