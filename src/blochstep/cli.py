@@ -81,8 +81,7 @@ def cmd_evolve(args) -> int:
                   snapshot_every=args.snapshot_every,
                   track_band_masses=args.scheme == "bd")
     files = []
-    snaps = traj.snapshots or [traj.final]  # the final field belongs to t = T
-    for t, snap in zip(traj.times[-len(snaps):], snaps):
+    for t, snap in zip(traj.times, traj.snapshots):
         stem = f"psi_t{t:.6g}".replace(".", "p")
         save_wavefield_csv(snap, out / f"{stem}.csv")
         save_wavefield_binary(snap, out / f"{stem}.bin")

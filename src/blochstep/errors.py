@@ -54,7 +54,7 @@ class TruncationMismatch(BlochStepError):
 
 
 class NonFinite(BlochStepError):
-    """A field developed non-finite entries during time stepping."""
+    """A field, a potential or an argument holds non-finite entries."""
 
 
 class CFLViolation(BlochStepError):

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InsufficientSamples, NonSmoothForce, OutOfDomain
+from .errors import InsufficientSamples, NonFinite, NonSmoothForce, OutOfDomain
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,6 +34,8 @@ class PeriodicPotential:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (n,):
             raise ValueError(f"expected {n} coefficients, got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise NonFinite("non-finite lattice potential coefficients")
         # real potential => Hermitian symmetry of the coefficient table
         if np.max(np.abs(c - np.conj(c[::-1]))) > 1e-12:
             raise ValueError("coefficients violate V(-lam) = conj(V(lam))")

@@ -14,18 +14,78 @@ from .bands import BandTable
 from .errors import NonFinite
 from .grid import SimulationGrid, WaveField, discrete_norms
 from .potential import EXTERNAL_NONE, ExternalPotential, PeriodicPotential
-from .transform import BlochTransform
+from .transform import TWO_PI, BlochTransform
+
+
+@dataclass
+class _State:
+    """A field at a step boundary: its physical samples, or the coefficients
+    in the propagator's basis whose backward transform they are, or both.
+    The missing form, and the forward transform of the samples, are formed
+    on demand and kept.  The arrays are never written to once stored."""
+
+    values: Optional[np.ndarray] = None
+    coeffs: Optional[np.ndarray] = None
+    projection: Optional[np.ndarray] = None
 
 
 class _Splitting:
     """Lie: flow(dt), then the phase; Strang: flow(dt/2), phase, flow(dt/2).
-    Adjacent Strang half-flows are not merged: for BD, projecting onto M
-    bands does not commute with the phase multiply."""
+
+    A solve enters once (`enter`), steps with `advance` and forms samples
+    only where it needs them (`leave`).  A step is one backward transform,
+    the phase multiply and, for Strang, one forward transform: the state
+    between Strang steps stays in the basis.  Adjacent Strang half-flows are
+    not merged, because for BD projecting onto M bands does not commute with
+    the phase multiply.  The transform pair between them is replaced by
+    `_round_trip`, equal to forward(backward(.)) up to round-off and applied
+    in the basis: the window Gram matrix for BD, the identity for TS.  A Lie
+    step ends on the phase, so its boundary state is physical samples."""
+
+    def enter(self, values: np.ndarray) -> _State:
+        return _State(values=values)
+
+    def advance(self, state: _State) -> _State:
+        out = self._backward(self.project(state) * self.flow)
+        out *= self.phase
+        if not self.strang:
+            return _State(values=out)
+        coeffs = self._forward(out)
+        coeffs *= self.flow
+        return _State(coeffs=coeffs)
+
+    def leave(self, state: _State) -> np.ndarray:
+        """The state's (L, R) physical samples."""
+        if state.values is None:
+            # backward transforms may overwrite their input
+            state.values = self._backward(state.coeffs.copy())
+        return state.values
+
+    def project(self, state: _State) -> np.ndarray:
+        """The forward transform of the state's samples, formed without a
+        backward transform when the state is held in the basis."""
+        if state.projection is None:
+            state.projection = (self._forward(state.values)
+                                if state.coeffs is None
+                                else self._round_trip(state.coeffs))
+        return state.projection
+
+    def mass(self, state: _State) -> float:
+        """Discrete L2 norm of the state's samples; by Parseval,
+        ||backward(c)||^2 = mass_scale * Re<c, round_trip(c)>."""
+        if state.coeffs is None:
+            return discrete_norms(WaveField(self.grid, state.values))[0]
+        return float(np.sqrt(self.mass_scale * np.vdot(
+            state.coeffs, self.project(state)).real))
+
+    @staticmethod
+    def finite(state: _State) -> bool:
+        held = state.values if state.coeffs is None else state.coeffs
+        return bool(np.all(np.isfinite(held)))
 
     def step(self, psi: WaveField) -> WaveField:
-        out = self._flow(psi.values)
-        out *= self.phase
-        return WaveField(psi.grid, self._flow(out) if self.strang else out)
+        state = self.advance(self.enter(psi.values))
+        return WaveField(psi.grid, self.leave(state))
 
 
 class BDPropagator(_Splitting):
@@ -35,15 +95,20 @@ class BDPropagator(_Splitting):
     def __init__(self, bands: BandTable, external: ExternalPotential,
                  dt: float, order: str):
         eps = bands.grid.epsilon
+        self.grid = bands.grid
         self.strang = order == "strang"
         self.transform = BlochTransform(bands)
         flow_dt = dt / 2 if self.strang else dt
-        self.band_phase = np.exp(-1j * bands.energies * (flow_dt / eps))
+        self.flow = np.exp(-1j * bands.energies * (flow_dt / eps))
         self.phase = np.exp(-1j * external(bands.grid.x_nodes) * (dt / eps))
+        # only a Strang state is held in the basis
+        self.gram = self.transform.gram() if self.strang else None
+        self.mass_scale = 1.0 / (TWO_PI * self.grid.L ** 2)
+        self._forward = self.transform.project
+        self._backward = self.transform.reconstruct
 
-    def _flow(self, values):
-        tr = self.transform
-        return tr.reconstruct(tr.project(values) * self.band_phase)
+    def _round_trip(self, C):
+        return np.matmul(self.gram, C.T[:, :, None])[:, :, 0].T
 
 
 class TSPropagator(_Splitting):
@@ -55,17 +120,26 @@ class TSPropagator(_Splitting):
                  external: ExternalPotential, dt: float, order: str):
         eps = grid.epsilon
         n = grid.n_points
+        self.grid = grid
         self.strang = order == "strang"
         kappa = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on [0, 2*pi]
         flow_dt = dt / 2 if self.strang else dt
-        self.kinetic = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
+        self.flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
         vtot = lattice.sample(grid.x_nodes / eps) + external(grid.x_nodes)
         self.phase = np.exp(-1j * vtot * (dt / eps))
+        self.mass_scale = grid.dx / n
 
-    def _flow(self, values):
-        spectrum = scipy.fft.fft(values.reshape(-1))
-        spectrum *= self.kinetic
-        return scipy.fft.ifft(spectrum, overwrite_x=True).reshape(values.shape)
+    @staticmethod
+    def _forward(values):
+        return scipy.fft.fft(values.reshape(-1))
+
+    def _backward(self, spectrum):
+        return scipy.fft.ifft(spectrum, overwrite_x=True).reshape(
+            self.grid.L, self.grid.R)
+
+    @staticmethod
+    def _round_trip(spectrum):
+        return spectrum
 
 
 @dataclass(frozen=True)
@@ -141,7 +215,9 @@ def ts_step(psi: WaveField, config: StepperConfig) -> WaveField:
 
 @dataclass
 class Trajectory:
-    """Evolution output: final state plus optional snapshots and diagnostics."""
+    """Evolution output: final state plus snapshots and diagnostics.
+    `times` runs parallel to `snapshots`, whose last entry is `final` itself
+    at t = T (with no other snapshots when snapshot_every is 0)."""
 
     final: WaveField
     times: list[float]
@@ -152,37 +228,47 @@ class Trajectory:
 
 def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
            snapshot_every: int = 0, track_band_masses: bool = False) -> Trajectory:
-    """Apply N steps of size T/N, recording mass (and band masses on request)."""
+    """Apply N steps of size T/N, recording mass (and band masses on request).
+    Between steps the field stays in the propagator's basis: physical samples
+    are formed only for snapshots, the final field and TS band masses."""
     if N < 1 or T <= 0:
         raise ValueError("need N >= 1 and T > 0")
     cfg = replace(config, dt=T / N)
-    psi = psi0.copy()
-    if not np.all(np.isfinite(psi.values)):
+    grid = psi0.grid
+    if not np.all(np.isfinite(psi0.values)):
         raise NonFinite("non-finite field in the initial data")
-    prop = cfg.propagator(psi.grid)
-    masses = [discrete_norms(psi)[0]]
-    bmass = []
+    prop = cfg.propagator(grid)
     if track_band_masses:
         if cfg.bands is None:
             raise ValueError("band-mass tracking needs a band table")
-        bloch = prop.transform if cfg.scheme == "bd" else BlochTransform(cfg.bands)
-        bmass.append(bloch.masses(psi.values))
-    times = [0.0]
-    snapshots = [psi.copy()] if snapshot_every else []
+        if cfg.scheme == "bd":
+            def band_masses(s):
+                return prop.transform.band_norms(prop.project(s))
+        else:
+            bloch = BlochTransform(cfg.bands)
+
+            def band_masses(s):
+                return bloch.masses(prop.leave(s))
+
+    state = prop.enter(psi0.values)  # read, never written
+    masses = [prop.mass(state)]
+    bmass = [band_masses(state)] if track_band_masses else []
+    times, snapshots = ([0.0], [psi0.copy()]) if snapshot_every else ([], [])
     for n in range(1, N + 1):
-        psi = prop.step(psi)
-        if not np.all(np.isfinite(psi.values)):
+        state = prop.advance(state)
+        if not prop.finite(state):
             raise NonFinite(f"non-finite field after step {n}")
-        masses.append(discrete_norms(psi)[0])
+        masses.append(prop.mass(state))
         if track_band_masses:
-            bmass.append(bloch.masses(psi.values))
-        if snapshot_every and (n % snapshot_every == 0 or n == N):
+            bmass.append(band_masses(state))
+        if snapshot_every and n % snapshot_every == 0 and n < N:
             times.append(n * T / N)
-            snapshots.append(psi.copy())
+            snapshots.append(WaveField(grid, prop.leave(state)))
+    final = WaveField(grid, prop.leave(state))
     return Trajectory(
-        final=psi,
-        times=times if snapshot_every else [0.0, T],
-        snapshots=snapshots,
+        final=final,
+        times=times + [T],
+        snapshots=snapshots + [final],
         mass_history=np.array(masses),
         band_mass_history=np.array(bmass) if track_band_masses else None,
     )

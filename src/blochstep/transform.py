@@ -92,9 +92,9 @@ class BlochTransform:
         flat = values.reshape(-1)
         if self.modulation is not None:
             flat = flat * self.modulation
-        G = np.conj(scipy.fft.fft(flat)[self.index])
-        # conj(chi . conj(G)) = conj(chi) . G, without a conjugated copy of chi
-        C = np.conj(np.matmul(self.chi, G[:, :, None])[:, :, 0].T)
+        F = np.conj(scipy.fft.fft(flat)[self.index])
+        # conj(chi . conj(F)) = conj(chi) . F, without a conjugated copy of chi
+        C = np.conj(np.matmul(self.chi, F[:, :, None])[:, :, 0].T)
         C *= TWO_PI / self.shape[1]
         return C
 
@@ -112,14 +112,34 @@ class BlochTransform:
             psi *= np.conj(self.modulation)
         return psi.reshape(L, R)
 
-    def masses(self, values: np.ndarray) -> np.ndarray:
-        """Discrete L2 norm of each single-band part of the samples, (M,).
+    def gram(self) -> np.ndarray:
+        """Window Gram matrices G_l[m', m] = sum_r conj(chi_{m'lr}) chi_{mlr},
+        shape (L, M, M), so that project(reconstruct(C))_l = G_l C_l up to
+        FFT round-off.  G differs from I where the bands leak out of the
+        R-mode window.  Built from the real and imaginary views of chi, so
+        that no conjugated copy of it is made."""
+        L, M, _ = self.chi.shape
+        a, b = self.chi.real, self.chi.imag
+        at, bt = a.transpose(0, 2, 1), b.transpose(0, 2, 1)
+        G = np.empty((L, M, M), dtype=complex)
+        np.matmul(a, at, out=G.real)
+        G.real += b @ bt
+        np.matmul(a, bt, out=G.imag)
+        G.imag -= b @ at
+        return G
+
+    def band_norms(self, C: np.ndarray) -> np.ndarray:
+        """Discrete L2 norm of each single-band part of reconstruct(C), (M,).
         By Parseval over the length-L cell transform and the length-R window
         transform, band m has squared norm
         sum_l |C_{m,l}|^2 ||chi_win,{m,l}||^2 / (2*pi*L^2)."""
         L = self.shape[0]
-        return np.sqrt(np.sum(np.abs(self.project(values)) ** 2 * self.weights,
-                              axis=1) / (TWO_PI * L * L))
+        return np.sqrt(np.sum(np.abs(C) ** 2 * self.weights, axis=1)
+                       / (TWO_PI * L * L))
+
+    def masses(self, values: np.ndarray) -> np.ndarray:
+        """Discrete L2 norm of each single-band part of the samples, (M,)."""
+        return self.band_norms(self.project(values))
 
 
 def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:

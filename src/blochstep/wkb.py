@@ -516,13 +516,14 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
     psi = build_wkb_initial(bands, m, f, phi0, grid)
     sample_times = np.linspace(0.0, t_end, n_samples)
     prop = BDPropagator(bands, U, t_end / n_steps, "strang")
+    state = prop.enter(psi.values)
     l2s, linfs, bl2s = [], [], []
     next_sample = 0
     for n in range(n_steps + 1):
         t = n * t_end / n_steps
         if next_sample < n_samples and t >= sample_times[next_sample] - 1e-12:
             sc = reconstruct_sc(traj, amp, bands, m, grid, t, chi=chi)
-            diff = field_difference(psi, sc)
+            diff = field_difference(WaveField(grid, prop.leave(state)), sc)
             d2, dinf = discrete_norms(diff)
             l2s.append(d2)
             linfs.append(dinf)
@@ -531,7 +532,7 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
             bl2s.append(prop.transform.masses(diff.values)[m - 1])
             next_sample += 1
         if n < n_steps:
-            psi = prop.step(psi)
+            state = prop.advance(state)
     l2s = np.array(l2s)
     linfs = np.array(linfs)
     bl2s = np.array(bl2s)

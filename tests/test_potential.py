@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from blochstep import (
     eval_external,
     external_from_spec,
+    PeriodicPotential,
+    build_grid,
     from_samples,
     kronig_penney,
     mathieu,
+    solve_bands,
 )
-from blochstep.errors import InsufficientSamples, OutOfDomain
+from blochstep.errors import InsufficientSamples, NonFinite, OutOfDomain
 
 
 def _series(V, y):
@@ -63,6 +66,20 @@ def test_from_samples_kronig_penney_jump():
 def test_from_samples_rejects_short_input():
     with pytest.raises(InsufficientSamples):
         from_samples(np.ones(8), 4)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_are_typed(bad):
+    # a NaN passes the Hermitian-symmetry check, since NaN > tol is false
+    samples = np.cos(2 * np.pi * np.arange(64) / 64)
+    samples[3] = bad
+    with pytest.raises(NonFinite):
+        solve_bands(from_samples(samples, 8), build_grid(1 / 4, 4), 8, 2)
+    coeffs = mathieu(8).coeffs.copy()
+    coeffs[0] = coeffs[-1] = bad
+    with pytest.raises(NonFinite):
+        PeriodicPotential(8, coeffs)
 
 
 def test_external_potentials():
