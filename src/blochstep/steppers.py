@@ -114,28 +114,43 @@ class BDPropagator(_Splitting):
 class TSPropagator(_Splitting):
     """Pseudo-spectral free flow on the global [0, 2*pi]-periodic grid around
     the exact phase of lattice + external potential, sampled pointwise at
-    x/eps with no smoothing of discontinuities."""
+    x/eps with no smoothing of discontinuities.
+
+    The spectrum is held in the grid's (L, R) shape: bin k1 + L*k2 of the
+    length-LR DFT of the samples psi_n, n = l*R + r, sits at [k1, k2].  The
+    transforms are the four-step factorisation of that DFT: a length-L FFT
+    down each column, the twiddle exp(-2*pi*i*k1*r/(LR)) and a length-R FFT
+    along each row (backward: the reverse, conjugate twiddle, inverse FFTs)."""
 
     def __init__(self, grid: SimulationGrid, lattice: PeriodicPotential,
                  external: ExternalPotential, dt: float, order: str):
         eps = grid.epsilon
+        L, R = grid.L, grid.R
         n = grid.n_points
         self.grid = grid
         self.strang = order == "strang"
         kappa = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on [0, 2*pi]
         flow_dt = dt / 2 if self.strang else dt
-        self.flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
+        flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
+        self.flow = np.ascontiguousarray(flow.reshape(R, L).T)
+        # k1*r < LR, so the phase stays within one turn
+        self.twiddle = np.exp(-1j * (TWO_PI / n)
+                              * np.multiply.outer(np.arange(L), np.arange(R)))
+        # kept: conjugating per call makes a length-LR temporary every step
+        self.untwiddle = np.conj(self.twiddle)
         vtot = lattice.sample(grid.x_nodes / eps) + external(grid.x_nodes)
         self.phase = np.exp(-1j * vtot * (dt / eps))
         self.mass_scale = grid.dx / n
 
-    @staticmethod
-    def _forward(values):
-        return scipy.fft.fft(values.reshape(-1))
+    def _forward(self, values):
+        spectrum = scipy.fft.fft(values, axis=0)
+        spectrum *= self.twiddle
+        return scipy.fft.fft(spectrum, axis=1, overwrite_x=True)
 
     def _backward(self, spectrum):
-        return scipy.fft.ifft(spectrum, overwrite_x=True).reshape(
-            self.grid.L, self.grid.R)
+        values = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
+        values *= self.untwiddle
+        return scipy.fft.ifft(values, axis=0, overwrite_x=True)
 
     @staticmethod
     def _round_trip(spectrum):

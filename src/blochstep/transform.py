@@ -83,7 +83,9 @@ class BlochTransform:
         self.index = (L * lam + np.arange(L)[:, None] - L // 2) % (L * R)
         self.modulation = (np.exp(1j * np.pi * np.arange(L * R) / (L * R))
                            if L % 2 else None)
-        self.weights = np.sum(np.abs(self.chi) ** 2, axis=2).T  # (M, L)
+        a, b = self.chi.real, self.chi.imag  # |chi|^2 with no (L, M, R) temporary
+        self.weights = (np.einsum("lmr,lmr->ml", a, a)
+                        + np.einsum("lmr,lmr->ml", b, b))
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Coefficients C, shape (M, L), of the (L, R) physical samples."""

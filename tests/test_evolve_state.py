@@ -8,12 +8,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochstep import (
-    BDPropagator,
     BlochTransform,
     StepperConfig,
     WaveField,
@@ -42,18 +40,11 @@ LATTICES = {"mathieu": mathieu, "kp": kronig_penney}
 # ---- oracle: the per-step loop from physical samples to physical samples ----
 
 def _oracle_step(prop, values):
-    """One Lie or Strang step with the propagator's tables, each flow a full
-    transform pair."""
-    if isinstance(prop, BDPropagator):
-        tr = prop.transform
-
-        def flow(v):
-            return tr.reconstruct(tr.project(v) * prop.flow)
-    else:
-        def flow(v):
-            spectrum = scipy.fft.fft(v.reshape(-1))
-            spectrum *= prop.flow
-            return scipy.fft.ifft(spectrum, overwrite_x=True).reshape(v.shape)
+    """One Lie or Strang step with the propagator's tables and transform pair
+    (Bloch projection and reconstruction for BD, the four-step FFT pair for
+    TS), each flow a full transform pair."""
+    def flow(v):
+        return prop._backward(prop._forward(v) * prop.flow)
 
     out = flow(values)
     out *= prop.phase

@@ -1,12 +1,14 @@
 """The one-FFT Bloch transform and the precomputed propagators against the
 earlier two-stage path (length-L cell DFT, exp(-i k y) twiddle, length-R
-DFT and fftshift), kept here as a test-local oracle."""
+DFT and fftshift), kept here as a test-local oracle, and the TS four-step
+transform pair and steps against the flat length-LR FFT."""
 
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from blochstep import (
     cell_forward,
     cell_inverse,
     discrete_norms,
+    evolve,
     external_from_spec,
     kronig_penney,
     mathieu,
@@ -129,6 +132,16 @@ def test_bloch_transform_matches_two_stage_oracle(case):
     assert np.max(np.abs(band_masses(psi, tab) - tr.masses(psi.values))) == 0.0
 
 
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+@pytest.mark.parametrize("L", [1, 3, 8, 32])
+def test_parseval_weights_are_the_window_norms(lattice, L):
+    tab = _table(lattice, L, 16)
+    want = np.sum(np.abs(_oracle_window(tab)) ** 2, axis=2)
+    got = BlochTransform(tab).weights
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
 @settings(max_examples=30, deadline=None)
 @given(cases, st.sampled_from(["lie", "strang"]), st.sampled_from([0.03, -0.03]))
 def test_bd_propagator_matches_oracle(case, order, dt):
@@ -153,6 +166,39 @@ def test_ts_propagator_matches_oracle(case, order, dt):
     out = TSPropagator(grid, V, HARMONIC, dt, order).step(psi)
     ref = _oracle_ts_step(psi, V, HARMONIC, dt, order)
     assert np.max(np.abs(out.values - ref.values)) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3, 7, 8, 1024]), st.sampled_from([4, 8, 32]),
+       st.integers(0, 2 ** 31 - 1))
+def test_ts_transform_pair_is_the_flat_fft(L, R, seed):
+    """The (L, R) spectrum holds bin k1 + L*k2 of the length-LR FFT of the
+    flattened samples at [k1, k2]."""
+    grid = build_grid(1.0 / L, R)
+    prop = TSPropagator(grid, kronig_penney(R), HARMONIC, 0.01, "strang")
+    rng = np.random.default_rng(seed)
+    psi = _random_field(grid, rng).values
+    flat = scipy.fft.fft(psi.reshape(-1))
+    S = prop._forward(psi)
+    assert S.shape == (L, R)
+    assert np.max(np.abs(S.T.reshape(-1) - flat)) <= 1e-13 * np.max(np.abs(flat))
+    spec = _random_field(grid, rng).values
+    want = scipy.fft.ifft(spec.T.reshape(-1)).reshape(L, R)
+    got = prop._backward(spec.copy())
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", ["lie", "strang"])
+def test_ts_evolve_matches_oracle_at_the_benchmark_size(order):
+    grid = build_grid(1.0 / 1024, 32)
+    V = kronig_penney(32)
+    T, N = 0.01, 10
+    cfg = StepperConfig("ts", order, T / N, lattice=V, external=HARMONIC)
+    ref = psi = sample_gaussian(grid)
+    for _ in range(N):
+        ref = _oracle_ts_step(ref, V, HARMONIC, T / N, order)
+    got = evolve(psi, cfg, T, N).final
+    assert np.max(np.abs(got.values - ref.values)) <= TOL
 
 
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
