@@ -8,10 +8,12 @@ pair runs `perfbench/run.py --trace 0` once in that directory and once in
 this checkout, with the same seed, and the side that goes first alternates
 from pair to pair so that a drift in machine speed favours neither.  For
 every end-to-end metric of BENCHMARK.json the script prints both sides'
-median and quartiles, the number of pairs the checkout wins, whether the
-medians differ by more than the base's interquartile range, and the largest
-difference within any pair.  A run that fails, reports `correct: false` or
-counts failed solves is flagged.
+median and quartiles, the number of pairs the checkout wins, the signed gap
+of the medians (checkout minus base), whether that gap exceeds the base's
+interquartile range, and the largest difference within any pair.  A metric
+whose checkout median is worse than the base median by more than the
+metric's relative `bound` in BENCHMARK.json is flagged, and so is a run that
+fails, reports `correct: false` or counts failed solves.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ def unpack(ref: str, dest: Path) -> None:
     """The committed tree of ref, written under dest."""
     blob = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
                           check=True, capture_output=True).stdout
+    # extraction filters exist from Python 3.10.12 and 3.11.4 on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest, **safe)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int):
@@ -100,8 +104,8 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.base} -> checkout, {len(pairs)} complete "
           f"pairs of {args.pairs}, {args.seconds} s each")
     print(f"{'metric':<13}{'base median [q1, q3]':>34}"
-          f"{'change median [q1, q3]':>34}{'wins':>7}  gap > base IQR"
-          f"  max |change - base|")
+          f"{'change median [q1, q3]':>34}{'wins':>7}{'gap':>11}"
+          f"  gap > base IQR  max |change - base|")
     for spec in metrics if pairs else []:
         name = spec["name"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -110,10 +114,17 @@ def main(argv=None) -> int:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
+        gap = cmed - bmed
         print(f"{name:<13}{f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>34}"
               f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34}"
-              f"{f'{wins}/{len(pairs)}':>7}  {str(abs(cmed - bmed) > bq3 - bq1):<14}"
+              f"{f'{wins}/{len(pairs)}':>7}{gap:>+11.3g}"
+              f"  {str(abs(gap) > bq3 - bq1):<14}"
               f"  {max(abs(c - b) for b, c in zip(base, change)):.3g}")
+        worse = gap if lower else -gap
+        if worse > spec["bound"] * abs(bmed):
+            problems.append(f"{name}: change median {cmed:.4g} is worse than "
+                            f"base {bmed:.4g} by more than the bound "
+                            f"{spec['bound']} of the base")
     for problem in problems:
         print(f"FLAGGED {problem}")
     return 1 if problems else 0

@@ -111,16 +111,47 @@ class BDPropagator(_Splitting):
         return np.matmul(self.gram, C.T[:, :, None])[:, :, 0].T
 
 
+# Grids of at least this many points transform by the four-step
+# factorisation, smaller ones by one flat FFT.  Time of a forward plus
+# backward pair, four-step over flat (one BLAS thread, 2-vCPU VM): 1.15-1.55
+# at n = 2^11 to 2^12, where two FFT calls and a twiddle multiply cost more
+# than one call; 0.86-1.07 from 2^13 to 1.4 * 2^13; 0.85 at 2^14 and about
+# 0.6 from 2^15 up, where each flat call allocates a fresh length-n scratch
+# buffer (258 minor page faults per pair at 2^15) and the short ones do not.
+FOUR_STEP_MIN_POINTS = 1 << 14
+
+
+def _four_step_fft(values, twiddle):
+    """The length-LR DFT of the flattened (L, R) samples, bin k1 + L*k2 at
+    [k1, k2]: a length-L FFT down each column, the twiddle
+    exp(-2*pi*i*k1*r/(LR)) and a length-R FFT along each row."""
+    spectrum = scipy.fft.fft(values, axis=0)
+    spectrum *= twiddle
+    return scipy.fft.fft(spectrum, axis=1, overwrite_x=True)
+
+
+def _four_step_ifft(spectrum, untwiddle):
+    """Inverse of _four_step_fft; may overwrite spectrum."""
+    values = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
+    values *= untwiddle
+    return scipy.fft.ifft(values, axis=0, overwrite_x=True)
+
+
+def _four_step_twiddle(L: int, R: int) -> np.ndarray:
+    # k1*r < LR, so the phase stays within one turn
+    return np.exp(-1j * (TWO_PI / (L * R))
+                  * np.multiply.outer(np.arange(L), np.arange(R)))
+
+
 class TSPropagator(_Splitting):
     """Pseudo-spectral free flow on the global [0, 2*pi]-periodic grid around
     the exact phase of lattice + external potential, sampled pointwise at
     x/eps with no smoothing of discontinuities.
 
-    The spectrum is held in the grid's (L, R) shape: bin k1 + L*k2 of the
-    length-LR DFT of the samples psi_n, n = l*R + r, sits at [k1, k2].  The
-    transforms are the four-step factorisation of that DFT: a length-L FFT
-    down each column, the twiddle exp(-2*pi*i*k1*r/(LR)) and a length-R FFT
-    along each row (backward: the reverse, conjugate twiddle, inverse FFTs)."""
+    The spectrum is the length-LR DFT of the samples psi_n, n = l*R + r.
+    Below FOUR_STEP_MIN_POINTS it is the flat FFT's array; from there on it
+    is held in the grid's (L, R) shape, bin k1 + L*k2 at [k1, k2], and
+    transformed by _four_step_fft and _four_step_ifft."""
 
     def __init__(self, grid: SimulationGrid, lattice: PeriodicPotential,
                  external: ExternalPotential, dt: float, order: str):
@@ -131,26 +162,27 @@ class TSPropagator(_Splitting):
         self.strang = order == "strang"
         kappa = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on [0, 2*pi]
         flow_dt = dt / 2 if self.strang else dt
-        flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
-        self.flow = np.ascontiguousarray(flow.reshape(R, L).T)
-        # k1*r < LR, so the phase stays within one turn
-        self.twiddle = np.exp(-1j * (TWO_PI / n)
-                              * np.multiply.outer(np.arange(L), np.arange(R)))
-        # kept: conjugating per call makes a length-LR temporary every step
-        self.untwiddle = np.conj(self.twiddle)
+        self.flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
+        self.twiddle = self.untwiddle = None
+        if n >= FOUR_STEP_MIN_POINTS:
+            self.flow = np.ascontiguousarray(self.flow.reshape(R, L).T)
+            self.twiddle = _four_step_twiddle(L, R)
+            # kept: conjugating per call makes a length-LR temporary every step
+            self.untwiddle = np.conj(self.twiddle)
         vtot = lattice.sample(grid.x_nodes / eps) + external(grid.x_nodes)
         self.phase = np.exp(-1j * vtot * (dt / eps))
         self.mass_scale = grid.dx / n
 
     def _forward(self, values):
-        spectrum = scipy.fft.fft(values, axis=0)
-        spectrum *= self.twiddle
-        return scipy.fft.fft(spectrum, axis=1, overwrite_x=True)
+        if self.twiddle is None:
+            return scipy.fft.fft(values.reshape(-1))
+        return _four_step_fft(values, self.twiddle)
 
     def _backward(self, spectrum):
-        values = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
-        values *= self.untwiddle
-        return scipy.fft.ifft(values, axis=0, overwrite_x=True)
+        if self.untwiddle is None:
+            return scipy.fft.ifft(spectrum, overwrite_x=True).reshape(
+                self.grid.L, self.grid.R)
+        return _four_step_ifft(spectrum, self.untwiddle)
 
     @staticmethod
     def _round_trip(spectrum):

@@ -41,8 +41,8 @@ LATTICES = {"mathieu": mathieu, "kp": kronig_penney}
 
 def _oracle_step(prop, values):
     """One Lie or Strang step with the propagator's tables and transform pair
-    (Bloch projection and reconstruction for BD, the four-step FFT pair for
-    TS), each flow a full transform pair."""
+    (Bloch projection and reconstruction for BD, the flat or four-step FFT
+    pair for TS), each flow a full transform pair."""
     def flow(v):
         return prop._backward(prop._forward(v) * prop.flow)
 

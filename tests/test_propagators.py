@@ -1,7 +1,8 @@
 """The one-FFT Bloch transform and the precomputed propagators against the
 earlier two-stage path (length-L cell DFT, exp(-i k y) twiddle, length-R
-DFT and fftshift), kept here as a test-local oracle, and the TS four-step
-transform pair and steps against the flat length-LR FFT."""
+DFT and fftshift), kept here as a test-local oracle, and the TS transform
+pairs (flat FFT on small grids, four-step on large ones) and steps against
+the flat length-LR FFT."""
 
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
@@ -33,7 +34,13 @@ from blochstep import (
     solve_bands,
 )
 from blochstep.errors import ShapeMismatch
-from blochstep.steppers import step
+from blochstep.steppers import (
+    FOUR_STEP_MIN_POINTS,
+    _four_step_fft,
+    _four_step_ifft,
+    _four_step_twiddle,
+    step,
+)
 
 TWO_PI = 2.0 * np.pi
 HARMONIC = external_from_spec("harmonic")
@@ -171,21 +178,43 @@ def test_ts_propagator_matches_oracle(case, order, dt):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([1, 2, 3, 7, 8, 1024]), st.sampled_from([4, 8, 32]),
        st.integers(0, 2 ** 31 - 1))
-def test_ts_transform_pair_is_the_flat_fft(L, R, seed):
+def test_four_step_pair_is_the_flat_fft(L, R, seed):
     """The (L, R) spectrum holds bin k1 + L*k2 of the length-LR FFT of the
     flattened samples at [k1, k2]."""
     grid = build_grid(1.0 / L, R)
-    prop = TSPropagator(grid, kronig_penney(R), HARMONIC, 0.01, "strang")
+    twiddle = _four_step_twiddle(L, R)
     rng = np.random.default_rng(seed)
     psi = _random_field(grid, rng).values
     flat = scipy.fft.fft(psi.reshape(-1))
-    S = prop._forward(psi)
+    S = _four_step_fft(psi, twiddle)
     assert S.shape == (L, R)
     assert np.max(np.abs(S.T.reshape(-1) - flat)) <= 1e-13 * np.max(np.abs(flat))
     spec = _random_field(grid, rng).values
     want = scipy.fft.ifft(spec.T.reshape(-1)).reshape(L, R)
-    got = prop._backward(spec.copy())
+    got = _four_step_ifft(spec.copy(), np.conj(twiddle))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("L, R", [(32, 32), (1024, 8), (512, 32), (1024, 32)])
+def test_ts_propagator_picks_the_transform_by_size(L, R):
+    """Flat FFT below FOUR_STEP_MIN_POINTS, the four-step (L, R) layout from
+    there on; either way the flow table sits on the spectrum's bins."""
+    grid = build_grid(1.0 / L, R)
+    n = grid.n_points
+    prop = TSPropagator(grid, kronig_penney(R), HARMONIC, 0.01, "lie")
+    psi = _random_field(grid, np.random.default_rng(L + R)).values
+    flat = scipy.fft.fft(psi.reshape(-1))
+    S = prop._forward(psi)
+    kappa = np.fft.fftfreq(n, d=1.0 / n)
+    flow = np.exp(-0.5j * grid.epsilon * kappa ** 2 * 0.01)
+    if n >= FOUR_STEP_MIN_POINTS:
+        assert S.shape == prop.flow.shape == (L, R)
+        S, got_flow = S.T.reshape(-1), prop.flow.T.reshape(-1)
+    else:
+        assert S.shape == prop.flow.shape == (n,)
+        got_flow = prop.flow
+    assert np.max(np.abs(S - flat)) <= 1e-13 * np.max(np.abs(flat))
+    assert np.max(np.abs(got_flow - flow)) <= 1e-15
 
 
 @pytest.mark.parametrize("order", ["lie", "strang"])
