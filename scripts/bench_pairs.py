@@ -9,11 +9,13 @@ this checkout, with the same seed, and the side that goes first alternates
 from pair to pair so that a drift in machine speed favours neither.  For
 every end-to-end metric of BENCHMARK.json the script prints both sides'
 median and quartiles, the number of pairs the checkout wins, the signed gap
-of the medians (checkout minus base), whether that gap exceeds the base's
-interquartile range, and the largest difference within any pair.  A metric
-whose checkout median is worse than the base median by more than the
-metric's relative `bound` in BENCHMARK.json is flagged, and so is a run that
-fails, reports `correct: false` or counts failed solves.
+of the medians (checkout minus base), a gain verdict and the largest
+difference within any pair.  The gain is met when the checkout wins at least
+nine tenths of the pairs and its median is better than the base median, in
+the metric's `better` direction, by more than the base's interquartile
+range.  A metric whose checkout median is worse than the base median by more
+than the metric's relative `bound` in BENCHMARK.json is flagged, and so is a
+run that fails, reports `correct: false` or counts failed solves.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def main(argv=None) -> int:
           f"pairs of {args.pairs}, {args.seconds} s each")
     print(f"{'metric':<13}{'base median [q1, q3]':>34}"
           f"{'change median [q1, q3]':>34}{'wins':>7}{'gap':>11}"
-          f"  gap > base IQR  max |change - base|")
+          f"  gain  max |change - base|")
     for spec in metrics if pairs else []:
         name = spec["name"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -115,12 +117,13 @@ def main(argv=None) -> int:
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
         gap = cmed - bmed
+        worse = gap if lower else -gap
+        gain = 10 * wins >= 9 * len(pairs) and -worse > bq3 - bq1
         print(f"{name:<13}{f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>34}"
               f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34}"
               f"{f'{wins}/{len(pairs)}':>7}{gap:>+11.3g}"
-              f"  {str(abs(gap) > bq3 - bq1):<14}"
+              f"  {'met' if gain else 'no':<4}"
               f"  {max(abs(c - b) for b, c in zip(base, change)):.3g}")
-        worse = gap if lower else -gap
         if worse > spec["bound"] * abs(bmed):
             problems.append(f"{name}: change median {cmed:.4g} is worse than "
                             f"base {bmed:.4g} by more than the bound "

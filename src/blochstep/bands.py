@@ -48,25 +48,38 @@ def assemble_hk(V: PeriodicPotential, k: float, Lambda: int) -> np.ndarray:
     return H
 
 
+GAP_FLOOR = 1e-8  # a band closer than this to a neighbour counts as degenerate
+_RQI_STEPS = 8  # cap on the Rayleigh-quotient steps of one block
+_RESIDUAL_FACTOR = 4  # accept ||Hv - sigma v|| <= this * eps_mach * ||H||
+
+
+def _hamiltonian_parts(V: PeriodicPotential, Lambda: int, ks):
+    """(T, kin, e) of H(k) = T + diag(kin[k]): the Toeplitz part V-hat(i - j),
+    checked Hermitian once (H(0) with V-hat(0) put back), the kinetic
+    diagonals (nk, 2*Lambda), and the real sub-diagonal when H(k) is unreduced
+    real tridiagonal, with simple eigenvalues: V-hat real, zero for |lam| >= 2
+    and nonzero at +-1 (the cosine lattice).  e is None for every other
+    potential.  Only the lower triangle is read."""
+    T = assemble_hk(V, 0.0, Lambda)
+    T[np.diag_indices_from(T)] = V.vhat(0)
+    kin = 0.5 * (ks[:, None] - Lambda + np.arange(1, 2 * Lambda + 1) - 1) ** 2
+    e = np.diagonal(T, -1).real
+    tridiag = not np.tril(T).imag.any() and e.all() and not np.tril(T, -2).any()
+    return T, kin, (e if tridiag else None)
+
+
 def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
                        hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs lo..hi (0-based, ascending) of H(k) for each k in 1-D ks:
     energies (hi-lo+1, nk) and unit-norm vectors (hi-lo+1, nk, 2*Lambda).
-    H(k) is unreduced real tridiagonal, with simple eigenvalues, when V-hat is
-    real, zero for |lam| >= 2 and nonzero at +-1 (the cosine lattice); other
-    potentials take the dense complex eigh.  Both read the lower triangle."""
-    # the Toeplitz part V-hat(i - j), checked once: H(0) with V-hat(0) put back
-    T = assemble_hk(V, 0.0, Lambda)
+    eigh_tridiagonal on the cosine lattice, the dense complex eigh elsewhere."""
+    T, kin, e = _hamiltonian_parts(V, Lambda, ks)
     diag = np.diag_indices_from(T)
-    T[diag] = V.vhat(0)
-    kin = 0.5 * (ks[:, None] - Lambda + np.arange(1, 2 * Lambda + 1) - 1) ** 2
-    e = np.diagonal(T, -1).real
-    tridiag = not np.tril(T).imag.any() and e.all() and not np.tril(T, -2).any()
     energies = np.empty((hi - lo + 1, ks.size))
     vectors = np.empty(energies.shape + (2 * Lambda,), dtype=complex)
     for j, k in enumerate(ks):
         try:
-            if tridiag:
+            if e is not None:
                 vals, vecs = scipy.linalg.eigh_tridiagonal(
                     T[diag].real + kin[j], e, select="i", select_range=(lo, hi))
             else:
@@ -78,6 +91,115 @@ def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
         energies[:, j] = vals
         vectors[:, j] = (vecs / np.linalg.norm(vecs, axis=0)).T
     return energies, vectors
+
+
+def _tridiagonal_apply(d: np.ndarray, b: float, v: np.ndarray) -> np.ndarray:
+    """H v column by column, for diagonals d (n, B) and off-diagonal b."""
+    out = d * v
+    out[1:] += b * v[:-1]
+    out[:-1] += b * v[1:]
+    return out
+
+
+def _pivots(a: np.ndarray, b: float) -> np.ndarray:
+    """The LDL^T pivots, in place, of the tridiagonal matrices with diagonals
+    a (n, B) and off-diagonal b: a_i - b^2 / a_{i-1}, down each column."""
+    b2 = b * b
+    with np.errstate(all="ignore"):
+        for i in range(1, a.shape[0]):
+            a[i] -= b2 / a[i - 1]
+    return a
+
+
+def _twisted_rqi(d: np.ndarray, b: float, v: np.ndarray,
+                 floor: np.ndarray) -> np.ndarray:
+    """Rayleigh-quotient iteration on the columns of v (n, B) for the real
+    symmetric tridiagonal matrices with diagonals d (n, B) and off-diagonal b.
+
+    Each step solves (H - sigma) z = gamma_r e_r through the twisted
+    factorisation of H - sigma (Dhillon & Parlett 2004; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4): forward and backward LDL^T pivots
+    (the backward ones are the forward pivots of the reversed diagonal, since
+    b is constant), the twist r = argmin |gamma|, and z, with z_r = 1, as two
+    running products of the multipliers.  The shift then moves by z's
+    Rayleigh correction gamma_r / |z|^2.  A column is done once its
+    correction stops shrinking, or one step after it fell to its round-off
+    floor (B,), so that its last z comes from a shift already converged; the
+    iteration stops when every column is done, or after _RQI_STEPS steps, and
+    returns the last z, unnormalised and unchecked."""
+    n, B = d.shape
+    sigma = np.einsum("ij,ij->j", v, _tridiagonal_apply(d, b, v)) \
+        / np.einsum("ij,ij->j", v, v)
+    below = np.arange(n - 1)[:, None]
+    last = np.full(B, np.inf)
+    live = np.ones(B, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_RQI_STEPS):
+            a = d - sigma
+            piv = _pivots(np.hstack([a, a[::-1]]), b)
+            fwd, bwd = piv[:, :B], piv[::-1, B:]
+            gamma = fwd + bwd - a
+            r = np.argmin(np.abs(gamma), axis=0)
+            # z_i = -b / fwd_i * z_{i+1} above the twist, and
+            # z_{i+1} = -b / bwd_{i+1} * z_i below it
+            up = np.where(below < r, -b / fwd[:-1], 1.0)
+            down = np.where(below >= r, -b / bwd[1:], 1.0)
+            z = np.ones((n, B))
+            z[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
+            z[1:] *= np.cumprod(down, axis=0)
+            step = gamma[r, np.arange(B)] / np.einsum("ij,ij->j", z, z)
+            sigma = sigma + step
+            prev, last = last, np.abs(step)
+            live &= (last < prev) & (prev > floor)
+            if not live.any():
+                break
+    return z
+
+
+def _band_vectors(V: PeriodicPotential, Lambda: int, ks, m: int,
+                  guess: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of band m (1-based) of H(k), one row per k in 1-D ks,
+    each close to its row of guess (nk, 2*Lambda); phases unaligned.
+
+    On the cosine lattice the block runs _twisted_rqi from the guess rows,
+    made real by the phase of their largest entry.  A key is accepted when
+    its vector is finite, its residual is at most _RESIDUAL_FACTOR eps_mach
+    ||H|| and H has m - 1 eigenvalues below sigma - GAP_FLOOR and m below
+    sigma + GAP_FLOOR (negative pivots, by Sylvester's law of inertia), which
+    checks the band index and the gap in one test.  Every other key takes
+    _lowest_eigenpairs, which raises EigensolverFailure, and BandGapTooSmall
+    is raised when band m there is within GAP_FLOOR of a neighbour."""
+    T, kin, e = _hamiltonian_parts(V, Lambda, ks)
+    vectors = np.empty(guess.shape, dtype=complex)
+    rest = np.ones(ks.size, dtype=bool)
+    if e is not None:
+        b = float(e[0])  # the Toeplitz sub-diagonal is V-hat(1) throughout
+        d = (T.diagonal().real + kin).T
+        floor = np.finfo(float).eps * (np.abs(d).max(axis=0) + 2 * abs(b))
+        top = guess[np.arange(ks.size), np.argmax(np.abs(guess), axis=1)]
+        z = _twisted_rqi(d, b, (guess * top.conj()[:, None]).real.T, floor)
+        with np.errstate(all="ignore"):
+            v = z / np.linalg.norm(z, axis=0)
+            hv = _tridiagonal_apply(d, b, v)
+            sigma = np.einsum("ij,ij->j", v, hv)
+            residual = np.linalg.norm(hv - sigma * v, axis=0)
+            below = np.count_nonzero(_pivots(np.hstack(
+                [d - (sigma - GAP_FLOOR), d - (sigma + GAP_FLOOR)]), b) < 0,
+                axis=0).reshape(2, -1)
+        rest = ~(np.isfinite(v).all(axis=0)
+                 & (residual <= _RESIDUAL_FACTOR * floor)
+                 & (below[0] == m - 1) & (below[1] == m))
+        vectors[~rest] = v.T[~rest]
+    if rest.any():
+        lo, hi = max(0, m - 2), min(2 * Lambda - 1, m)
+        vals, vecs = _lowest_eigenpairs(V, Lambda, ks[rest], lo, hi)
+        gap = band_gap(vals, m - 1 - lo)
+        j = int(np.argmin(gap))
+        if gap[j] <= GAP_FLOOR:
+            raise BandGapTooSmall(
+                f"band {m} gap {gap[j]:g} at k = {ks[rest][j]:g}")
+        vectors[rest] = vecs[m - 1 - lo]
+    return vectors
 
 
 def _anchor_phase(v: np.ndarray) -> np.ndarray:
@@ -209,7 +331,7 @@ def berry_connection(table: BandTable, m: int, k_index: int) -> complex:
     imaginary up to the finite-difference error.
     """
     table.check_band(m)
-    if band_gap(table.energies[:, k_index], m - 1) <= 1e-8:
+    if band_gap(table.energies[:, k_index], m - 1) <= GAP_FLOOR:
         raise BandGapTooSmall(f"band {m} nearly degenerate at node {k_index}")
     L = table.grid.L
     dk = 1.0 / L

@@ -19,16 +19,14 @@ from scipy.interpolate import CubicSpline
 
 from .bands import (
     BandTable,
-    _lowest_eigenpairs,
+    _band_vectors,
     _neighbor_vector,
-    band_gap,
     berry_connection,
     eval_band,
     eval_band_deriv,
     fold_k,
 )
 from .errors import (
-    BandGapTooSmall,
     CausticReached,
     CFLViolation,
     NonFinite,
@@ -37,6 +35,7 @@ from .grid import SimulationGrid, WaveField
 from .potential import ExternalPotential
 
 TWO_PI = 2.0 * np.pi
+CHI_QUANTUM = 1e-6  # resolution of the off-node chi cache keys in k
 
 
 @dataclass
@@ -286,21 +285,22 @@ def _unit_conj(ov):
 class ChiInterpolator:
     """Off-node Bloch eigenvector evaluation, gauge-matched to a band table.
 
-    Each distinct folded quasi-momentum (quantized to the cache resolution)
-    is solved once, at its first point in ravel order; the fresh eigenvector
-    phase is aligned by maximal real overlap with the linear interpolation
-    of the two bracketing table vectors.
+    Each distinct folded quasi-momentum (quantized to CHI_QUANTUM) is solved
+    once, at its first point in ravel order, by bands._band_vectors from the
+    linear interpolation of the two bracketing table vectors; the fresh
+    eigenvector phase is aligned by maximal real overlap with that same
+    interpolation.
     """
 
-    def __init__(self, bands: BandTable, m: int, quantum: float = 1e-6,
-                 gap_floor: float = 1e-8):
+    def __init__(self, bands: BandTable, m: int):
         bands.check_band(m)
         self.bands = bands
         self.m = m
-        self.quantum = quantum
-        self.gap_floor = gap_floor
         self._cache: dict[int, np.ndarray] = {}
-        # points solved or evaluated at once: ~64 KB temporaries keep peak RSS flat
+        # keys solved at once: the batched solve's 2*Lambda-step loops cost
+        # per block, and its (2*Lambda, keys) arrays stay at 128 KB
+        self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
+        # points evaluated at once: ~64 KB temporaries keep peak RSS flat
         self._rows_per_block = max(1, 2 ** 12 // (2 * bands.Lambda))
         # table vectors at node indices 0..L+1, which bracket every folded k,
         # each paired with its successor aligned to it so that a blend never
@@ -309,26 +309,21 @@ class ChiInterpolator:
         ov = np.einsum("ij,ij->i", nodes[:-1].conj(), nodes[1:])
         self._pairs = nodes[:-1], nodes[1:] * _unit_conj(ov)[:, None]
         # gauge holonomy of the band across one zone: the smooth continuation
-        # obeys chi(y, k+1) = h * exp(-i y) * chi(y, k) with h = +-1 for a
-        # real symmetric lattice potential (Zak phase 0 or pi)
-        self.holonomy = 1.0 if ov[-2].real >= 0 else -1.0  # nodes L-1, L
+        # obeys chi(y, k+1) = h * exp(-i y) * chi(y, k), with h the phase that
+        # aligns the wrapped node L to node L-1 (+-1, the Zak phase, for a
+        # lattice potential with reflection symmetry; any unit phase without)
+        self.holonomy = complex(_unit_conj(ov[-2]))
 
     def _solve(self, keys: np.ndarray, kf: np.ndarray) -> None:
-        """Solve, gap-check, gauge-align and cache the keys at folded kf."""
-        lo, hi = max(0, self.m - 2), min(2 * self.bands.Lambda - 1, self.m)
-        vals, vecs = _lowest_eigenpairs(self.bands.potential,
-                                        self.bands.Lambda, kf, lo, hi)
-        idx = self.m - 1 - lo
-        gap = band_gap(vals, idx)
-        j = int(np.argmin(gap))
-        if gap[j] <= self.gap_floor:
-            raise BandGapTooSmall(f"band {self.m} gap {gap[j]:g} at k = {kf[j]:g}")
+        """Solve, gauge-align and cache the keys at folded kf."""
         pos = (kf + 0.5) * self.bands.grid.L  # fractional node index
         node = np.floor(pos).astype(int)
         w = (pos - node)[:, None]
         ref = (1 - w) * self._pairs[0][node] + w * self._pairs[1][node]
-        ov = np.einsum("ij,ij->i", ref.conj(), vecs[idx])
-        v = vecs[idx] * _unit_conj(ov)[:, None]
+        vecs = _band_vectors(self.bands.potential, self.bands.Lambda, kf,
+                             self.m, ref)
+        ov = np.einsum("ij,ij->i", ref.conj(), vecs)
+        v = vecs * _unit_conj(ov)[:, None]
         self._cache.update(zip(keys.tolist(), map(np.copy, v)))
 
     def _keys(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,11 +331,11 @@ class ChiInterpolator:
         if not np.all(np.isfinite(k)):
             raise NonFinite("non-finite quasi-momentum")
         kf = fold_k(k)
-        keys, first, inv = np.unique(np.rint(kf / self.quantum).astype(np.int64),
+        keys, first, inv = np.unique(np.rint(kf / CHI_QUANTUM).astype(np.int64),
                                      return_index=True, return_inverse=True)
         todo = np.flatnonzero([key not in self._cache for key in keys.tolist()])
-        for b in range(0, todo.size, self._rows_per_block):
-            j = todo[b:b + self._rows_per_block]
+        for b in range(0, todo.size, self._keys_per_block):
+            j = todo[b:b + self._keys_per_block]
             self._solve(keys[j], kf[first[j]])
         return keys, inv
 

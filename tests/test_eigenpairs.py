@@ -1,6 +1,7 @@
-"""The lowest-eigenpairs helper and the batched ChiInterpolator against the
-earlier per-k path (one assembled dense complex eigh per k) and the earlier
-per-point chi_values loop, kept here as a test-local oracle."""
+"""The lowest-eigenpairs helper, the batched tridiagonal eigenvector kernel
+and the batched ChiInterpolator against the earlier per-k path (one assembled
+dense complex eigh per k) and the earlier per-point chi_values loop, kept here
+as a test-local oracle."""
 
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from blochstep import (
     ChiInterpolator,
+    PeriodicPotential,
     build_grid,
     fold_k,
     from_samples,
@@ -19,8 +21,9 @@ from blochstep import (
     mathieu,
     solve_bands,
 )
-from blochstep.bands import _lowest_eigenpairs
-from blochstep.errors import EigensolverFailure, NonFinite
+from blochstep import bands
+from blochstep.bands import _hamiltonian_parts, _lowest_eigenpairs
+from blochstep.errors import BandGapTooSmall, EigensolverFailure, NonFinite
 
 TOL = 1e-12
 
@@ -82,8 +85,10 @@ class _OracleChi:
         self.tab, self.m, self.quantum = tab, m, quantum
         self.cache = {}
         L = tab.grid.L
-        wrap = np.vdot(tab.vectors[m - 1, L - 1], _oracle_neighbor(tab, m, L))
-        self.holonomy = 1.0 if wrap.real >= 0 else -1.0
+        # summed as ChiInterpolator sums it, so the two phases agree bitwise
+        wrap = np.einsum("i,i->", tab.vectors[m - 1, L - 1].conj(),
+                         _oracle_neighbor(tab, m, L))
+        self.holonomy = np.conj(wrap) / abs(wrap) if abs(wrap) > 1e-12 else 1.0
 
     def _reference(self, k):
         pos = (k + 0.5) * self.tab.grid.L
@@ -227,12 +232,99 @@ def _failing(*args, **kwargs):
     raise scipy.linalg.LinAlgError("did not converge")
 
 
+def _non_finite_rqi(d, b, v, floor):
+    return np.full(v.shape, np.nan)
+
+
 @pytest.mark.parametrize("lattice,solver", [
     ("kp", "eigh"), ("mathieu", "eigh_tridiagonal")])
 def test_eigensolver_failures_are_typed(lattice, solver, monkeypatch):
     table, _ = _tables(lattice, 7, 16, 4)
     monkeypatch.setattr(scipy.linalg, solver, _failing)
+    # on the cosine lattice chi reaches LAPACK only for keys the batched
+    # kernel rejects
+    monkeypatch.setattr(bands, "_twisted_rqi", _non_finite_rqi)
     with pytest.raises(EigensolverFailure):
         ChiInterpolator(table, 2).chi_values(np.array([0.3]), np.array([0.0]))
     with pytest.raises(EigensolverFailure):
         solve_bands(table.potential, table.grid, 16, 4)
+
+
+def _count_tridiagonal_calls(monkeypatch):
+    calls = []
+    real = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return calls
+
+
+# quasi-momenta at and near the zone edges, folded or not
+EDGE_K = np.array([-0.5, 0.5, -0.5 + 1e-5, 0.5 - 1e-5, 0.5 + 1e-5,
+                   -0.5 - 1e-5, -0.499, 0.499, 1.5, -1.4999, 0.3, -0.17])
+
+
+@pytest.mark.parametrize("Lambda", [4, 16, 32])
+@pytest.mark.parametrize("L", [1, 7, 32])
+def test_kernel_accepted_keys_match_oracle(Lambda, L, monkeypatch):
+    table, _ = _tables("mathieu", L, Lambda, 4)
+    y = np.linspace(0.0, 2 * np.pi, EDGE_K.size, endpoint=False)
+    calls = _count_tridiagonal_calls(monkeypatch)
+    for m in (1, 2, 3):
+        chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+        got = chi.chi_values(EDGE_K, y)
+        assert not calls  # every key accepted by the kernel
+        assert np.max(np.abs(got - oracle.chi_values(EDGE_K, y))) <= TOL
+        assert sorted(chi._cache) == sorted(oracle.cache)
+        for key in oracle.cache:
+            assert np.max(np.abs(chi._cache[key] - oracle.cache[key])) <= TOL
+
+
+def test_weak_cosine_lattice_gap_is_rejected_and_raised(monkeypatch):
+    weak = mathieu(16)
+    V = PeriodicPotential(16, weak.coeffs * 1e-10, name="weak", profile=weak.profile)
+    assert _hamiltonian_parts(V, 16, np.array([0.5]))[2] is not None
+    table = solve_bands(V, build_grid(1.0 / 7, 4), 16, 4)
+    calls = _count_tridiagonal_calls(monkeypatch)
+    chi = ChiInterpolator(table, 1)
+    chi.chi_values(np.array([0.2]), np.array([0.0]))
+    assert not calls  # away from the edge the kernel accepts
+    with pytest.raises(BandGapTooSmall, match=r"gap 1\.0\d*e-10"):
+        chi.chi_values(np.array([0.5]), np.array([0.0]))
+    assert len(calls) == 1  # the kernel rejected k = 1/2, the fallback raised
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_kernel_output_falls_back(bad, monkeypatch):
+    table, _ = _tables("mathieu", 7, 16, 4)
+    real = bands._twisted_rqi
+
+    def poisoned(d, b, v, floor):
+        z = real(d, b, v, floor)
+        z[:, ::2] = bad
+        return z
+    monkeypatch.setattr(bands, "_twisted_rqi", poisoned)
+    calls = _count_tridiagonal_calls(monkeypatch)
+    k = np.linspace(-0.45, 0.45, 9)
+    y = np.linspace(0.0, 6.0, 9)
+    chi, oracle = ChiInterpolator(table, 2), _OracleChi(table, 2)
+    assert np.max(np.abs(chi.chi_values(k, y) - oracle.chi_values(k, y))) <= TOL
+    assert len(calls) == 5  # one LAPACK call per poisoned key
+    assert all(np.all(np.isfinite(v)) for v in chi._cache.values())
+
+
+@pytest.mark.parametrize("lattice", ["mathieu", "kp", "asymmetric"])
+@pytest.mark.parametrize("L", [7, 32])
+def test_chi_is_continuous_across_the_zone_edge(lattice, L):
+    """chi(y, k) has no jump where k crosses +-1/2, so the holonomy must carry
+    the full phase of the wrap overlap, not only its sign."""
+    table, _ = _tables(lattice, L, 16, 4)
+    y = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    for m in (1, 2, 3):
+        chi = ChiInterpolator(table, m)
+        for edge in (-0.5, 0.5):
+            below = chi.chi_values(np.full(y.size, edge - 1e-5), y)
+            above = chi.chi_values(np.full(y.size, edge + 1e-5), y)
+            assert np.max(np.abs(above - below)) <= 1e-3
