@@ -1,7 +1,7 @@
 """Paired benchmark runs of this checkout against a git ref.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --workload ts_kp_fine \
-        --pairs 10 --seconds 40 [--seed 1]
+        --pairs 10 --seconds 40 [--seed 1] [--json BENCH_label.json]
 
 The ref is unpacked with `git archive` into a temporary directory.  Each
 pair runs `perfbench/run.py --trace 0` once in that directory and once in
@@ -15,7 +15,10 @@ nine tenths of the pairs and its median is better than the base median, in
 the metric's `better` direction, by more than the base's interquartile
 range.  A metric whose checkout median is worse than the base median by more
 than the metric's relative `bound` in BENCHMARK.json is flagged, and so is a
-run that fails, reports `correct: false` or counts failed solves.
+run that fails, reports `correct: false` or counts failed solves.  With
+`--json PATH` the same summary is also written to PATH as JSON, together with
+the seeds, the base ref and its commit, the checkout's commit and whether
+its tracked files are clean, and the machine as run.py reports it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ def parse_args(argv):
     p.add_argument("--seconds", type=int, required=True)
     p.add_argument("--seed", type=int, default=1,
                    help="seed of the first pair; pair i uses seed + i")
+    p.add_argument("--json", type=Path, metavar="PATH",
+                   help="also write the summary to PATH as JSON")
     args = p.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
         p.error("--pairs and --seconds must be >= 1")
@@ -57,9 +62,22 @@ def unpack(ref: str, dest: Path) -> None:
         tar.extractall(dest, **safe)
 
 
+def commit(ref: str) -> str:
+    return subprocess.run(["git", "rev-parse", ref], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def clean() -> bool:
+    """Whether the checkout's tracked files match its HEAD commit."""
+    return not subprocess.run(["git", "status", "--porcelain",
+                               "--untracked-files=no"], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: int):
-    """(result, problem): run.py's final JSON line, and a note when the run
-    failed or was not correct (None otherwise)."""
+    """(result, problem): run.py's final JSON line, with its `env` line
+    added under "env", and a note when the run failed or was not correct
+    (None otherwise)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -68,6 +86,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int):
     if proc.returncode != 0 or not lines:
         return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
     result = json.loads(lines[-1])
+    result["env"] = json.loads(lines[-2])["env"] if len(lines) > 1 else None
     if not result["correct"] or result["failed"]:
         return result, (f"correct={result['correct']}, "
                         f"{result['failed']}/{result['attempted']} failed")
@@ -108,6 +127,7 @@ def main(argv=None) -> int:
     print(f"{'metric':<13}{'base median [q1, q3]':>34}"
           f"{'change median [q1, q3]':>34}{'wins':>7}{'gap':>11}"
           f"  gain  max |change - base|")
+    summary = {}
     for spec in metrics if pairs else []:
         name = spec["name"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -119,17 +139,37 @@ def main(argv=None) -> int:
         gap = cmed - bmed
         worse = gap if lower else -gap
         gain = 10 * wins >= 9 * len(pairs) and -worse > bq3 - bq1
+        spread = max(abs(c - b) for b, c in zip(base, change))
+        out_of_bound = worse > spec["bound"] * abs(bmed)
         print(f"{name:<13}{f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>34}"
               f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34}"
               f"{f'{wins}/{len(pairs)}':>7}{gap:>+11.3g}"
-              f"  {'met' if gain else 'no':<4}"
-              f"  {max(abs(c - b) for b, c in zip(base, change)):.3g}")
-        if worse > spec["bound"] * abs(bmed):
+              f"  {'met' if gain else 'no':<4}  {spread:.3g}")
+        if out_of_bound:
             problems.append(f"{name}: change median {cmed:.4g} is worse than "
                             f"base {bmed:.4g} by more than the bound "
                             f"{spec['bound']} of the base")
+        summary[name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "base": {"median": bmed, "q1": bq1, "q3": bq3, "values": base},
+            "change": {"median": cmed, "q1": cq1, "q3": cq3,
+                       "values": change},
+            "wins": wins, "gap": gap, "gain": gain,
+            "max_pair_difference": spread, "bound": spec["bound"],
+            "out_of_bound": out_of_bound}
     for problem in problems:
         print(f"FLAGGED {problem}")
+    if args.json:
+        envs = [r["env"] for r in runs["change"] if r and r["env"]]
+        args.json.write_text(json.dumps({
+            "workload": args.workload,
+            "base": {"ref": args.base, "commit": commit(args.base)},
+            "checkout": {"commit": commit("HEAD"), "clean": clean()},
+            "pairs": args.pairs, "complete_pairs": len(pairs),
+            "seconds": args.seconds,
+            "seeds": [args.seed + i for i in range(args.pairs)],
+            "machine": envs[0] if envs else None,
+            "metrics": summary, "flagged": problems}, indent=1) + "\n")
     return 1 if problems else 0
 
 

@@ -53,19 +53,23 @@ _RQI_STEPS = 8  # cap on the Rayleigh-quotient steps of one block
 _RESIDUAL_FACTOR = 4  # accept ||Hv - sigma v|| <= this * eps_mach * ||H||
 
 
-def _hamiltonian_parts(V: PeriodicPotential, Lambda: int, ks):
-    """(T, kin, e) of H(k) = T + diag(kin[k]): the Toeplitz part V-hat(i - j),
-    checked Hermitian once (H(0) with V-hat(0) put back), the kinetic
-    diagonals (nk, 2*Lambda), and the real sub-diagonal when H(k) is unreduced
-    real tridiagonal, with simple eigenvalues: V-hat real, zero for |lam| >= 2
-    and nonzero at +-1 (the cosine lattice).  e is None for every other
+def _hamiltonian_parts(V: PeriodicPotential, Lambda: int):
+    """(T, e), the k-independent part of H(k) = T + diag(_kinetic(k)): the
+    Toeplitz part V-hat(i - j), checked Hermitian once (H(0) with V-hat(0)
+    put back), and the real sub-diagonal when H(k) is unreduced real
+    tridiagonal, with simple eigenvalues: V-hat real, zero for |lam| >= 2 and
+    nonzero at +-1 (the cosine lattice).  e is None for every other
     potential.  Only the lower triangle is read."""
     T = assemble_hk(V, 0.0, Lambda)
     T[np.diag_indices_from(T)] = V.vhat(0)
-    kin = 0.5 * (ks[:, None] - Lambda + np.arange(1, 2 * Lambda + 1) - 1) ** 2
     e = np.diagonal(T, -1).real
     tridiag = not np.tril(T).imag.any() and e.all() and not np.tril(T, -2).any()
-    return T, kin, (e if tridiag else None)
+    return T, (e if tridiag else None)
+
+
+def _kinetic(Lambda: int, ks) -> np.ndarray:
+    """Kinetic diagonals (1/2)(k - Lambda + i - 1)^2 of H(k), (nk, 2*Lambda)."""
+    return 0.5 * (ks[:, None] - Lambda + np.arange(1, 2 * Lambda + 1) - 1) ** 2
 
 
 def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
@@ -73,7 +77,8 @@ def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
     """Eigenpairs lo..hi (0-based, ascending) of H(k) for each k in 1-D ks:
     energies (hi-lo+1, nk) and unit-norm vectors (hi-lo+1, nk, 2*Lambda).
     eigh_tridiagonal on the cosine lattice, the dense complex eigh elsewhere."""
-    T, kin, e = _hamiltonian_parts(V, Lambda, ks)
+    T, e = _hamiltonian_parts(V, Lambda)
+    kin = _kinetic(Lambda, ks)
     diag = np.diag_indices_from(T)
     energies = np.empty((hi - lo + 1, ks.size))
     vectors = np.empty(energies.shape + (2 * Lambda,), dtype=complex)
@@ -156,10 +161,11 @@ def _twisted_rqi(d: np.ndarray, b: float, v: np.ndarray,
     return z
 
 
-def _band_vectors(V: PeriodicPotential, Lambda: int, ks, m: int,
+def _band_vectors(V: PeriodicPotential, Lambda: int, parts, ks, m: int,
                   guess: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of band m (1-based) of H(k), one row per k in 1-D ks,
-    each close to its row of guess (nk, 2*Lambda); phases unaligned.
+    each close to its row of guess (nk, 2*Lambda); phases unaligned.  parts
+    is _hamiltonian_parts(V, Lambda), built once by the caller.
 
     On the cosine lattice the block runs _twisted_rqi from the guess rows,
     made real by the phase of their largest entry.  A key is accepted when
@@ -169,12 +175,12 @@ def _band_vectors(V: PeriodicPotential, Lambda: int, ks, m: int,
     checks the band index and the gap in one test.  Every other key takes
     _lowest_eigenpairs, which raises EigensolverFailure, and BandGapTooSmall
     is raised when band m there is within GAP_FLOOR of a neighbour."""
-    T, kin, e = _hamiltonian_parts(V, Lambda, ks)
+    T, e = parts
     vectors = np.empty(guess.shape, dtype=complex)
     rest = np.ones(ks.size, dtype=bool)
     if e is not None:
         b = float(e[0])  # the Toeplitz sub-diagonal is V-hat(1) throughout
-        d = (T.diagonal().real + kin).T
+        d = (T.diagonal().real + _kinetic(Lambda, ks)).T
         floor = np.finfo(float).eps * (np.abs(d).max(axis=0) + 2 * abs(b))
         top = guess[np.arange(ks.size), np.argmax(np.abs(guess), axis=1)]
         z = _twisted_rqi(d, b, (guess * top.conj()[:, None]).real.T, floor)
@@ -266,11 +272,17 @@ def fold_k(k) -> np.ndarray:
     return np.mod(np.asarray(k, dtype=float) + 0.5, 1.0) - 0.5
 
 
+# basis entries _eval_trig forms at once: 256 KB of complex128, so that a
+# 256-point call at L = 32 is one block, and L = 1024 takes 16 points a block
+_TRIG_BLOCK = 2 ** 14
+
+
 def _eval_trig(table: BandTable, m: int, k, deriv: int) -> np.ndarray:
     """deriv-th k-derivative of the period-1 trigonometric interpolant of E_m.
 
     Collocates the stored values at the k-nodes; the Nyquist mode is
     symmetrized (real part of its basis function) so the interpolant is real.
+    The (points, L) basis is formed in blocks of _TRIG_BLOCK entries.
     """
     table.check_band(m)
     L = table.grid.L
@@ -278,10 +290,16 @@ def _eval_trig(table: BandTable, m: int, k, deriv: int) -> np.ndarray:
     w = 2.0 * np.pi * np.fft.fftfreq(L, d=1.0 / L)  # integer modes times 2*pi
     k = np.asarray(k, dtype=float)
     # phase relative to the first node k_1 = -1/2
-    basis = (1j * w) ** deriv * np.exp(1j * np.multiply.outer(k + 0.5, w))
-    if L % 2 == 0:
-        basis[..., L // 2] = basis[..., L // 2].real
-    return np.tensordot(basis, coeff, axes=1).real
+    shifted = (k + 0.5).reshape(-1)
+    out = np.empty(shifted.shape)
+    rows = max(1, _TRIG_BLOCK // L)
+    for b in range(0, shifted.size, rows):
+        basis = (1j * w) ** deriv * np.exp(1j * np.multiply.outer(
+            shifted[b:b + rows], w))
+        if L % 2 == 0:
+            basis[:, L // 2] = basis[:, L // 2].real
+        out[b:b + rows] = (basis @ coeff).real
+    return out.reshape(k.shape)
 
 
 def eval_band(table: BandTable, m: int, k) -> np.ndarray:

@@ -3,10 +3,11 @@
 The cell transform maps physical samples psi_{l,r} to the mixed representation
 psi~_{l,r} indexed by (k_l, y_r) via a length-L DFT per r; the Brillouin offset
 k = -1/2 is folded into an explicit modulation so a standard FFT applies.
-The Bloch transform goes from physical samples to coefficients C_{m,l} by one
-global FFT, a gather onto the R lowest Fourier modes of each cell, and a
-contraction against the eigenvectors.  Band masses follow from the
-coefficients by Parseval, without rebuilding any band in physical space.
+The Bloch transform goes from physical samples to coefficients C_{m,l} by the
+same length-L DFT down the cells and one contraction of each k-row against a
+stored table of windowed Bloch waves on the cell grid.  Band masses follow
+from the coefficients by Parseval, without rebuilding any band in physical
+space.
 """
 
 from __future__ import annotations
@@ -38,25 +39,21 @@ class BlochCoeffs:
                 f"{(self.bands.M, self.bands.grid.L)}")
 
 
-def _cell_modulation(grid) -> np.ndarray:
+def _cell_sign(L: int) -> np.ndarray:
     # exp(i*pi*(j-1)) = (-1)^(j-1): folds the -1/2 Brillouin offset into the DFT
-    return np.where(np.arange(grid.L) % 2 == 0, 1.0, -1.0).astype(complex)
+    return np.where(np.arange(L) % 2 == 0, 1.0, -1.0)[:, None]
 
 
 def cell_forward(psi: WaveField) -> CellField:
     """psi~_{l,r} = sum_j psi_{j,r} exp(-2*pi*i k_l (j-1)), a length-L DFT per r."""
-    grid = psi.grid
-    mod = _cell_modulation(grid)
-    tilde = np.fft.fft(psi.values * mod[:, None], axis=0)
-    return CellField(grid, tilde)
+    tilde = np.fft.fft(psi.values * _cell_sign(psi.grid.L), axis=0)
+    return CellField(psi.grid, tilde)
 
 
 def cell_inverse(tilde: CellField) -> WaveField:
     """psi_{l,r} = (1/L) sum_j psi~_{j,r} exp(2*pi*i k_j (l-1)); inverse of cell_forward."""
-    grid = tilde.grid
-    mod = _cell_modulation(grid)
-    psi = np.fft.ifft(tilde.values, axis=0) * np.conj(mod)[:, None]
-    return WaveField(grid, psi)
+    psi = np.fft.ifft(tilde.values, axis=0) * _cell_sign(tilde.grid.L)
+    return WaveField(tilde.grid, psi)
 
 
 def _window_vectors(bands: BandTable) -> np.ndarray:
@@ -69,50 +66,69 @@ def _window_vectors(bands: BandTable) -> np.ndarray:
     return bands.vectors[:, :, lo:lo + R]
 
 
+def _bloch_waves(chi: np.ndarray, L: int, R: int) -> np.ndarray:
+    """W[l, m, r] = sum_lam chi[l, m, lam] exp(2*pi*i*(L*lam + l - L/2)*r/(LR)),
+    the windowed Bloch wave exp(i k_l y_r) chi_m(y_r, k_l) on the cell grid
+    (0-based l, r; lam in {-R/2, ..., R/2 - 1}): R times the inverse length-R
+    DFT over lam, times the twiddle (-1)^r exp(i*pi*(2l - L)*r/(LR)).  The
+    twiddle's phase index (2l - L + LR)*r, whose LR*r term is the (-1)^r, is
+    reduced mod 2LR in integers, so every phase lies within one turn."""
+    W = scipy.fft.ifft(chi, axis=2)
+    l, r = np.arange(L)[:, None], np.arange(R)
+    q = (2 * l - L + L * R) * r % (2 * L * R)
+    twiddle = np.exp((1j * np.pi / (L * R)) * q)
+    twiddle *= R
+    W *= twiddle[:, None, :]
+    return W
+
+
 class BlochTransform:
     """Physical samples <-> Bloch coefficients C_{m,l} of one band table.
 
-    Window mode lam of cell row l is bin kappa = L*lam + (l-1) - L/2 (mod LR)
-    of the FFT of the global samples psi_n, n = (l-1)*R + (r-1); for odd L
-    psi_n is first modulated by exp(i*pi*n/(LR)) and kappa rounded down."""
+    The cell-space form of the FFT-based Bloch decomposition: project takes
+    X = the length-L DFT of (-1)^l psi_{l,r} down the cells (row l of X is
+    at k_l) and contracts each row against the stored Bloch waves,
+    C_{m,l} = (2*pi/R) sum_r conj(W[l, m, r]) X[l, r]; reconstruct is the
+    reverse.  The same formula holds for every L, odd or even."""
 
     def __init__(self, bands: BandTable):
         L, R = self.shape = (bands.grid.L, bands.grid.R)
         self.chi = _window_vectors(bands).transpose(1, 0, 2)  # (L, M, R) view
-        lam = np.arange(R) - R // 2
-        self.index = (L * lam + np.arange(L)[:, None] - L // 2) % (L * R)
-        self.modulation = (np.exp(1j * np.pi * np.arange(L * R) / (L * R))
-                           if L % 2 else None)
+        self.waves = _bloch_waves(self.chi, L, R)  # (L, M, R)
+        self.sign = _cell_sign(L)
         a, b = self.chi.real, self.chi.imag  # |chi|^2 with no (L, M, R) temporary
         self.weights = (np.einsum("lmr,lmr->ml", a, a)
                         + np.einsum("lmr,lmr->ml", b, b))
+
+    def _contract(self, X: np.ndarray) -> np.ndarray:
+        """C (M, L) of the (L, R) cell field X; may overwrite X."""
+        if X.shape != self.shape:
+            raise ShapeMismatch("band table grid does not match the field grid")
+        # conj(W . conj(X)) = conj(W) . X, without a conjugated copy of W
+        C = np.matmul(self.waves, np.conjugate(X, out=X)[:, :, None])[:, :, 0].T
+        np.conjugate(C, out=C)
+        C *= TWO_PI / self.shape[1]
+        return C
+
+    def _expand(self, C: np.ndarray) -> np.ndarray:
+        """The (L, R) cell field sum_m C_{m,l} W[l, m, r] / (2*pi)."""
+        # unit-coefficient-norm eigenvectors carry ||chi||^2_{L2(C)} = 2*pi,
+        # which the projection constant 2*pi/R does not divide out
+        return np.matmul((C.T / TWO_PI)[:, None, :], self.waves)[:, 0, :]
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Coefficients C, shape (M, L), of the (L, R) physical samples."""
         if values.shape != self.shape:
             raise ShapeMismatch("band table grid does not match the field grid")
-        flat = values.reshape(-1)
-        if self.modulation is not None:
-            flat = flat * self.modulation
-        F = np.conj(scipy.fft.fft(flat)[self.index])
-        # conj(chi . conj(F)) = conj(chi) . F, without a conjugated copy of chi
-        C = np.conj(np.matmul(self.chi, F[:, :, None])[:, :, 0].T)
-        C *= TWO_PI / self.shape[1]
-        return C
+        return self._contract(scipy.fft.fft(values * self.sign, axis=0,
+                                            overwrite_x=True))
 
     def reconstruct(self, C: np.ndarray) -> np.ndarray:
         """(L, R) samples of sum_m C_{m,l} chi_{m,l}; the inverse of project
         on fields spanned by the first M bands."""
-        L, R = self.shape
-        spectrum = np.empty(L * R, dtype=complex)
-        spectrum[self.index] = np.matmul(C.T[:, None, :], self.chi)[:, 0, :]
-        psi = scipy.fft.ifft(spectrum, overwrite_x=True)
-        # unit-coefficient-norm eigenvectors carry ||chi||^2_{L2(C)} = 2*pi,
-        # which the projection constant 2*pi/R does not divide out
-        psi *= R / TWO_PI
-        if self.modulation is not None:
-            psi *= np.conj(self.modulation)
-        return psi.reshape(L, R)
+        psi = scipy.fft.ifft(self._expand(C), axis=0, overwrite_x=True)
+        psi *= self.sign
+        return psi
 
     def gram(self) -> np.ndarray:
         """Window Gram matrices G_l[m', m] = sum_r conj(chi_{m'lr}) chi_{mlr},
@@ -146,7 +162,7 @@ class BlochTransform:
 
 def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:
     """Bloch coefficients C_{m,l} = (2*pi/R) sum over the windowed Fourier modes."""
-    return BlochCoeffs(bands, BlochTransform(bands).project(cell_inverse(tilde).values))
+    return BlochCoeffs(bands, BlochTransform(bands)._contract(tilde.values.copy()))
 
 
 def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> CellField:
@@ -157,8 +173,7 @@ def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> Cel
     elif bands is not coeffs.bands and (
             bands.M != coeffs.bands.M or bands.grid.L != coeffs.bands.grid.L):
         raise ShapeMismatch("coefficients tied to an incompatible band table")
-    psi = BlochTransform(bands).reconstruct(coeffs.values)
-    return cell_forward(WaveField(bands.grid, psi))
+    return CellField(bands.grid, BlochTransform(bands)._expand(coeffs.values))
 
 
 def band_masses(psi: WaveField, bands: BandTable) -> np.ndarray:

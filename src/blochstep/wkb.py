@@ -20,6 +20,7 @@ from scipy.interpolate import CubicSpline
 from .bands import (
     BandTable,
     _band_vectors,
+    _hamiltonian_parts,
     _neighbor_vector,
     berry_connection,
     eval_band,
@@ -297,6 +298,7 @@ class ChiInterpolator:
         self.bands = bands
         self.m = m
         self._cache: dict[int, np.ndarray] = {}
+        self._parts = _hamiltonian_parts(bands.potential, bands.Lambda)
         # keys solved at once: the batched solve's 2*Lambda-step loops cost
         # per block, and its (2*Lambda, keys) arrays stay at 128 KB
         self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
@@ -320,8 +322,8 @@ class ChiInterpolator:
         node = np.floor(pos).astype(int)
         w = (pos - node)[:, None]
         ref = (1 - w) * self._pairs[0][node] + w * self._pairs[1][node]
-        vecs = _band_vectors(self.bands.potential, self.bands.Lambda, kf,
-                             self.m, ref)
+        vecs = _band_vectors(self.bands.potential, self.bands.Lambda,
+                             self._parts, kf, self.m, ref)
         ov = np.einsum("ij,ij->i", ref.conj(), vecs)
         v = vecs * _unit_conj(ov)[:, None]
         self._cache.update(zip(keys.tolist(), map(np.copy, v)))

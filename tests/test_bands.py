@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,49 @@ def test_eval_band_deriv_against_central_difference(L):
     fd = (eval_band(tab, 2, k + h) - eval_band(tab, 2, k - h)) / (2 * h)
     np.testing.assert_allclose(eval_band_deriv(tab, 2, k), fd,
                                atol=1e-6 * (1 + np.max(np.abs(fd))))
+
+
+def _unblocked_trig(table, m, k, deriv):
+    """The trigonometric interpolant with the whole (points, L) basis formed
+    at once."""
+    L = table.grid.L
+    coeff = np.fft.fft(table.energies[m - 1]) / L
+    w = 2.0 * np.pi * np.fft.fftfreq(L, d=1.0 / L)
+    basis = (1j * w) ** deriv * np.exp(
+        1j * np.multiply.outer(np.asarray(k, dtype=float) + 0.5, w))
+    if L % 2 == 0:
+        basis[..., L // 2] = basis[..., L // 2].real
+    return np.tensordot(basis, coeff, axes=1).real
+
+
+@pytest.mark.parametrize("L", [1, 7, 32, 1024])
+def test_eval_band_blocks_match_unblocked_oracle(L):
+    tab = solve_bands(mathieu(4), build_grid(1.0 / L, 4), 4, 2)
+    # 1201 points: three blocks at L = 32, the last one short
+    ks = [np.linspace(-0.7, 0.6, 1201),
+          np.linspace(-2.0, 2.0, 60).reshape(3, 4, 5), np.float64(0.3)]
+    for k in ks:
+        for deriv, fn in ((0, eval_band), (1, eval_band_deriv)):
+            for m in (1, 2):
+                want = _unblocked_trig(tab, m, k, deriv)
+                got = fn(tab, m, k)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(
+                    1.0, np.max(np.abs(want)))
+
+
+def test_eval_band_deriv_memory_stays_small_at_large_L():
+    # the 4L + 1 = 4097-point grid of hj_solve at L = 1024: the unblocked
+    # basis peaked at 134 MB there
+    tab = solve_bands(mathieu(4), build_grid(1.0 / 1024, 4), 4, 2)
+    kfine = np.linspace(-0.5, 0.5, 4 * 1024 + 1)
+    tracemalloc.start()
+    try:
+        eval_band_deriv(tab, 1, kfine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_eval_band_rejects_bad_index(mathieu_table):

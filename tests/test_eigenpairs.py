@@ -285,7 +285,7 @@ def test_kernel_accepted_keys_match_oracle(Lambda, L, monkeypatch):
 def test_weak_cosine_lattice_gap_is_rejected_and_raised(monkeypatch):
     weak = mathieu(16)
     V = PeriodicPotential(16, weak.coeffs * 1e-10, name="weak", profile=weak.profile)
-    assert _hamiltonian_parts(V, 16, np.array([0.5]))[2] is not None
+    assert _hamiltonian_parts(V, 16)[1] is not None
     table = solve_bands(V, build_grid(1.0 / 7, 4), 16, 4)
     calls = _count_tridiagonal_calls(monkeypatch)
     chi = ChiInterpolator(table, 1)

@@ -1,10 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochstep import (
+    BandTable,
     BlochCoeffs,
+    BlochTransform,
     WaveField,
     band_masses,
     band_project,
@@ -14,6 +19,8 @@ from blochstep import (
     cell_inverse,
     discrete_norms,
     eval_chi,
+    from_samples,
+    kronig_penney,
     mathieu,
     sample_gaussian,
     solve_bands,
@@ -180,3 +187,120 @@ def test_band_masses_complete_for_gaussian(baseline_mathieu):
     psi = sample_gaussian(baseline_mathieu.grid)
     masses = band_masses(psi, baseline_mathieu)
     assert abs(np.sum(masses ** 2) - 1.0) < 1e-3
+
+
+# ---- oracle: the earlier flat-FFT + gather Bloch transform ----
+
+class _FlatGatherOracle:
+    """One length-LR FFT of the flat samples psi_n, n = l*R + r (0-based),
+    then a gather: window mode lam of row l is bin
+    kappa = L*lam + l - L/2 (mod LR), and C_{m,l} = (2*pi/R) sum_lam
+    conj(chi_{m,l,lam}) F_kappa.  For odd L kappa is a half-integer, so psi_n
+    is first multiplied by exp(i*pi*n/(LR)) and kappa rounded down.
+    Reconstruction scatters into the spectrum, inverts the FFT and undoes the
+    modulation."""
+
+    def __init__(self, bands):
+        L, R = self.shape = (bands.grid.L, bands.grid.R)
+        lo = bands.Lambda - R // 2
+        self.chi = bands.vectors[:, :, lo:lo + R]  # (M, L, R)
+        lam = np.arange(R) - R // 2
+        self.index = (L * lam + np.arange(L)[:, None] - L // 2) % (L * R)
+        self.modulation = (np.exp(1j * np.pi * np.arange(L * R) / (L * R))
+                           if L % 2 else None)
+
+    def project(self, values):
+        L, R = self.shape
+        flat = values.reshape(-1)
+        if self.modulation is not None:
+            flat = flat * self.modulation
+        F = scipy.fft.fft(flat)[self.index]
+        return (2 * np.pi / R) * np.einsum("mlr,lr->ml", np.conj(self.chi), F)
+
+    def reconstruct(self, C):
+        L, R = self.shape
+        spectrum = np.empty(L * R, dtype=complex)
+        spectrum[self.index] = np.einsum("ml,mlr->lr", C, self.chi)
+        psi = scipy.fft.ifft(spectrum) * (R / (2 * np.pi))
+        if self.modulation is not None:
+            psi *= np.conj(self.modulation)
+        return psi.reshape(L, R)
+
+    def masses(self, values):
+        L = self.shape[0]
+        weights = np.sum(np.abs(self.chi) ** 2, axis=2)
+        return np.sqrt(np.sum(np.abs(self.project(values)) ** 2 * weights,
+                              axis=1) / (2 * np.pi * L * L))
+
+
+def _asymmetric(Lambda):
+    """A real lattice potential without reflection symmetry: complex V-hat."""
+    y = 2 * np.pi * np.arange(8 * Lambda) / (8 * Lambda)
+    return from_samples(np.sin(y) + 0.3 * np.cos(2 * y) + 0.2 * np.sin(3 * y),
+                        Lambda)
+
+
+LATTICES = {"mathieu": mathieu, "kp": kronig_penney, "asymmetric": _asymmetric}
+
+
+@lru_cache(maxsize=None)
+def _table(lattice, L, R):
+    Lambda = R // 2 + 4
+    return solve_bands(LATTICES[lattice](Lambda), build_grid(1.0 / L, R),
+                       Lambda, 4)
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+@pytest.mark.parametrize("L", [1, 2, 3, 7, 8, 32, 1024])
+def test_cell_space_transform_matches_flat_gather_oracle(lattice, L):
+    rng = np.random.default_rng(L)
+    for R in (4, 8, 32):
+        tab = _table(lattice, L, R)
+        tr, oracle = BlochTransform(tab), _FlatGatherOracle(tab)
+        psi = random_field(tab.grid, rng).values
+        assert _relative_gap(tr.project(psi), oracle.project(psi)) <= 1e-12
+        assert _relative_gap(tr.masses(psi), oracle.masses(psi)) <= 1e-12
+        C = (rng.standard_normal((tab.M, L))
+             + 1j * rng.standard_normal((tab.M, L)))
+        assert _relative_gap(tr.reconstruct(C), oracle.reconstruct(C)) <= 1e-12
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+@pytest.mark.parametrize("L,R", [(1, 8), (3, 4), (8, 32), (32, 32), (1024, 8)])
+def test_table_is_the_sampled_windowed_bloch_wave(lattice, L, R):
+    # eval_chi on a table cut to the R-mode window, so that no mode outside
+    # it aliases onto the cell grid
+    tab = _table(lattice, L, R)
+    lo = tab.Lambda - R // 2
+    window = BandTable(grid=tab.grid, M=tab.M, Lambda=R // 2,
+                       energies=tab.energies,
+                       vectors=tab.vectors[:, :, lo:lo + R],
+                       potential=tab.potential)
+    grid, y = tab.grid, tab.grid.y_nodes
+    want = np.array([[np.exp(1j * k * y) * eval_chi(window, m + 1, l, y)
+                      for m in range(tab.M)]
+                     for l, k in enumerate(grid.k_nodes)])
+    assert _relative_gap(BlochTransform(tab).waves, want) <= 1e-13
+
+
+def test_table_phases_are_exact_at_large_L():
+    # one-hot window vectors make each table entry a pure phase,
+    # exp(i*pi*q/(LR)) with q = (2*(L*lam + l) - L)*r reduced mod 2LR in
+    # integers; a phase taken from the unreduced float argument, which
+    # reaches (R + 1)*pi here, is off by about 1e-14
+    L, R = 1024, 32
+    Lambda = R // 2 + 1
+    vectors = np.zeros((R, L, 2 * Lambda), dtype=complex)
+    vectors[np.arange(R), :, np.arange(R) + Lambda - R // 2] = 1.0
+    tab = BandTable(grid=build_grid(1.0 / L, R), M=R, Lambda=Lambda,
+                    energies=np.zeros((R, L)), vectors=vectors,
+                    potential=mathieu(Lambda))
+    l = np.arange(L)[:, None, None]
+    lam = np.arange(R)[None, :, None] - R // 2
+    q = (2 * (L * lam + l) - L) * np.arange(R) % (2 * L * R)
+    want = np.exp(1j * np.pi * q / (L * R))
+    assert np.max(np.abs(BlochTransform(tab).waves - want)) <= 3e-15
