@@ -68,7 +68,7 @@ def _hamiltonian_parts(V: PeriodicPotential, Lambda: int):
 
 
 def _kinetic(Lambda: int, ks) -> np.ndarray:
-    """Kinetic diagonals (1/2)(k - Lambda + i - 1)^2 of H(k), (nk, 2*Lambda)."""
+    """The kinetic diagonals (1/2)(k - Lambda + i - 1)^2, (nk, 2*Lambda)."""
     return 0.5 * (ks[:, None] - Lambda + np.arange(1, 2 * Lambda + 1) - 1) ** 2
 
 

@@ -67,7 +67,7 @@ def _window_vectors(bands: BandTable) -> np.ndarray:
 
 
 def _bloch_waves(chi: np.ndarray, L: int, R: int) -> np.ndarray:
-    """W[l, m, r] = sum_lam chi[l, m, lam] exp(2*pi*i*(L*lam + l - L/2)*r/(LR)),
+    """W[l, m, r] = sum_lam chi[l, m, lam] exp(2*pi*i*(L*lam + l - L/2)r/(LR)),
     the windowed Bloch wave exp(i k_l y_r) chi_m(y_r, k_l) on the cell grid
     (0-based l, r; lam in {-R/2, ..., R/2 - 1}): R times the inverse length-R
     DFT over lam, times the twiddle (-1)^r exp(i*pi*(2l - L)*r/(LR)).  The
@@ -105,7 +105,8 @@ class BlochTransform:
         if X.shape != self.shape:
             raise ShapeMismatch("band table grid does not match the field grid")
         # conj(W . conj(X)) = conj(W) . X, without a conjugated copy of W
-        C = np.matmul(self.waves, np.conjugate(X, out=X)[:, :, None])[:, :, 0].T
+        np.conjugate(X, out=X)
+        C = np.matmul(self.waves, X[:, :, None])[:, :, 0].T
         np.conjugate(C, out=C)
         C *= TWO_PI / self.shape[1]
         return C
@@ -162,7 +163,8 @@ class BlochTransform:
 
 def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:
     """Bloch coefficients C_{m,l} = (2*pi/R) sum over the windowed Fourier modes."""
-    return BlochCoeffs(bands, BlochTransform(bands)._contract(tilde.values.copy()))
+    C = BlochTransform(bands)._contract(tilde.values.copy())
+    return BlochCoeffs(bands, C)
 
 
 def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> CellField:

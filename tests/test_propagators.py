@@ -1,4 +1,4 @@
-"""The one-FFT Bloch transform and the precomputed propagators against the
+"""The cell-space Bloch transform and the precomputed propagators against the
 earlier two-stage path (length-L cell DFT, exp(-i k y) twiddle, length-R
 DFT and fftshift), kept here as a test-local oracle, and the TS transform
 pairs (flat FFT on small grids, four-step on large ones) and steps against
