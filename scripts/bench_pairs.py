@@ -1,7 +1,8 @@
 """Paired benchmark runs of this checkout against a git ref.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --workload ts_kp_fine \
-        --pairs 10 --seconds 40 [--seed 1] [--json BENCH_label.json]
+        [--workload bd_kp_fine ...] --pairs 10 --seconds 40 [--seed 1] \
+        [--json BENCH_label.json]
 
 The ref is unpacked with `git archive` into a temporary directory.  Each
 pair runs `perfbench/run.py --trace 0` once in that directory and once in
@@ -13,12 +14,14 @@ of the medians (checkout minus base), a gain verdict and the largest
 difference within any pair.  The gain is met when the checkout wins at least
 nine tenths of the pairs and its median is better than the base median, in
 the metric's `better` direction, by more than the base's interquartile
-range.  A metric whose checkout median is worse than the base median by more
+range.  Each `--workload` given runs its own pairs, with the same seeds, one
+workload after the other.  A metric whose checkout median is worse than the base median by more
 than the metric's relative `bound` in BENCHMARK.json is flagged, and so is a
 run that fails, reports `correct: false` or counts failed solves.  With
-`--json PATH` the same summary is also written to PATH as JSON, together with
-the seeds, the base ref and its commit, the checkout's commit and whether
-its tracked files are clean, and the machine as run.py reports it.
+`--json PATH` every workload's summary is also written to PATH as one JSON
+object, together with the seeds, the base ref and its commit, the
+checkout's commit and whether its tracked files are clean, and the machine
+as run.py reports it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git ref to compare against")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, action="append",
+                   help="workload to run; give it again for more")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=int, required=True)
     p.add_argument("--seed", type=int, default=1,
@@ -100,29 +104,27 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+def compare(workload, args, trees, metrics):
+    """Run the pairs of one workload and print their summary; returns
+    (summary, problems, envs, complete pairs)."""
     runs = {"base": [], "change": []}
     problems = []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"base": Path(tmp), "change": ROOT}
-        unpack(args.base, trees["base"])
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                result, problem = run_once(trees[side], args.workload, seed,
-                                           args.seconds)
-                runs[side].append(result)
-                if problem:
-                    problems.append(f"pair {i + 1} ({side}, seed {seed}): {problem}")
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
-                      f"{'FLAGGED' if problem else 'ok'}", file=sys.stderr)
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            result, problem = run_once(trees[side], workload, seed,
+                                       args.seconds)
+            runs[side].append(result)
+            if problem:
+                problems.append(f"{workload} pair {i + 1} ({side}, seed "
+                                f"{seed}): {problem}")
+            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                  f"{'FLAGGED' if problem else 'ok'}", file=sys.stderr)
 
     pairs = [(b, c) for b, c in zip(runs["base"], runs["change"])
              if b is not None and c is not None]
-    print(f"{args.workload}: {args.base} -> checkout, {len(pairs)} complete "
+    print(f"{workload}: {args.base} -> checkout, {len(pairs)} complete "
           f"pairs of {args.pairs}, {args.seconds} s each")
     print(f"{'metric':<13}{'base median [q1, q3]':>34}"
           f"{'change median [q1, q3]':>34}{'wins':>7}{'gap':>11}"
@@ -146,9 +148,9 @@ def main(argv=None) -> int:
               f"{f'{wins}/{len(pairs)}':>7}{gap:>+11.3g}"
               f"  {'met' if gain else 'no':<4}  {spread:.3g}")
         if out_of_bound:
-            problems.append(f"{name}: change median {cmed:.4g} is worse than "
-                            f"base {bmed:.4g} by more than the bound "
-                            f"{spec['bound']} of the base")
+            problems.append(f"{workload} {name}: change median {cmed:.4g} is "
+                            f"worse than base {bmed:.4g} by more than the "
+                            f"bound {spec['bound']} of the base")
         summary[name] = {
             "unit": spec["unit"], "better": spec["better"],
             "base": {"median": bmed, "q1": bq1, "q3": bq3, "values": base},
@@ -157,19 +159,34 @@ def main(argv=None) -> int:
             "wins": wins, "gap": gap, "gain": gain,
             "max_pair_difference": spread, "bound": spec["bound"],
             "out_of_bound": out_of_bound}
+    envs = [r["env"] for r in runs["change"] if r and r["env"]]
+    return summary, problems, envs, len(pairs)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    problems, envs, workloads = [], [], {}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"base": Path(tmp), "change": ROOT}
+        unpack(args.base, trees["base"])
+        for workload in args.workload:
+            summary, flagged, env, complete = compare(workload, args, trees,
+                                                      metrics)
+            problems += flagged
+            envs += env
+            workloads[workload] = {"complete_pairs": complete,
+                                   "metrics": summary, "flagged": flagged}
     for problem in problems:
         print(f"FLAGGED {problem}")
     if args.json:
-        envs = [r["env"] for r in runs["change"] if r and r["env"]]
         args.json.write_text(json.dumps({
-            "workload": args.workload,
+            "workloads": workloads,
             "base": {"ref": args.base, "commit": commit(args.base)},
             "checkout": {"commit": commit("HEAD"), "clean": clean()},
-            "pairs": args.pairs, "complete_pairs": len(pairs),
-            "seconds": args.seconds,
+            "pairs": args.pairs, "seconds": args.seconds,
             "seeds": [args.seed + i for i in range(args.pairs)],
-            "machine": envs[0] if envs else None,
-            "metrics": summary, "flagged": problems}, indent=1) + "\n")
+            "machine": envs[0] if envs else None}, indent=1) + "\n")
     return 1 if problems else 0
 
 

@@ -10,6 +10,7 @@ gauge along the k-grid.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -272,33 +273,48 @@ def fold_k(k) -> np.ndarray:
     return np.mod(np.asarray(k, dtype=float) + 0.5, 1.0) - 0.5
 
 
-# basis entries _eval_trig forms at once: 256 KB of complex128, so that a
-# 256-point call at L = 32 is one block, and L = 1024 takes 16 points a block
+# power-table entries _eval_trig forms at once: 256 KB of complex128
 _TRIG_BLOCK = 2 ** 14
 
 
 def _eval_trig(table: BandTable, m: int, k, deriv: int) -> np.ndarray:
     """deriv-th k-derivative of the period-1 trigonometric interpolant of E_m.
 
-    Collocates the stored values at the k-nodes; the Nyquist mode is
-    symmetrized (real part of its basis function) so the interpolant is real.
-    The (points, L) basis is formed in blocks of _TRIG_BLOCK entries.
+    Collocates the stored values at the k-nodes.  With s = k + 1/2 (the
+    phase relative to the first node k_1 = -1/2) and z = exp(2*pi*i*s) on
+    the unit circle, the interpolant is Re sum_{j <= L/2} a_j z^j: a_j is
+    twice the j-th DFT coefficient, except a_0 and, for even L, the Nyquist
+    coefficient, which enters symmetrized as a_{L/2} cos(pi*L*s) so that the
+    interpolant is real.  A k-derivative multiplies a_j by 2*pi*i*j, which
+    gives the Nyquist term's exact -pi*L*a_{L/2} sin(pi*L*s).  The
+    polynomial is split into B blocks of B coefficients, B ~ sqrt(L/2):
+    z^0..z^{B-1} and (z^B)^0..(z^B)^{B-1} come from cumulative products, so
+    a point costs about 2*sqrt(L/2) multiplications rather than L complex
+    exponentials.
     """
     table.check_band(m)
     L = table.grid.L
-    coeff = np.fft.fft(table.energies[m - 1]) / L
-    w = 2.0 * np.pi * np.fft.fftfreq(L, d=1.0 / L)  # integer modes times 2*pi
+    a = np.fft.rfft(table.energies[m - 1]) / L
+    a[1:(L + 1) // 2] *= 2.0
+    if deriv:
+        a *= (2j * np.pi * np.arange(a.size)) ** deriv
+    B = math.isqrt(a.size - 1) + 1
+    blocks = np.zeros(B * B, dtype=complex)
+    blocks[:a.size] = a
+    blocks = blocks.reshape(B, B).T  # blocks[r, q] = a_{qB + r}
     k = np.asarray(k, dtype=float)
-    # phase relative to the first node k_1 = -1/2
-    shifted = (k + 0.5).reshape(-1)
-    out = np.empty(shifted.shape)
-    rows = max(1, _TRIG_BLOCK // L)
-    for b in range(0, shifted.size, rows):
-        basis = (1j * w) ** deriv * np.exp(1j * np.multiply.outer(
-            shifted[b:b + rows], w))
-        if L % 2 == 0:
-            basis[:, L // 2] = basis[:, L // 2].real
-        out[b:b + rows] = (basis @ coeff).real
+    s = (k + 0.5).reshape(-1)
+    out = np.empty(s.shape)
+    rows = max(1, _TRIG_BLOCK // (2 * B))
+    for b in range(0, s.size, rows):
+        sb = s[b:b + rows]
+        # rows z^0..z^{B-1} of each point, then (z^B)^0..(z^B)^{B-1}
+        powers = np.repeat(np.exp(2j * np.pi * np.outer((1, B), sb)).reshape(
+            -1, 1), B, axis=1)
+        powers[:, 0] = 1.0
+        np.cumprod(powers, axis=1, out=powers)
+        out[b:b + rows] = np.einsum("pq,pq->p", powers[:sb.size] @ blocks,
+                                    powers[sb.size:]).real
     return out.reshape(k.shape)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bands import (
     BandTable,
@@ -249,9 +248,8 @@ def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
         local = np.exp(0.5 * dt * (-0.5 * dv + beta_interp(pmid) * Ux))
         a = a * local
         # midpoint departure points of the characteristics
-        x_half = np.mod(x - 0.5 * dt * v, TWO_PI)
-        x_dep = np.mod(x - dt * _macro_spline(x, v)(x_half), TWO_PI)
-        a = _macro_spline(x, a)(x_dep) * local
+        x_dep = x - dt * _macro_spline(v)(x - 0.5 * dt * v)
+        a = _macro_spline(a)(x_dep) * local
         if not np.all(np.isfinite(a)):
             raise NonFinite(f"amplitude blew up at t = {phase.times[i + 1]:g}")
         out.append(a.copy())
@@ -326,7 +324,7 @@ class ChiInterpolator:
                              self._parts, kf, self.m, ref)
         ov = np.einsum("ij,ij->i", ref.conj(), vecs)
         v = vecs * _unit_conj(ov)[:, None]
-        self._cache.update(zip(keys.tolist(), map(np.copy, v)))
+        self._cache.update(zip(keys.tolist(), v))
 
     def _keys(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distinct keys of 1-D k (uncached ones solved) and each point's key index."""
@@ -370,13 +368,32 @@ class ChiInterpolator:
         return (self.holonomy ** shift * out).reshape(np.shape(k) or (1,))
 
 
-def _macro_spline(x: np.ndarray, f: np.ndarray):
-    xs = np.concatenate([x, [TWO_PI]])
-    if np.iscomplexobj(f):
-        re = CubicSpline(xs, np.concatenate([f.real, f.real[:1]]), bc_type="periodic")
-        im = CubicSpline(xs, np.concatenate([f.imag, f.imag[:1]]), bc_type="periodic")
-        return lambda q: re(q) + 1j * im(q)
-    return CubicSpline(xs, np.concatenate([f, f[:1]]), bc_type="periodic")
+def _macro_spline(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Periodic cubic spline through f at x_i = 2*pi*i/n, as a function of x.
+
+    On the uniform periodic grid the spline's second derivatives solve the
+    circulant system M_{i-1} + 4 M_i + M_{i+1} = 6 (f_{i-1} - 2 f_i +
+    f_{i+1}) / h^2, so one FFT division by 4 + 2 cos(2*pi*j/n) solves it; the
+    spline is evaluated by floor division and the four-term cubic formula.
+    A complex f is splined in one pass; a real f gives real values.
+    """
+    n = f.size
+    c = np.cos(TWO_PI * np.arange(n) / n)
+    g = np.fft.ifft(np.fft.fft(f) * ((2.0 * c - 2.0) / (4.0 + 2.0 * c)))
+    g = g if np.iscomplexobj(f) else g.real  # h^2 M / 6
+    fp, gp = np.append(f, f[:1]), np.append(g, g[:1])
+
+    def spline(q):
+        t = np.asarray(q, dtype=float) * (n / TWO_PI)
+        i0 = np.floor(t)
+        u = t - i0
+        w = 1.0 - u
+        with np.errstate(invalid="ignore"):  # NaN casts to some index; u is NaN
+            i = np.mod(i0.astype(np.intp), n)
+        return (w * (fp[i] + (w * w - 1.0) * gp[i])
+                + u * (fp[i + 1] + (u * u - 1.0) * gp[i + 1]))
+
+    return spline
 
 
 def build_wkb_initial(bands: BandTable, m: int, f: Callable, phi0: Callable,
@@ -399,13 +416,12 @@ def reconstruct_sc(phase: PhaseTrajectory, amp: AmplitudeTrajectory,
     phi_macro, p_macro = phase.interp_time(t)
     a_macro = amp.interp_time(t)
     x = grid.x_nodes.reshape(-1)
+    pbar = p_macro.mean()
     # the phase may carry a linear ramp; interpolate its periodic remainder
-    ramp = (p_macro.mean()) * (phase.x - np.pi)
-    phi_per = _macro_spline(phase.x, phi_macro - ramp)
-    phi = phi_per(np.mod(x, TWO_PI)) + p_macro.mean() * (x - np.pi)
-    p = _macro_spline(phase.x, p_macro - p_macro.mean())(np.mod(x, TWO_PI)) \
-        + p_macro.mean()
-    a = _macro_spline(phase.x, a_macro)(np.mod(x, TWO_PI))
+    phi = _macro_spline(phi_macro - pbar * (phase.x - np.pi))(x) \
+        + pbar * (x - np.pi)
+    p = _macro_spline(p_macro - pbar)(x) + pbar
+    a = _macro_spline(a_macro)(x)
     if chi is None:
         chi = ChiInterpolator(bands, m)
     y = np.mod(x / grid.epsilon, TWO_PI)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -150,8 +151,8 @@ def test_eval_band_deriv_against_central_difference(L):
 
 
 def _unblocked_trig(table, m, k, deriv):
-    """The trigonometric interpolant with the whole (points, L) basis formed
-    at once."""
+    """The trigonometric interpolant with the whole (points, L) basis of
+    complex exponentials formed at once."""
     L = table.grid.L
     coeff = np.fft.fft(table.energies[m - 1]) / L
     w = 2.0 * np.pi * np.fft.fftfreq(L, d=1.0 / L)
@@ -162,12 +163,14 @@ def _unblocked_trig(table, m, k, deriv):
     return np.tensordot(basis, coeff, axes=1).real
 
 
-@pytest.mark.parametrize("L", [1, 7, 32, 1024])
+@pytest.mark.parametrize("L", [1, 2, 7, 32, 1024])
 def test_eval_band_blocks_match_unblocked_oracle(L):
     tab = solve_bands(mathieu(4), build_grid(1.0 / L, 4), 4, 2)
-    # 1201 points: three blocks at L = 32, the last one short
+    # 1201 points are four blocks at L = 1024, the last one short; the
+    # 1-point and 0-d calls are those of bicharacteristics and of scalars
     ks = [np.linspace(-0.7, 0.6, 1201),
-          np.linspace(-2.0, 2.0, 60).reshape(3, 4, 5), np.float64(0.3)]
+          np.linspace(-2.0, 2.0, 60).reshape(3, 4, 5), np.float64(0.3), -1.2,
+          np.array([0.21])]
     for k in ks:
         for deriv, fn in ((0, eval_band), (1, eval_band_deriv)):
             for m in (1, 2):
@@ -176,6 +179,37 @@ def test_eval_band_blocks_match_unblocked_oracle(L):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(
                     1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("L", [2, 32, 1024])
+def test_eval_band_nyquist_mode_and_its_derivative(L):
+    # adding 0.3*(-1)^l to the node values adds 0.3*cos(pi*L*s), s = k + 1/2,
+    # to the interpolant and -0.3*pi*L*sin(pi*L*s) to its derivative
+    tab = solve_bands(mathieu(4), build_grid(1.0 / L, 4), 4, 2)
+    rough = dataclasses.replace(
+        tab, energies=tab.energies + 0.3 * (-1.0) ** np.arange(L))
+    k = np.linspace(-0.7, 0.6, 257)
+    s = k + 0.5
+    for m in (1, 2):
+        got = eval_band_deriv(rough, m, k)
+        want = eval_band_deriv(tab, m, k) - 0.3 * np.pi * L * np.sin(
+            np.pi * L * s)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.max(np.abs(got - _unblocked_trig(rough, m, k, 1))) \
+            <= 1e-12 * scale
+        assert np.max(np.abs(eval_band(rough, m, k) - eval_band(tab, m, k)
+                             - 0.3 * np.cos(np.pi * L * s))) <= 1e-12
+
+
+@pytest.mark.parametrize("L", [7, 32])
+def test_eval_band_non_finite_k_gives_nan(L):
+    tab = solve_bands(mathieu(4), build_grid(1.0 / L, 4), 4, 2)
+    k = np.array([0.1, np.nan, np.inf, -np.inf, 0.2])
+    for fn in (eval_band, eval_band_deriv):
+        with np.errstate(invalid="ignore"):
+            got = fn(tab, 1, k)
+        assert np.all(np.isnan(got[1:4])) and np.all(np.isfinite(got[[0, 4]]))
 
 
 def test_eval_band_deriv_memory_stays_small_at_large_L():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import blochstep.wkb as wkb_mod
 from blochstep import (
@@ -23,6 +24,7 @@ from blochstep import (
 from blochstep.errors import (
     BandGapTooSmall,
     CFLViolation,
+    NonFinite,
     NonSmoothForce,
 )
 
@@ -68,6 +70,47 @@ def test_hj_short_time_taylor(baseline_mathieu):
 def test_hj_rejects_cfl_violation(kp_table):
     with pytest.raises(CFLViolation):
         hj_solve(kp_table, 2, HARMONIC, neg_cos, 0.1, 64, dt=1.0)
+
+
+def test_hj_non_finite_phase_raises_its_own_error(baseline_mathieu):
+    # a NaN phase gradient gives NaN band energies, not an exception from
+    # the interpolant, so hj_solve reports the blow-up itself
+    def nan_phase(x):
+        return np.where(x > 3.0, np.nan, 0.0)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+        hj_solve(baseline_mathieu, 1, NONE, nan_phase, 0.1, 64)
+
+
+def _scipy_periodic_spline(f):
+    """scipy's periodic CubicSpline through f at 2*pi*i/n, real and imaginary
+    parts splined separately."""
+    n = f.size
+    xs = 2.0 * np.pi * np.arange(n + 1) / n
+    parts = [CubicSpline(xs, np.append(g, g[:1]), bc_type="periodic")
+             for g in (f.real, f.imag)]
+    if np.iscomplexobj(f):
+        return lambda q: parts[0](q) + 1j * parts[1](q)
+    return parts[0]
+
+
+@pytest.mark.parametrize("n", [4, 7, 256])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_macro_spline_matches_scipy_periodic_spline(n, kind):
+    rng = np.random.default_rng(n)
+    x = 2.0 * np.pi * np.arange(n) / n
+    f = np.exp(np.sin(x)) + 0.3 * rng.standard_normal(n)
+    if kind is complex:
+        f = f + 1j * (np.cos(3 * x) + 0.3 * rng.standard_normal(n))
+    q = np.concatenate([[0.0, 2.0 * np.pi, -1e-17, 2.0 * np.pi + 0.4, 20.0,
+                         -3.0], x, rng.uniform(0.0, 2.0 * np.pi, 500)])
+    got = wkb_mod._macro_spline(f)(q)
+    want = _scipy_periodic_spline(f)(q)
+    assert got.dtype == (np.complex128 if kind is complex else np.float64)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # collocation at the nodes, and NaN in gives NaN out
+    assert np.max(np.abs(got[6:6 + n] - f)) <= 1e-14 * np.max(np.abs(f))
+    out = wkb_mod._macro_spline(f)(np.array([1.0, np.nan, 2.0]))
+    assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
 
 
 def test_transport_zero_velocity_identity(baseline_mathieu):
