@@ -15,9 +15,10 @@ difference within any pair.  The gain is met when the checkout wins at least
 nine tenths of the pairs and its median is better than the base median, in
 the metric's `better` direction, by more than the base's interquartile
 range.  Each `--workload` given runs its own pairs, with the same seeds, one
-workload after the other.  A metric whose checkout median is worse than the base median by more
-than the metric's relative `bound` in BENCHMARK.json is flagged, and so is a
-run that fails, reports `correct: false` or counts failed solves.  With
+workload after the other.  A metric whose checkout median is worse than the
+base median by more than the metric's relative `bound` in BENCHMARK.json is
+flagged, and so is a run that fails, reports `correct: false` or counts
+failed solves.  With
 `--json PATH` every workload's summary is also written to PATH as one JSON
 object, together with the seeds, the base ref and its commit, the
 checkout's commit and whether its tracked files are clean, and the machine

@@ -388,7 +388,7 @@ def _macro_spline(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         i0 = np.floor(t)
         u = t - i0
         w = 1.0 - u
-        with np.errstate(invalid="ignore"):  # NaN casts to some index; u is NaN
+        with np.errstate(invalid="ignore"):  # a NaN query: any index, u = NaN
             i = np.mod(i0.astype(np.intp), n)
         return (w * (fp[i] + (w * w - 1.0) * gp[i])
                 + u * (fp[i + 1] + (u * u - 1.0) * gp[i + 1]))
