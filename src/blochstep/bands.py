@@ -52,6 +52,7 @@ def assemble_hk(V: PeriodicPotential, k: float, Lambda: int) -> np.ndarray:
 GAP_FLOOR = 1e-8  # a band closer than this to a neighbour counts as degenerate
 _RQI_STEPS = 8  # cap on the Rayleigh-quotient steps of one block
 _RESIDUAL_FACTOR = 4  # accept ||Hv - sigma v|| <= this * eps_mach * ||H||
+_SUPPORT_MARGIN = 2  # rows kept on each side of the guesses' support
 
 
 def _hamiltonian_parts(V: PeriodicPotential, Lambda: int):
@@ -162,6 +163,16 @@ def _twisted_rqi(d: np.ndarray, b: float, v: np.ndarray,
     return z
 
 
+def _support(v: np.ndarray) -> slice:
+    """The rows of v (n, B) from the first to the last where some column is
+    above round-off relative to its largest entry, widened by
+    _SUPPORT_MARGIN rows on each side and clipped to the matrix."""
+    a = np.abs(v)
+    rows = np.flatnonzero((a > np.finfo(float).eps * a.max(axis=0)).any(axis=1))
+    return slice(max(0, rows[0] - _SUPPORT_MARGIN),
+                 rows[-1] + 1 + _SUPPORT_MARGIN)
+
+
 def _band_vectors(V: PeriodicPotential, Lambda: int, parts, ks, m: int,
                   guess: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of band m (1-based) of H(k), one row per k in 1-D ks,
@@ -169,11 +180,15 @@ def _band_vectors(V: PeriodicPotential, Lambda: int, parts, ks, m: int,
     is _hamiltonian_parts(V, Lambda), built once by the caller.
 
     On the cosine lattice the block runs _twisted_rqi from the guess rows,
-    made real by the phase of their largest entry.  A key is accepted when
-    its vector is finite, its residual is at most _RESIDUAL_FACTOR eps_mach
+    made real by the phase of their largest entry, on the guesses' numerical
+    support (_support): the eigenvector decays like 1/(j!)^2 j rows away
+    from its band's Fourier centre, so the rest of it is zero to round-off
+    and is padded back as zeros.  A key is accepted when its vector is
+    finite, its residual in the full H is at most _RESIDUAL_FACTOR eps_mach
     ||H|| and H has m - 1 eigenvalues below sigma - GAP_FLOOR and m below
     sigma + GAP_FLOOR (negative pivots, by Sylvester's law of inertia), which
-    checks the band index and the gap in one test.  Every other key takes
+    checks the band index and the gap in one test; a support that cut off a
+    tail above round-off fails the residual test.  Every other key takes
     _lowest_eigenpairs, which raises EigensolverFailure, and BandGapTooSmall
     is raised when band m there is within GAP_FLOOR of a neighbour."""
     T, e = parts
@@ -184,7 +199,10 @@ def _band_vectors(V: PeriodicPotential, Lambda: int, parts, ks, m: int,
         d = (T.diagonal().real + _kinetic(Lambda, ks)).T
         floor = np.finfo(float).eps * (np.abs(d).max(axis=0) + 2 * abs(b))
         top = guess[np.arange(ks.size), np.argmax(np.abs(guess), axis=1)]
-        z = _twisted_rqi(d, b, (guess * top.conj()[:, None]).real.T, floor)
+        start = (guess * top.conj()[:, None]).real.T
+        rows = _support(start)
+        z = np.zeros(d.shape)
+        z[rows] = _twisted_rqi(d[rows], b, start[rows], floor)
         with np.errstate(all="ignore"):
             v = z / np.linalg.norm(z, axis=0)
             hv = _tridiagonal_apply(d, b, v)
@@ -273,12 +291,13 @@ def fold_k(k) -> np.ndarray:
     return np.mod(np.asarray(k, dtype=float) + 0.5, 1.0) - 0.5
 
 
-# power-table entries _eval_trig forms at once: 256 KB of complex128
+# power-table entries _trig_interpolant forms at once: 256 KB of complex128
 _TRIG_BLOCK = 2 ** 14
 
 
-def _eval_trig(table: BandTable, m: int, k, deriv: int) -> np.ndarray:
-    """deriv-th k-derivative of the period-1 trigonometric interpolant of E_m.
+def _trig_interpolant(table: BandTable, m: int, deriv: int):
+    """deriv-th k-derivative of the period-1 trigonometric interpolant of E_m,
+    as a function of k; its coefficients are formed once, here.
 
     Collocates the stored values at the k-nodes.  With s = k + 1/2 (the
     phase relative to the first node k_1 = -1/2) and z = exp(2*pi*i*s) on
@@ -302,30 +321,34 @@ def _eval_trig(table: BandTable, m: int, k, deriv: int) -> np.ndarray:
     blocks = np.zeros(B * B, dtype=complex)
     blocks[:a.size] = a
     blocks = blocks.reshape(B, B).T  # blocks[r, q] = a_{qB + r}
-    k = np.asarray(k, dtype=float)
-    s = (k + 0.5).reshape(-1)
-    out = np.empty(s.shape)
     rows = max(1, _TRIG_BLOCK // (2 * B))
-    for b in range(0, s.size, rows):
-        sb = s[b:b + rows]
-        # rows z^0..z^{B-1} of each point, then (z^B)^0..(z^B)^{B-1}
-        powers = np.repeat(np.exp(2j * np.pi * np.outer((1, B), sb)).reshape(
-            -1, 1), B, axis=1)
-        powers[:, 0] = 1.0
-        np.cumprod(powers, axis=1, out=powers)
-        out[b:b + rows] = np.einsum("pq,pq->p", powers[:sb.size] @ blocks,
-                                    powers[sb.size:]).real
-    return out.reshape(k.shape)
+
+    def interpolant(k) -> np.ndarray:
+        k = np.asarray(k, dtype=float)
+        s = (k + 0.5).reshape(-1)
+        out = np.empty(s.shape)
+        for b in range(0, s.size, rows):
+            sb = s[b:b + rows]
+            # rows z^0..z^{B-1} of each point, then (z^B)^0..(z^B)^{B-1}
+            powers = np.repeat(np.exp(2j * np.pi * np.outer((1, B), sb)).reshape(
+                -1, 1), B, axis=1)
+            powers[:, 0] = 1.0
+            np.cumprod(powers, axis=1, out=powers)
+            out[b:b + rows] = np.einsum("pq,pq->p", powers[:sb.size] @ blocks,
+                                        powers[sb.size:]).real
+        return out.reshape(k.shape)
+
+    return interpolant
 
 
 def eval_band(table: BandTable, m: int, k) -> np.ndarray:
     """Band energy at arbitrary k via trigonometric interpolation of period 1."""
-    return _eval_trig(table, m, k, 0)
+    return _trig_interpolant(table, m, 0)(k)
 
 
 def eval_band_deriv(table: BandTable, m: int, k) -> np.ndarray:
     """dE_m/dk of the trigonometric interpolant."""
-    return _eval_trig(table, m, k, 1)
+    return _trig_interpolant(table, m, 1)(k)
 
 
 def eval_chi(table: BandTable, m: int, k_index: int, y) -> np.ndarray:

@@ -40,17 +40,23 @@ class _Splitting:
     the phase multiply.  The transform pair between them is replaced by
     `_round_trip`, equal to forward(backward(.)) up to round-off and applied
     in the basis: the window Gram matrix for BD, the identity for TS.  A Lie
-    step ends on the phase, so its boundary state is physical samples."""
+    step ends on the phase, so its boundary state is physical samples.
+    Inside a Strang step it runs `_synthesis` and `_analysis`, the backward
+    and forward transforms without BD's cell sign (-1)^l: the two exact +-1
+    factors cancel across the pointwise phase multiply."""
 
     def enter(self, values: np.ndarray) -> _State:
         return _State(values=values)
 
     def advance(self, state: _State) -> _State:
-        out = self._backward(self.project(state) * self.flow)
-        out *= self.phase
+        coeffs = self.project(state) * self.flow
         if not self.strang:
+            out = self._backward(coeffs)
+            out *= self.phase
             return _State(values=out)
-        coeffs = self._forward(out)
+        out = self._synthesis(coeffs)
+        out *= self.phase
+        coeffs = self._analysis(out)
         coeffs *= self.flow
         return _State(coeffs=coeffs)
 
@@ -90,25 +96,28 @@ class _Splitting:
 
 class BDPropagator(_Splitting):
     """The exact periodic flow exp(-i E_m(k_l) dt'/eps) on Bloch coefficients
-    (dt' = dt/2 for Strang) around the external phase exp(-i U(x) dt/eps)."""
+    (dt' = dt/2 for Strang) around the external phase exp(-i U(x) dt/eps).
+    Coefficients, band phases and Gram matrices are held (L, M), the
+    transform's own layout."""
 
     def __init__(self, bands: BandTable, external: ExternalPotential,
                  dt: float, order: str):
         eps = bands.grid.epsilon
         self.grid = bands.grid
         self.strang = order == "strang"
-        self.transform = BlochTransform(bands)
+        self.transform = tr = BlochTransform(bands)
         flow_dt = dt / 2 if self.strang else dt
-        self.flow = np.exp(-1j * bands.energies * (flow_dt / eps))
+        self.flow = np.exp(-1j * np.ascontiguousarray(bands.energies.T)
+                           * (flow_dt / eps))
         self.phase = np.exp(-1j * external(bands.grid.x_nodes) * (dt / eps))
         # only a Strang state is held in the basis
-        self.gram = self.transform.gram() if self.strang else None
+        self.gram = tr.gram() if self.strang else None
         self.mass_scale = 1.0 / (TWO_PI * self.grid.L ** 2)
-        self._forward = self.transform.project
-        self._backward = self.transform.reconstruct
+        self._forward, self._backward = tr.forward, tr.backward
+        self._analysis, self._synthesis = tr.analyse, tr.synthesise
 
     def _round_trip(self, C):
-        return np.matmul(self.gram, C.T[:, :, None])[:, :, 0].T
+        return np.matmul(self.gram, C[:, :, None])[:, :, 0]
 
 
 # Grids of at least this many points transform by the four-step
@@ -184,6 +193,8 @@ class TSPropagator(_Splitting):
                 self.grid.L, self.grid.R)
         return _four_step_ifft(spectrum, self.untwiddle)
 
+    _analysis, _synthesis = _forward, _backward
+
     @staticmethod
     def _round_trip(spectrum):
         return spectrum
@@ -231,8 +242,8 @@ def bd_periodic_flow(psi: WaveField, bands: BandTable, dt: float,
     """Exact flow of the periodic part: project to Bloch coefficients,
     advance phases by exp(-i E_m(k_l) dt / eps), reconstruct."""
     tr = BlochTransform(bands)
-    C = tr.project(psi.values) * np.exp(-1j * bands.energies * (dt / eps))
-    return WaveField(psi.grid, tr.reconstruct(C))
+    C = tr.forward(psi.values) * np.exp(-1j * bands.energies.T * (dt / eps))
+    return WaveField(psi.grid, tr.backward(C))
 
 
 def external_phase(psi: WaveField, U: ExternalPotential, dt: float,
@@ -290,7 +301,7 @@ def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
             raise ValueError("band-mass tracking needs a band table")
         if cfg.scheme == "bd":
             def band_masses(s):
-                return prop.transform.band_norms(prop.project(s))
+                return prop.transform.band_norms(prop.project(s).T)
         else:
             bloch = BlochTransform(cfg.bands)
 

@@ -7,7 +7,9 @@ The Bloch transform goes from physical samples to coefficients C_{m,l} by the
 same length-L DFT down the cells and one contraction of each k-row against a
 stored table of windowed Bloch waves on the cell grid.  Band masses follow
 from the coefficients by Parseval, without rebuilding any band in physical
-space.
+space.  Internally the coefficients are held (L, M), the layout the batched
+contraction produces and consumes; the public (M, L) forms are transposed
+views of it.
 """
 
 from __future__ import annotations
@@ -89,7 +91,12 @@ class BlochTransform:
     X = the length-L DFT of (-1)^l psi_{l,r} down the cells (row l of X is
     at k_l) and contracts each row against the stored Bloch waves,
     C_{m,l} = (2*pi/R) sum_r conj(W[l, m, r]) X[l, r]; reconstruct is the
-    reverse.  The same formula holds for every L, odd or even."""
+    reverse.  The same formula holds for every L, odd or even.
+
+    `forward` and `backward` are that pair on (L, M) coefficients, the
+    contraction's own layout; `analyse` and `synthesise` are the same pair
+    on the cell field (-1)^l psi_{l,r}.  `project` and `reconstruct` take
+    and give (M, L) coefficients, as transposed views."""
 
     def __init__(self, bands: BandTable):
         L, R = self.shape = (bands.grid.L, bands.grid.R)
@@ -97,43 +104,58 @@ class BlochTransform:
         self.waves = _bloch_waves(self.chi, L, R)  # (L, M, R)
         self.sign = _cell_sign(L)
         a, b = self.chi.real, self.chi.imag  # |chi|^2 with no (L, M, R) temporary
-        self.weights = (np.einsum("lmr,lmr->ml", a, a)
-                        + np.einsum("lmr,lmr->ml", b, b))
+        self.weights = (np.einsum("lmr,lmr->lm", a, a)
+                        + np.einsum("lmr,lmr->lm", b, b)).T  # (M, L) view
 
     def _contract(self, X: np.ndarray) -> np.ndarray:
-        """C (M, L) of the (L, R) cell field X; may overwrite X."""
+        """C (L, M) of the (L, R) cell field X; may overwrite X."""
         if X.shape != self.shape:
             raise ShapeMismatch("band table grid does not match the field grid")
         # conj(W . conj(X)) = conj(W) . X, without a conjugated copy of W
         np.conjugate(X, out=X)
-        C = np.matmul(self.waves, X[:, :, None])[:, :, 0].T
+        C = np.matmul(self.waves, X[:, :, None])[:, :, 0]
         np.conjugate(C, out=C)
         C *= TWO_PI / self.shape[1]
         return C
 
     def _expand(self, C: np.ndarray) -> np.ndarray:
-        """The (L, R) cell field sum_m C_{m,l} W[l, m, r] / (2*pi)."""
+        """The (L, R) cell field sum_m C_{l,m} W[l, m, r] / (2*pi), C (L, M)."""
         # unit-coefficient-norm eigenvectors carry ||chi||^2_{L2(C)} = 2*pi,
         # which the projection constant 2*pi/R does not divide out
-        return np.matmul((C.T / TWO_PI)[:, None, :], self.waves)[:, 0, :]
+        return np.matmul((C / TWO_PI)[:, None, :], self.waves)[:, 0, :]
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients C, shape (M, L), of the (L, R) physical samples."""
+    def analyse(self, cells: np.ndarray) -> np.ndarray:
+        """(L, M) coefficients of the cell field; may overwrite it."""
+        return self._contract(scipy.fft.fft(cells, axis=0, overwrite_x=True))
+
+    def synthesise(self, C: np.ndarray) -> np.ndarray:
+        """The cell field of the (L, M) coefficients."""
+        return scipy.fft.ifft(self._expand(C), axis=0, overwrite_x=True)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients C, shape (L, M), of the (L, R) physical samples."""
         if values.shape != self.shape:
             raise ShapeMismatch("band table grid does not match the field grid")
-        return self._contract(scipy.fft.fft(values * self.sign, axis=0,
-                                            overwrite_x=True))
+        return self.analyse(values * self.sign)
 
-    def reconstruct(self, C: np.ndarray) -> np.ndarray:
-        """(L, R) samples of sum_m C_{m,l} chi_{m,l}; the inverse of project
+    def backward(self, C: np.ndarray) -> np.ndarray:
+        """(L, R) samples of sum_m C_{l,m} chi_{m,l}; the inverse of forward
         on fields spanned by the first M bands."""
-        psi = scipy.fft.ifft(self._expand(C), axis=0, overwrite_x=True)
+        psi = self.synthesise(C)
         psi *= self.sign
         return psi
 
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """forward(values), shape (M, L)."""
+        return self.forward(values).T
+
+    def reconstruct(self, C: np.ndarray) -> np.ndarray:
+        """backward of the (M, L) coefficients C."""
+        return self.backward(C.T)
+
     def gram(self) -> np.ndarray:
         """Window Gram matrices G_l[m', m] = sum_r conj(chi_{m'lr}) chi_{mlr},
-        shape (L, M, M), so that project(reconstruct(C))_l = G_l C_l up to
+        shape (L, M, M), so that forward(backward(C))_l = G_l C_l up to
         FFT round-off.  G differs from I where the bands leak out of the
         R-mode window.  Built from the real and imaginary views of chi, so
         that no conjugated copy of it is made."""
@@ -164,7 +186,7 @@ class BlochTransform:
 def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:
     """Bloch coefficients C_{m,l} = (2*pi/R) sum over the windowed Fourier modes."""
     C = BlochTransform(bands)._contract(tilde.values.copy())
-    return BlochCoeffs(bands, C)
+    return BlochCoeffs(bands, C.T)
 
 
 def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> CellField:
@@ -175,7 +197,7 @@ def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> Cel
     elif bands is not coeffs.bands and (
             bands.M != coeffs.bands.M or bands.grid.L != coeffs.bands.grid.L):
         raise ShapeMismatch("coefficients tied to an incompatible band table")
-    return CellField(bands.grid, BlochTransform(bands)._expand(coeffs.values))
+    return CellField(bands.grid, BlochTransform(bands)._expand(coeffs.values.T))
 
 
 def band_masses(psi: WaveField, bands: BandTable) -> np.ndarray:

@@ -21,8 +21,8 @@ from .bands import (
     _band_vectors,
     _hamiltonian_parts,
     _neighbor_vector,
+    _trig_interpolant,
     berry_connection,
-    eval_band,
     eval_band_deriv,
     fold_k,
 )
@@ -151,8 +151,10 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     nsteps = max(1, int(np.ceil(t_end / dt - 1e-12)))
     dt = t_end / nsteps
 
+    energy = _trig_interpolant(bands, m, 0)
+
     def energy_of(pv):
-        return eval_band(bands, m, fold_k(pv))
+        return energy(fold_k(pv))
 
     def rhs(pv):
         s = _minmod(pv - np.roll(pv, 1), np.roll(pv, -1) - pv)
@@ -238,12 +240,13 @@ def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
         a = np.asarray(a0, dtype=complex).copy()
     Ux = U.derivative(x)
     beta_interp = _berry_interpolator(bands, m)
+    velocity = _trig_interpolant(bands, m, 1)
 
     out = [a.copy()]
     for i in range(len(phase.times) - 1):
         dt = phase.times[i + 1] - phase.times[i]
         pmid = 0.5 * (phase.p[i] + phase.p[i + 1])
-        v = eval_band_deriv(bands, m, fold_k(pmid))
+        v = velocity(fold_k(pmid))
         dv = _spectral_derivative(v)
         local = np.exp(0.5 * dt * (-0.5 * dv + beta_interp(pmid) * Ux))
         a = a * local
@@ -300,8 +303,9 @@ class ChiInterpolator:
         # keys solved at once: the batched solve's 2*Lambda-step loops cost
         # per block, and its (2*Lambda, keys) arrays stay at 128 KB
         self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
-        # points evaluated at once: ~64 KB temporaries keep peak RSS flat
-        self._rows_per_block = max(1, 2 ** 12 // (2 * bands.Lambda))
+        # points evaluated at once: a block's distinct cached rows and its
+        # (2*Lambda, points) coefficient table stay at 256 KB together
+        self._rows_per_block = max(1, 2 ** 13 // (2 * bands.Lambda))
         # table vectors at node indices 0..L+1, which bracket every folded k,
         # each paired with its successor aligned to it so that a blend never
         # cancels (the wrapped node carries the band's gauge holonomy)
@@ -351,21 +355,32 @@ class ChiInterpolator:
         restores the zone-shift phase.  Without it the two-scale assembly
         a(x) chi(x/eps, k(x)) exp(i phi/eps) would be discontinuous wherever
         the phase gradient crosses a zone edge.
+
+        With s the zone shift of k and c_j = chi-hat(j - Lambda, k), the sum
+        sum_lam chi-hat(lam) exp(i (lam - s) y) is exp(-i (Lambda + s) y)
+        times the polynomial sum_j c_j z^j in z = exp(i y), summed by
+        Horner's rule: two complex exponentials per point rather than
+        2*Lambda.
         """
         kv, yv = np.ravel(k).astype(float), np.ravel(y).astype(float)
         if not np.all(np.isfinite(yv)):
             raise NonFinite("non-finite cell coordinate")
         keys, inv = self._keys(kv)
         shift = np.rint(kv - fold_k(kv))
-        lam = np.arange(-self.bands.Lambda, self.bands.Lambda)
-        out = np.empty(kv.size, dtype=complex)
+        z = np.exp(1j * yv)
+        out = np.exp(-1j * (self.bands.Lambda + shift) * yv)
+        out *= self.holonomy ** shift
         for b in range(0, kv.size, self._rows_per_block):
             blk = slice(b, b + self._rows_per_block)
             used, local = np.unique(inv[blk], return_inverse=True)
             rows = np.array([self._cache[key] for key in keys[used].tolist()])
-            out[blk] = np.einsum("ij,ij->i", np.exp(
-                1j * (lam - shift[blk, None]) * yv[blk, None]), rows[local])
-        return (self.holonomy ** shift * out).reshape(np.shape(k) or (1,))
+            c, zb = rows.T[:, local], z[blk]  # c: (2*Lambda, points)
+            acc = c[-1].copy()
+            for j in range(c.shape[0] - 2, -1, -1):
+                acc *= zb
+                acc += c[j]
+            out[blk] *= acc
+        return out.reshape(np.shape(k) or (1,))
 
 
 def _macro_spline(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -441,8 +456,10 @@ def bicharacteristics(bands: BandTable, m: int, U: ExternalPotential,
     def force(X):
         return -np.asarray(U.derivative(np.atleast_1d(X)))[0]
 
+    velocity = _trig_interpolant(bands, m, 1)
+
     def vel(Xi):
-        return float(eval_band_deriv(bands, m, float(fold_k(Xi))))
+        return float(velocity(float(fold_k(Xi))))
 
     n = max(1, int(np.ceil(t_end / dt - 1e-12)))
     dt = t_end / n

@@ -328,3 +328,103 @@ def test_chi_is_continuous_across_the_zone_edge(lattice, L):
             below = chi.chi_values(np.full(y.size, edge - 1e-5), y)
             above = chi.chi_values(np.full(y.size, edge + 1e-5), y)
             assert np.max(np.abs(above - below)) <= 1e-3
+
+
+# quasi-momenta at the zone edges, at 0 and in between
+WINDOW_K = np.array([-0.5, 0.5, 0.0, -0.37, -0.21, -1e-3, 1e-3, 0.13, 0.29,
+                     0.4999, -0.4999, 1.5, -2.0])
+
+
+def _windowed_rows(monkeypatch):
+    """Record the row count of every block _twisted_rqi is given."""
+    rows = []
+    real = bands._twisted_rqi
+
+    def spied(d, b, v, floor):
+        rows.append(d.shape[0])
+        return real(d, b, v, floor)
+    monkeypatch.setattr(bands, "_twisted_rqi", spied)
+    return rows
+
+
+def _chi_per_band(table, y, monkeypatch):
+    """(values, cache, LAPACK calls) of chi_values(WINDOW_K, y) per band."""
+    calls = _count_tridiagonal_calls(monkeypatch)
+    out = []
+    for m in range(1, 9):
+        chi = ChiInterpolator(table, m)
+        before = len(calls)
+        got = chi.chi_values(WINDOW_K, y)
+        out.append((got, chi._cache, len(calls) - before))
+    return out
+
+
+def test_support_window_matches_full_rows_and_oracle(monkeypatch):
+    table, _ = _tables("mathieu", 32, 32, 8)
+    y = np.linspace(0.0, 2 * np.pi, WINDOW_K.size, endpoint=False)
+    rows = _windowed_rows(monkeypatch)
+    windowed = _chi_per_band(table, y, monkeypatch)
+    # each block ran on its guesses' support, not on all 2*Lambda rows
+    assert len(rows) == 8 and max(rows) < 64
+    monkeypatch.setattr(bands, "_support", lambda v: slice(0, v.shape[0]))
+    full = _chi_per_band(table, y, monkeypatch)
+    assert rows[8:] == [64] * 8
+    for m, ((got, cache, calls), (want, full_cache, full_calls)) in enumerate(
+            zip(windowed, full), start=1):
+        # the window sends no key to LAPACK that the full rows accept (band
+        # 2 at k = 0, a table node, falls back either way)
+        assert calls == full_calls <= 1
+        assert np.max(np.abs(got - want)) <= TOL
+        oracle = _OracleChi(table, m)
+        want = oracle.chi_values(WINDOW_K, y)
+        assert sorted(cache) == sorted(full_cache) == sorted(oracle.cache)
+        for key in cache:
+            assert np.max(np.abs(cache[key] - full_cache[key])) <= TOL
+        # the gaps of bands 6-8 at these keys fall to 1.9e-6, where two
+        # eigensolvers differ by eps * ||H|| / gap (the full rows differ
+        # from the oracle by up to 9e-9 there), so those bands are checked
+        # against the full rows only
+        if m <= 5:
+            assert np.max(np.abs(got - want)) <= TOL
+
+
+def test_window_that_cuts_a_tail_falls_back(monkeypatch):
+    """A support that drops entries of 1e-6 and below leaves a residual in
+    the full H that the acceptance test rejects, though the shift is still
+    far inside GAP_FLOOR of the eigenvalue, so the Sturm counts alone would
+    pass it; every key then takes the LAPACK fallback and still matches the
+    oracle."""
+    table, _ = _tables("mathieu", 32, 32, 8)
+    y = np.linspace(0.0, 2 * np.pi, WINDOW_K.size, endpoint=False)
+
+    def narrow(v):
+        a = np.abs(v)
+        rows = np.flatnonzero((a > 1e-6 * a.max(axis=0)).any(axis=1))
+        return slice(rows[0], rows[-1] + 1)
+    monkeypatch.setattr(bands, "_support", narrow)
+    calls = _count_tridiagonal_calls(monkeypatch)
+    for m in (1, 4):
+        chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+        before = len(calls)
+        got = chi.chi_values(WINDOW_K, y)
+        # _lowest_eigenpairs makes one LAPACK call per rejected key
+        assert len(calls) - before == len(chi._cache) == 10
+        assert np.max(np.abs(got - oracle.chi_values(WINDOW_K, y))) <= TOL
+        assert sorted(chi._cache) == sorted(oracle.cache)
+        for key in oracle.cache:
+            assert np.max(np.abs(chi._cache[key] - oracle.cache[key])) <= TOL
+
+
+def test_chi_values_match_oracle_at_workload_scale():
+    """1024 points of the eps = 1/32 grid, y = x/eps mod 2*pi, with k over
+    several zones: four blocks of Horner sums at Lambda = 32."""
+    grid = build_grid(1.0 / 32, 32)
+    table = solve_bands(mathieu(32), grid, 32, 8)
+    x = grid.x_nodes.reshape(-1)
+    y = np.mod(x / grid.epsilon, 2 * np.pi)
+    k = 2.3 * np.sin(x) + 0.4 * np.cos(3 * x)
+    assert x.size == 1024 and np.ptp(np.rint(k - fold_k(k))) >= 4
+    for m in (1, 3):
+        chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+        got = chi.chi_values(k, y)
+        assert np.max(np.abs(got - oracle.chi_values(k, y))) <= TOL

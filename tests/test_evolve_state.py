@@ -175,3 +175,25 @@ def test_gram_matrix_is_the_transform_round_trip(lattice, L):
     # the Kronig-Penney bands leak out of the R-mode window, so a loop that
     # took G for the identity would miss the oracle by far more than TOL
     assert (_gap(G, np.eye(M)) > 1e-7) == (lattice == "kp")
+
+
+def test_bd_evolve_matches_oracle_at_the_benchmark_size():
+    """L = 1024, R = 32, M = 8 on the Kronig-Penney lattice, Strang, band
+    masses tracked: the state held in (L, M) coefficients, with the cell
+    sign pair dropped inside each step, against the per-step loop.  One step
+    is bitwise that loop; later steps replace a transform pair by the Gram
+    product, which agrees to round-off."""
+    grid = build_grid(1.0 / 1024, 32)
+    table = solve_bands(kronig_penney(32), grid, 32, 8)
+    cfg = StepperConfig("bd", "strang", 0.01, bands=table, external=HARMONIC)
+    psi0 = _random_field(grid, 1024)
+    for N in (1, 4):
+        traj = evolve(psi0, cfg, 0.01 * N, N, track_band_masses=True)
+        final, _, _, masses, bmass = _oracle_evolve(
+            psi0, cfg, 0.01 * N, N, track_band_masses=True)
+        if N == 1:
+            assert np.array_equal(traj.final.values, final.values)
+        assert _gap(traj.final.values, final.values) <= TOL
+        assert _gap(traj.mass_history, masses) <= TOL
+        assert traj.band_mass_history.shape == (N + 1, 8)
+        assert _gap(traj.band_mass_history, bmass) <= TOL
