@@ -417,7 +417,7 @@ def test_window_that_cuts_a_tail_falls_back(monkeypatch):
 
 def test_chi_values_match_oracle_at_workload_scale():
     """1024 points of the eps = 1/32 grid, y = x/eps mod 2*pi, with k over
-    several zones: four blocks of Horner sums at Lambda = 32."""
+    several zones: eight blocks of Horner sums at Lambda = 32."""
     grid = build_grid(1.0 / 32, 32)
     table = solve_bands(mathieu(32), grid, 32, 8)
     x = grid.x_nodes.reshape(-1)
