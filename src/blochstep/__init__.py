@@ -35,10 +35,9 @@ from .steppers import (
     StepperConfig,
     TSPropagator,
     bd_periodic_flow,
-    bd_step,
     evolve,
     external_phase,
-    ts_step,
+    step,
 )
 from .wkb import (
     AmplitudeTrajectory,

@@ -133,13 +133,17 @@ def _twisted_rqi(d: np.ndarray, b: float, v: np.ndarray,
     correction stops shrinking, or one step after it fell to its round-off
     floor (B,), so that its last z comes from a shift already converged; the
     iteration stops when every column is done, or after _RQI_STEPS steps, and
-    returns the last z, unnormalised and unchecked."""
+    returns each column's last finite z, unnormalised and unchecked.  A guess
+    that is already the eigenvector makes H - sigma singular to round-off,
+    so the next z can overflow to NaN; the column then keeps its previous
+    iterate (the start vector before the first step)."""
     n, B = d.shape
     sigma = np.einsum("ij,ij->j", v, _tridiagonal_apply(d, b, v)) \
         / np.einsum("ij,ij->j", v, v)
     below = np.arange(n - 1)[:, None]
     last = np.full(B, np.inf)
     live = np.ones(B, dtype=bool)
+    out = v.copy()
     with np.errstate(all="ignore"):
         for _ in range(_RQI_STEPS):
             a = d - sigma
@@ -154,13 +158,14 @@ def _twisted_rqi(d: np.ndarray, b: float, v: np.ndarray,
             z = np.ones((n, B))
             z[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
             z[1:] *= np.cumprod(down, axis=0)
+            np.copyto(out, z, where=np.isfinite(z).all(axis=0))
             step = gamma[r, np.arange(B)] / np.einsum("ij,ij->j", z, z)
             sigma = sigma + step
             prev, last = last, np.abs(step)
             live &= (last < prev) & (prev > floor)
             if not live.any():
                 break
-    return z
+    return out
 
 
 def _support(v: np.ndarray) -> slice:

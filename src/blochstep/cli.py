@@ -56,14 +56,10 @@ def cmd_bands(args) -> int:
     grid, _, table = _band_setup(args)
     cache = out / "bands.bin"
     save_band_cache(table, cache)
-    csv_path = out / "bands.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("k," + ",".join(f"E_{m}" for m in range(1, args.M + 1)) + "\n")
-        order = np.argsort(grid.k_nodes)
-        for l in order:
-            row = [f"{grid.k_nodes[l]:.6g}"] + [
-                f"{table.energies[m, l]:.6g}" for m in range(args.M)]
-            fh.write(",".join(row) + "\n")
+    header = "k," + ",".join(f"E_{m}" for m in range(1, args.M + 1))
+    csv_path = harness.write_lines(out / "bands.csv", [header] + [
+        ",".join(f"{v:.6g}" for v in (grid.k_nodes[l], *table.energies[:, l]))
+        for l in np.argsort(grid.k_nodes)])
     harness.write_manifest(out, _settings(args), [cache, csv_path])
     print(f"wrote {cache} and {csv_path}")
     return 0
@@ -114,12 +110,10 @@ def cmd_compare(args) -> int:
                  args.T, ref_steps).final
     rows = [("bd", *harness.compare_solutions(bd, ref)),
             ("ts", *harness.compare_solutions(ts, ref))]
-    path = out / "compare.csv"
-    with open(path, "w") as fh:
-        fh.write("scheme,l2,linf\n")
-        for scheme, l2, linf in rows:
-            fh.write(f"{scheme},{l2:.6g},{linf:.6g}\n")
-            print(f"{scheme}: l2 = {l2:.6g}, linf = {linf:.6g}")
+    path = harness.write_lines(out / "compare.csv", ["scheme,l2,linf"] + [
+        f"{scheme},{l2:.6g},{linf:.6g}" for scheme, l2, linf in rows])
+    for scheme, l2, linf in rows:
+        print(f"{scheme}: l2 = {l2:.6g}, linf = {linf:.6g}")
     harness.write_manifest(out, _settings(args), [path])
     return 0
 
@@ -139,26 +133,21 @@ def cmd_wkb(args) -> int:
     if args.compare:
         cmp = wkb_compare(table, args.band, U, f, phi0, grid,
                           args.t_end, args.nx, args.steps)
-        path = out / "wkb_compare.csv"
-        with open(path, "w") as fh:
-            fh.write("t,l2,linf,band_l2\n")
-            for t, a, b, c in zip(cmp.times, cmp.l2, cmp.linf, cmp.band_l2):
-                fh.write(f"{t:.6g},{a:.6g},{b:.6g},{c:.6g}\n")
-        files.append(path)
+        files.append(harness.write_lines(out / "wkb_compare.csv", [
+            "t,l2,linf,band_l2"] + [
+            f"{t:.6g},{a:.6g},{b:.6g},{c:.6g}"
+            for t, a, b, c in zip(cmp.times, cmp.l2, cmp.linf, cmp.band_l2)]))
         print(f"sup l2 = {cmp.sup_l2:.6g}, sup linf = {cmp.sup_linf:.6g}, "
               f"sup in-band l2 = {cmp.sup_band_l2:.6g}")
         rep = cmp.caustic
     else:
         traj, amp, rep = wkb_pipeline(table, args.band, U, f, phi0,
                                       args.t_end, args.nx)
-        path = out / "wkb_phase.csv"
-        with open(path, "w") as fh:
-            fh.write("x,phi,p,a_re,a_im\n")
+        files.append(harness.write_lines(out / "wkb_phase.csv", [
+            "x,phi,p,a_re,a_im"] + [
+            f"{x:.6g},{phi:.6g},{p:.6g},{a.real:.6g},{a.imag:.6g}"
             for x, phi, p, a in zip(traj.x, traj.phi[-1], traj.p[-1],
-                                    amp.a[-1]):
-                fh.write(f"{x:.6g},{phi:.6g},{p:.6g},"
-                         f"{a.real:.6g},{a.imag:.6g}\n")
-        files.append(path)
+                                    amp.a[-1])]))
         print(f"phase/amplitude advanced to t = {traj.times[-1]:.6g}")
     if rep.detected:
         print(f"caustic trigger at t ~= {rep.t_c:.4f} (x ~= {rep.x_c:.4f})")

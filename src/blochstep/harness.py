@@ -158,38 +158,45 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def write_lines(path, lines) -> Path:
+    """Write the lines to path, each ended by a newline; an OSError raises
+    IoFailure."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    return Path(path)
+
+
 def emit_report(report: ErrorReport, fmt: str, out_dir) -> Path:
     """Write one report file; byte-deterministic for identical input."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{report.scheme}_{report.label.replace('/', '_')}"
     orders = [float("nan")] + list(report.orders)  # no order on the first row
-    try:
-        if fmt == "csv":
-            path = out_dir / f"{stem}.csv"
-            lines = [f"{report.label},l2,linf,order,wall_clock,mass_drift"]
-            lines += [",".join(_fmt(v) for v in row) for row in zip(
-                report.levels, report.l2, report.linf, orders,
-                report.wall_clock, report.mass_drift)]
-            path.write_text("\n".join(lines) + "\n")
-        elif fmt == "markdown-table":
-            path = out_dir / f"{stem}.md"
-            lines = [f"| {report.label} | l2 | linf | order |", "|---|---|---|---|"]
-            lines += ["| " + " | ".join(_fmt(v) for v in row) + " |" for row in
-                      zip(report.levels, report.l2, report.linf, orders)]
-            path.write_text("\n".join(lines) + "\n")
-        elif fmt == "svg-lineplot":
-            path = out_dir / f"{stem}.svg"
-            path.write_text(_svg_loglog(report))
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return path
+    if fmt == "csv":
+        path = out_dir / f"{stem}.csv"
+        lines = [f"{report.label},l2,linf,order,wall_clock,mass_drift"]
+        lines += [",".join(_fmt(v) for v in row) for row in zip(
+            report.levels, report.l2, report.linf, orders,
+            report.wall_clock, report.mass_drift)]
+    elif fmt == "markdown-table":
+        path = out_dir / f"{stem}.md"
+        lines = [f"| {report.label} | l2 | linf | order |", "|---|---|---|---|"]
+        lines += ["| " + " | ".join(_fmt(v) for v in row) + " |" for row in
+                  zip(report.levels, report.l2, report.linf, orders)]
+    elif fmt == "svg-lineplot":
+        path = out_dir / f"{stem}.svg"
+        lines = [_svg_loglog(report)]
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return write_lines(path, lines)
 
 
 def _svg_loglog(report: ErrorReport) -> str:
-    """Minimal log-log error plot, 400x300, no external dependencies."""
+    """Minimal log-log error plot, 400x300, no external dependencies; the
+    text has no final newline."""
     W, H, pad = 400, 300, 40
     xs = np.log10(np.asarray(report.levels, dtype=float))
     ys = np.log10(np.maximum(np.asarray(report.l2, dtype=float), 1e-300))
@@ -216,7 +223,7 @@ def _svg_loglog(report: ErrorReport) -> str:
         f'<text x="12" y="{H // 2}" font-size="12" '
         f'transform="rotate(-90 12 {H // 2})" '
         f'text-anchor="middle">log10 l2 error</text>\n'
-        "</svg>\n"
+        "</svg>"
     )
 
 
@@ -240,13 +247,9 @@ def write_manifest(out_dir, config, files) -> Path:
         "config": _config_dict(config),
         "files": sorted(str(Path(f).name) for f in files),
     }
-    path = out_dir / "manifest.json"
-    try:
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
-                                   default=str) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return path
+    return write_lines(out_dir / "manifest.json",
+                       [json.dumps(manifest, indent=2, sort_keys=True,
+                                   default=str)])
 
 
 _CONFIG_CASTS = {
@@ -282,14 +285,8 @@ def selftest(verbose: bool = True) -> bool:
     """Small-size invariant sweep across the library; returns overall pass."""
     from .bands import eval_band
     from .potential import mathieu
-    from .steppers import bd_step
-    from .transform import (
-        BlochCoeffs,
-        band_project,
-        band_reconstruct,
-        cell_forward,
-        cell_inverse,
-    )
+    from .steppers import step
+    from .transform import BlochTransform
 
     rng = np.random.default_rng(0)
     checks = []
@@ -303,34 +300,31 @@ def selftest(verbose: bool = True) -> bool:
             ok, msg = False, f"{type(exc).__name__}: {exc}"
         checks.append((module, name, ok, msg, time.perf_counter() - tic))
 
-    def grid_roundtrip():
-        grid = build_grid(1.0 / 8, 16)
-        psi = WaveField(grid, rng.standard_normal((8, 16))
-                        + 1j * rng.standard_normal((8, 16)))
-        back = cell_inverse(cell_forward(psi))
-        assert np.max(np.abs(back.values - psi.values)) < 1e-12
+    def table():
+        return solve_bands(mathieu(16), build_grid(1.0 / 8, 16), 16, 4)
+
+    def random_coeffs():
+        return rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+
+    def gram_round_trip():
+        tr, C = BlochTransform(table()), random_coeffs()
+        GC = np.matmul(tr.gram(), C[:, :, None])[:, :, 0]
+        assert np.max(np.abs(tr.forward(tr.backward(C)) - GC)) < 1e-12
 
     def projection_identity():
-        grid = build_grid(1.0 / 8, 16)
-        tab = solve_bands(mathieu(16), grid, 16, 4)
-        C = BlochCoeffs(tab, rng.standard_normal((4, 8))
-                        + 1j * rng.standard_normal((4, 8)))
-        C2 = band_project(band_reconstruct(C), tab)
-        assert np.max(np.abs(C2.values - C.values)) < 1e-10
+        tr, C = BlochTransform(table()), random_coeffs()
+        assert np.max(np.abs(tr.forward(tr.backward(C)) - C)) < 1e-10
 
     def gauge_invariance():
-        grid = build_grid(1.0 / 8, 16)
-        tab = solve_bands(mathieu(16), grid, 16, 4)
-        psi = sample_gaussian(grid)
-        cfg = StepperConfig("bd", "strang", 0.01, bands=tab)
-        ref = bd_step(psi, cfg)
+        tab = table()
+        psi = sample_gaussian(tab.grid)
+        ref = step(psi, StepperConfig("bd", "strang", 0.01, bands=tab))
         phases = np.exp(2j * np.pi * rng.random((4, 8)))
         twisted = type(tab)(grid=tab.grid, M=tab.M, Lambda=tab.Lambda,
                             energies=tab.energies,
                             vectors=tab.vectors * phases[:, :, None],
                             potential=tab.potential, gauge_tag="random")
-        cfg2 = StepperConfig("bd", "strang", 0.01, bands=twisted)
-        out = bd_step(psi, cfg2)
+        out = step(psi, StepperConfig("bd", "strang", 0.01, bands=twisted))
         assert np.max(np.abs(out.values - ref.values)) < 1e-12
 
     def cache_integrity():
@@ -352,13 +346,12 @@ def selftest(verbose: bool = True) -> bool:
             raise AssertionError("corrupted cache not detected")
 
     def band_symmetry():
-        grid = build_grid(1.0 / 8, 16)
-        tab = solve_bands(mathieu(16), grid, 16, 4)
         for m in range(1, 5):
-            e = eval_band(tab, m, np.array([0.21, -0.21]))
+            e = eval_band(table(), m, np.array([0.21, -0.21]))
             assert abs(e[0] - e[1]) < 1e-9
 
-    check("grid", "cell transform round trip", grid_roundtrip)
+    check("blochxform", "Gram matrix is the transform round trip",
+          gram_round_trip)
     check("blochxform", "projection idempotency", projection_identity)
     check("steppers", "gauge invariance of BD step", gauge_invariance)
     check("band", "cache corruption detected", cache_integrity)

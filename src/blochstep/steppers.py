@@ -237,6 +237,15 @@ class StepperConfig:
         return self._cached[1]
 
 
+def step(psi: WaveField, config: StepperConfig) -> WaveField:
+    """One Lie or Strang step of the config's scheme: a one-step `evolve`."""
+    return config.propagator(psi.grid).step(psi)
+
+
+# The stand-alone flows of one BD step.  No module of this package calls
+# them; they stay only because perfbench/workloads.py imports them, and go
+# with the benchmark's move onto BlochTransform (ROADMAP item 2).
+
 def bd_periodic_flow(psi: WaveField, bands: BandTable, dt: float,
                      eps: float) -> WaveField:
     """Exact flow of the periodic part: project to Bloch coefficients,
@@ -251,24 +260,6 @@ def external_phase(psi: WaveField, U: ExternalPotential, dt: float,
     """Pointwise unimodular multiply exp(-i U(x) dt / eps); preserves |psi|."""
     phase = np.exp(-1j * U(psi.grid.x_nodes) * (dt / eps))
     return WaveField(psi.grid, psi.values * phase)
-
-
-def step(psi: WaveField, config: StepperConfig) -> WaveField:
-    return config.propagator(psi.grid).step(psi)
-
-
-def bd_step(psi: WaveField, config: StepperConfig) -> WaveField:
-    """One BD step; Strang symmetrizes the periodic flow around the phase."""
-    if config.scheme != "bd":
-        raise ValueError("bd_step called with a non-BD config")
-    return step(psi, config)
-
-
-def ts_step(psi: WaveField, config: StepperConfig) -> WaveField:
-    """One classical time-splitting spectral step."""
-    if config.scheme != "ts":
-        raise ValueError("ts_step called with a non-TS config")
-    return step(psi, config)
 
 
 @dataclass
@@ -301,7 +292,7 @@ def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
             raise ValueError("band-mass tracking needs a band table")
         if cfg.scheme == "bd":
             def band_masses(s):
-                return prop.transform.band_norms(prop.project(s).T)
+                return prop.transform.band_norms(prop.project(s))
         else:
             bloch = BlochTransform(cfg.bands)
 

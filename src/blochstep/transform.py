@@ -1,15 +1,11 @@
-"""Cell transform pair, the Bloch transform, and band masses.
+"""The Bloch transform, band masses, and the mixed (k, y) layer.
 
-The cell transform maps physical samples psi_{l,r} to the mixed representation
-psi~_{l,r} indexed by (k_l, y_r) via a length-L DFT per r; the Brillouin offset
-k = -1/2 is folded into an explicit modulation so a standard FFT applies.
-The Bloch transform goes from physical samples to coefficients C_{m,l} by the
-same length-L DFT down the cells and one contraction of each k-row against a
-stored table of windowed Bloch waves on the cell grid.  Band masses follow
-from the coefficients by Parseval, without rebuilding any band in physical
-space.  Internally the coefficients are held (L, M), the layout the batched
-contraction produces and consumes; the public (M, L) forms are transposed
-views of it.
+The Bloch transform goes from physical samples psi_{l,r} to coefficients
+C_{l,m}, held (L, M), by a length-L DFT down the cells and one contraction
+of each k-row against a stored table of windowed Bloch waves on the cell
+grid; the Brillouin offset k = -1/2 is folded into an explicit sign (-1)^l
+so a standard FFT applies.  Band masses follow from the coefficients by
+Parseval, without rebuilding any band in physical space.
 """
 
 from __future__ import annotations
@@ -26,36 +22,9 @@ from .grid import CellField, WaveField
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass
-class BlochCoeffs:
-    """Per-(band, k-node) coefficients C_{m,l} tied to a band table."""
-
-    bands: BandTable
-    values: np.ndarray  # (M, L) complex
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.bands.M, self.bands.grid.L):
-            raise ShapeMismatch(
-                f"coefficients shape {self.values.shape} != "
-                f"{(self.bands.M, self.bands.grid.L)}")
-
-
 def _cell_sign(L: int) -> np.ndarray:
     # exp(i*pi*(j-1)) = (-1)^(j-1): folds the -1/2 Brillouin offset into the DFT
     return np.where(np.arange(L) % 2 == 0, 1.0, -1.0)[:, None]
-
-
-def cell_forward(psi: WaveField) -> CellField:
-    """psi~_{l,r} = sum_j psi_{j,r} exp(-2*pi*i k_l (j-1)), a length-L DFT per r."""
-    tilde = np.fft.fft(psi.values * _cell_sign(psi.grid.L), axis=0)
-    return CellField(psi.grid, tilde)
-
-
-def cell_inverse(tilde: CellField) -> WaveField:
-    """psi_{l,r} = (1/L) sum_j psi~_{j,r} exp(2*pi*i k_j (l-1)); inverse of cell_forward."""
-    psi = np.fft.ifft(tilde.values, axis=0) * _cell_sign(tilde.grid.L)
-    return WaveField(tilde.grid, psi)
 
 
 def _window_vectors(bands: BandTable) -> np.ndarray:
@@ -85,18 +54,16 @@ def _bloch_waves(chi: np.ndarray, L: int, R: int) -> np.ndarray:
 
 
 class BlochTransform:
-    """Physical samples <-> Bloch coefficients C_{m,l} of one band table.
+    """Physical samples <-> Bloch coefficients C_{l,m} of one band table.
 
-    The cell-space form of the FFT-based Bloch decomposition: project takes
-    X = the length-L DFT of (-1)^l psi_{l,r} down the cells (row l of X is
-    at k_l) and contracts each row against the stored Bloch waves,
-    C_{m,l} = (2*pi/R) sum_r conj(W[l, m, r]) X[l, r]; reconstruct is the
-    reverse.  The same formula holds for every L, odd or even.
-
-    `forward` and `backward` are that pair on (L, M) coefficients, the
-    contraction's own layout; `analyse` and `synthesise` are the same pair
-    on the cell field (-1)^l psi_{l,r}.  `project` and `reconstruct` take
-    and give (M, L) coefficients, as transposed views."""
+    The cell-space form of the FFT-based Bloch decomposition: `forward`
+    takes X = the length-L DFT of (-1)^l psi_{l,r} down the cells (row l of
+    X is at k_l) and contracts each row against the stored Bloch waves,
+    C_{l,m} = (2*pi/R) sum_r conj(W[l, m, r]) X[l, r]; `backward` is the
+    reverse.  The same formula holds for every L, odd or even.  `analyse`
+    and `synthesise` are the same pair on the cell field (-1)^l psi_{l,r}.
+    Coefficients, Parseval weights and Gram matrices are all (L, M) per
+    k-row, the contraction's own layout."""
 
     def __init__(self, bands: BandTable):
         L, R = self.shape = (bands.grid.L, bands.grid.R)
@@ -105,7 +72,7 @@ class BlochTransform:
         self.sign = _cell_sign(L)
         a, b = self.chi.real, self.chi.imag  # |chi|^2 with no (L, M, R) temporary
         self.weights = (np.einsum("lmr,lmr->lm", a, a)
-                        + np.einsum("lmr,lmr->lm", b, b)).T  # (M, L) view
+                        + np.einsum("lmr,lmr->lm", b, b))  # (L, M)
 
     def _contract(self, X: np.ndarray) -> np.ndarray:
         """C (L, M) of the (L, R) cell field X; may overwrite X."""
@@ -145,14 +112,6 @@ class BlochTransform:
         psi *= self.sign
         return psi
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """forward(values), shape (M, L)."""
-        return self.forward(values).T
-
-    def reconstruct(self, C: np.ndarray) -> np.ndarray:
-        """backward of the (M, L) coefficients C."""
-        return self.backward(C.T)
-
     def gram(self) -> np.ndarray:
         """Window Gram matrices G_l[m', m] = sum_r conj(chi_{m'lr}) chi_{mlr},
         shape (L, M, M), so that forward(backward(C))_l = G_l C_l up to
@@ -170,17 +129,54 @@ class BlochTransform:
         return G
 
     def band_norms(self, C: np.ndarray) -> np.ndarray:
-        """Discrete L2 norm of each single-band part of reconstruct(C), (M,).
-        By Parseval over the length-L cell transform and the length-R window
-        transform, band m has squared norm
-        sum_l |C_{m,l}|^2 ||chi_win,{m,l}||^2 / (2*pi*L^2)."""
+        """Discrete L2 norm of each single-band part of backward(C), (M,),
+        for (L, M) coefficients C.  By Parseval over the length-L cell
+        transform and the length-R window transform, band m has squared norm
+        sum_l |C_{l,m}|^2 ||chi_win,{m,l}||^2 / (2*pi*L^2)."""
         L = self.shape[0]
-        return np.sqrt(np.sum(np.abs(C) ** 2 * self.weights, axis=1)
+        return np.sqrt(np.sum(np.abs(C) ** 2 * self.weights, axis=0)
                        / (TWO_PI * L * L))
 
     def masses(self, values: np.ndarray) -> np.ndarray:
         """Discrete L2 norm of each single-band part of the samples, (M,)."""
-        return self.band_norms(self.project(values))
+        return self.band_norms(self.forward(values))
+
+
+def band_masses(psi: WaveField, bands: BandTable) -> np.ndarray:
+    """Discrete L2 norm of each single-band reconstruction of psi, shape (M,)."""
+    return BlochTransform(bands).masses(psi.values)
+
+
+# The mixed (k, y) layer: the cell transform psi_{l,r} -> psi~_{l,r} at
+# (k_l, y_r) and (M, L) coefficients on it.  No module of this package calls
+# it; it stays only because perfbench/workloads.py imports it, and goes with
+# the benchmark's move onto BlochTransform (ROADMAP item 2).
+
+@dataclass
+class BlochCoeffs:
+    """Per-(band, k-node) coefficients C_{m,l} tied to a band table."""
+
+    bands: BandTable
+    values: np.ndarray  # (M, L) complex
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != (self.bands.M, self.bands.grid.L):
+            raise ShapeMismatch(
+                f"coefficients shape {self.values.shape} != "
+                f"{(self.bands.M, self.bands.grid.L)}")
+
+
+def cell_forward(psi: WaveField) -> CellField:
+    """psi~_{l,r} = sum_j psi_{j,r} exp(-2*pi*i k_l (j-1)), a length-L DFT per r."""
+    tilde = np.fft.fft(psi.values * _cell_sign(psi.grid.L), axis=0)
+    return CellField(psi.grid, tilde)
+
+
+def cell_inverse(tilde: CellField) -> WaveField:
+    """psi_{l,r} = (1/L) sum_j psi~_{j,r} exp(2*pi*i k_j (l-1)); inverse of cell_forward."""
+    psi = np.fft.ifft(tilde.values, axis=0) * _cell_sign(tilde.grid.L)
+    return WaveField(tilde.grid, psi)
 
 
 def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:
@@ -198,8 +194,3 @@ def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> Cel
             bands.M != coeffs.bands.M or bands.grid.L != coeffs.bands.grid.L):
         raise ShapeMismatch("coefficients tied to an incompatible band table")
     return CellField(bands.grid, BlochTransform(bands)._expand(coeffs.values.T))
-
-
-def band_masses(psi: WaveField, bands: BandTable) -> np.ndarray:
-    """Discrete L2 norm of each single-band reconstruction of psi, shape (M,)."""
-    return BlochTransform(bands).masses(psi.values)

@@ -36,6 +36,11 @@ from .potential import ExternalPotential
 
 TWO_PI = 2.0 * np.pi
 CHI_QUANTUM = 1e-6  # resolution of the off-node chi cache keys in k
+HJ_CFL = 0.45  # Courant number of the relaxed Hamilton-Jacobi scheme
+CAUSTIC_PROBE_POINTS = 200  # samples of the caustic detector's slope probe
+# a caustic trigger halts wkb_pipeline only where the amplitude exceeds this
+# fraction of its maximum
+SUPPORT_TOL = 1e-8
 
 
 @dataclass
@@ -113,21 +118,30 @@ def _spectral_derivative(f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * kappa * np.fft.fft(f)).real
 
 
+def _cfl_step(bands: BandTable, m: int, nx: int) -> tuple[float, float, float]:
+    """(vmax, speed, dt): vmax = max |dE_m/dk| over 4L + 1 points of the
+    zone, floored at 1e-6; the frozen relaxation speed 1.1 vmax; and the
+    step HJ_CFL * dx / speed on nx macro points."""
+    kfine = np.linspace(-0.5, 0.5, 4 * bands.grid.L + 1)
+    vmax = max(float(np.max(np.abs(eval_band_deriv(bands, m, kfine)))), 1e-6)
+    speed = 1.1 * vmax
+    return vmax, speed, HJ_CFL * (TWO_PI / nx) / speed
+
+
 def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
              phi0: Callable[[np.ndarray], np.ndarray], t_end: float,
-             nx: int, dt: Optional[float] = None, cfl: float = 0.45,
-             caustic_factor: float = 50.0,
-             probe_points: int = 200) -> tuple[PhaseTrajectory, CausticReport]:
+             nx: int, dt: Optional[float] = None,
+             caustic_factor: float = 50.0) -> tuple[PhaseTrajectory, CausticReport]:
     """March the band Hamilton-Jacobi equation up to t_end or the caustic.
 
     The caustic detector triggers when max |d(p)/dx| exceeds caustic_factor
     times its initial value (floored at 1, the curvature scale of the domain);
     the onset time is linearly interpolated between the bracketing steps.
-    The curvature is probed at a fixed physical scale (probe_points samples
-    across the domain, capped by the solver grid) so that the onset time is
-    stable under solver-grid refinement: at a forming discontinuity the raw
-    grid-scale slope doubles with every refinement and would otherwise push
-    the detection time toward zero.
+    The curvature is probed at a fixed physical scale (CAUSTIC_PROBE_POINTS
+    samples across the domain, capped by the solver grid) so that the onset
+    time is stable under solver-grid refinement: at a forming discontinuity
+    the raw grid-scale slope doubles with every refinement and would
+    otherwise push the detection time toward zero.
     """
     bands.check_band(m)
     x = TWO_PI * np.arange(nx) / nx
@@ -139,15 +153,12 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     Ux = U.derivative(x)
     Uvals = U(x)
 
-    kfine = np.linspace(-0.5, 0.5, 4 * bands.grid.L + 1)
-    vmax = float(np.max(np.abs(eval_band_deriv(bands, m, kfine))))
-    speed = 1.1 * max(vmax, 1e-6)  # frozen relaxation speed
-    dt_cfl = cfl * dx / speed
+    vmax, speed, dt_cfl = _cfl_step(bands, m, nx)
     if dt is None:
         dt = dt_cfl
-    elif dt > 0.5 * dx / max(vmax, 1e-6):
+    elif dt > 0.5 * dx / vmax:
         raise CFLViolation(f"dt = {dt} exceeds 0.5*dx/max|dE/dk| = "
-                           f"{0.5 * dx / max(vmax, 1e-6):g}")
+                           f"{0.5 * dx / vmax:g}")
     nsteps = max(1, int(np.ceil(t_end / dt - 1e-12)))
     dt = t_end / nsteps
 
@@ -166,7 +177,7 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     def phibar_rate(pv):
         return -float(np.mean(energy_of(pv) + Uvals))
 
-    npr = min(probe_points, nx)
+    npr = min(CAUSTIC_PROBE_POINTS, nx)
     x_probe = TWO_PI * np.arange(npr) / npr
     probe_dx = TWO_PI / npr
 
@@ -502,7 +513,7 @@ class WkbComparison:
 
 def wkb_pipeline(bands: BandTable, m: int, U: ExternalPotential,
                  f: Callable, phi0: Callable, t_end: float, nx: int,
-                 support_tol: float = 1e-8, dt: Optional[float] = None,
+                 dt: Optional[float] = None,
                  ) -> tuple[PhaseTrajectory, AmplitudeTrajectory, CausticReport]:
     """Phase + amplitude evolution with the amplitude-support caustic policy.
 
@@ -515,17 +526,14 @@ def wkb_pipeline(bands: BandTable, m: int, U: ExternalPotential,
     if dt is None:
         # phase errors enter exp(i*phi/eps) amplified by 1/eps, so the step
         # must resolve the phase beyond the advective CFL scale
-        kfine = np.linspace(-0.5, 0.5, 4 * bands.grid.L + 1)
-        vmax = float(np.max(np.abs(eval_band_deriv(bands, m, kfine))))
-        dt_cfl = 0.45 * (TWO_PI / nx) / (1.1 * max(vmax, 1e-6))
-        dt = min(dt_cfl, np.sqrt(bands.grid.epsilon) / 8.0)
+        dt = min(_cfl_step(bands, m, nx)[2], np.sqrt(bands.grid.epsilon) / 8.0)
     traj, rep = hj_solve(bands, m, U, phi0, t_end, nx, dt=dt)
     if rep.detected:
         amp = transport_solve(bands, m, U, traj, f)
         a_end = np.abs(amp.a[-1])
         at_site = np.interp(rep.x_c, np.concatenate([traj.x, [TWO_PI]]),
                             np.concatenate([a_end, a_end[:1]]))
-        if at_site > support_tol * a_end.max():
+        if at_site > SUPPORT_TOL * a_end.max():
             raise CausticReached(rep)
         traj, _ = hj_solve(bands, m, U, phi0, t_end, nx, dt=dt,
                            caustic_factor=np.inf)

@@ -193,12 +193,12 @@ def test_07_mass_conservation():
 
 
 def test_08_gauge_invariance_ten_seeds():
-    from blochstep import bd_step
+    from blochstep import step
     grid = build_grid(1.0 / 16, 16)
     tab = solve_bands(mathieu(16), grid, 16, 6)
     psi = sample_gaussian(grid)
     cfg = StepperConfig("bd", "strang", 0.02, bands=tab, external=HARMONIC)
-    ref = bd_step(psi, cfg)
+    ref = step(psi, cfg)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         phases = np.exp(2j * np.pi * rng.random((6, grid.L)))
@@ -206,8 +206,8 @@ def test_08_gauge_invariance_ten_seeds():
                             energies=tab.energies,
                             vectors=tab.vectors * phases[:, :, None],
                             potential=tab.potential, gauge_tag="random")
-        out = bd_step(psi, StepperConfig("bd", "strang", 0.02, bands=twisted,
-                                         external=HARMONIC))
+        out = step(psi, StepperConfig("bd", "strang", 0.02, bands=twisted,
+                                      external=HARMONIC))
         assert np.max(np.abs(out.values - ref.values)) <= 1e-12
 
 

@@ -371,9 +371,9 @@ def test_support_window_matches_full_rows_and_oracle(monkeypatch):
     assert rows[8:] == [64] * 8
     for m, ((got, cache, calls), (want, full_cache, full_calls)) in enumerate(
             zip(windowed, full), start=1):
-        # the window sends no key to LAPACK that the full rows accept (band
-        # 2 at k = 0, a table node, falls back either way)
-        assert calls == full_calls <= 1
+        # every key is accepted, on the window as on the full rows (band 2
+        # at k = 0, a table node, keeps its exact start vector)
+        assert calls == full_calls == 0
         assert np.max(np.abs(got - want)) <= TOL
         oracle = _OracleChi(table, m)
         want = oracle.chi_values(WINDOW_K, y)
@@ -386,6 +386,28 @@ def test_support_window_matches_full_rows_and_oracle(monkeypatch):
         # against the full rows only
         if m <= 5:
             assert np.max(np.abs(got - want)) <= TOL
+
+
+def test_exact_guess_at_a_table_node_needs_no_fallback(monkeypatch):
+    """Band 2 at k = 0, a node of the 32-node table: the guess is already
+    the eigenvector, so the kernel's first shift makes H - sigma singular
+    and its next iterate overflows to NaN.  The column keeps its start
+    vector, which the acceptance test passes, so the key makes no LAPACK
+    call."""
+    table, _ = _tables("mathieu", 32, 32, 8)
+    keys = []
+    real = bands._lowest_eigenpairs
+
+    def spied(V, Lambda, ks, lo, hi):
+        keys.extend(ks)
+        return real(V, Lambda, ks, lo, hi)
+    monkeypatch.setattr(bands, "_lowest_eigenpairs", spied)
+    k = np.zeros(16)
+    y = np.linspace(0.0, 2 * np.pi, k.size, endpoint=False)
+    chi, oracle = ChiInterpolator(table, 2), _OracleChi(table, 2)
+    got = chi.chi_values(k, y)
+    assert not keys
+    assert np.max(np.abs(got - oracle.chi_values(k, y))) <= TOL
 
 
 def test_window_that_cuts_a_tail_falls_back(monkeypatch):

@@ -131,6 +131,24 @@ def test_cli_evolve_names_final_field_after_end_time(tmp_path):
                                                           "psi_t1.csv"]
 
 
+_SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
+
+
+@pytest.mark.parametrize("argv,csv", [
+    (["bands"], "bands.csv"),
+    (["compare", "--T", "0.02", "--bd-steps", "2", "--ts-steps", "2"],
+     "compare.csv"),
+    (["wkb", "--nx", "32", "--t-end", "0.02"], "wkb_phase.csv"),
+    (["wkb", "--compare", "--nx", "32", "--t-end", "0.02", "--steps", "2"],
+     "wkb_compare.csv"),
+], ids=["bands", "compare", "wkb", "wkb-compare"])
+def test_cli_csv_write_failure_is_io_failure(tmp_path, argv, csv):
+    from blochstep.cli import main
+    (tmp_path / csv).mkdir(parents=True)
+    with pytest.raises(IoFailure):
+        main(argv + _SMALL + ["--out", str(tmp_path)])
+
+
 def test_manifest_write_failure_is_io_failure(tmp_path):
     (tmp_path / "manifest.json").mkdir()
     with pytest.raises(IoFailure):

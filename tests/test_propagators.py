@@ -132,9 +132,9 @@ def test_bloch_transform_matches_two_stage_oracle(case):
     tab = _table(lattice, L, R)
     psi = _random_field(tab.grid, np.random.default_rng(seed))
     tr = BlochTransform(tab)
-    C = tr.project(psi.values)
+    C = tr.forward(psi.values).T
     assert np.max(np.abs(C - _oracle_project(psi, tab))) <= TOL
-    back = tr.reconstruct(C)
+    back = tr.backward(C.T)
     assert np.max(np.abs(back - _oracle_reconstruct(C, tab).values)) <= TOL
     assert np.max(np.abs(band_masses(psi, tab) - tr.masses(psi.values))) == 0.0
 
@@ -144,7 +144,7 @@ def test_bloch_transform_matches_two_stage_oracle(case):
 def test_parseval_weights_are_the_window_norms(lattice, L):
     tab = _table(lattice, L, 16)
     want = np.sum(np.abs(_oracle_window(tab)) ** 2, axis=2)
-    got = BlochTransform(tab).weights
+    got = BlochTransform(tab).weights.T
     assert got.shape == want.shape
     assert np.max(np.abs(got - want) / want) <= 1e-15
 

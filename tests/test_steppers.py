@@ -7,7 +7,6 @@ from blochstep import (
     StepperConfig,
     WaveField,
     bd_periodic_flow,
-    bd_step,
     build_grid,
     discrete_norms,
     evolve,
@@ -17,7 +16,7 @@ from blochstep import (
     mathieu,
     sample_gaussian,
     solve_bands,
-    ts_step,
+    step,
 )
 from blochstep.errors import NonFinite
 from blochstep.grid import field_difference
@@ -48,7 +47,7 @@ def test_free_gaussian_closed_form():
     psi0 = sample_gaussian(grid)
     T = 0.1
     cfg = StepperConfig("bd", "strang", T, bands=tab, external=NONE)
-    out = bd_step(psi0, cfg)
+    out = step(psi0, cfg)
     a = 5.0
     denom = 1.0 + 2j * a * eps * T
     x = grid.x_nodes
@@ -82,7 +81,7 @@ def test_external_phase_properties(mathieu_table, rng):
 def test_bd_step_reduces_to_periodic_flow_without_external(mathieu_table, rng):
     psi = band_limited(mathieu_table, rng)
     cfg = StepperConfig("bd", "strang", 0.05, bands=mathieu_table, external=NONE)
-    a = bd_step(psi, cfg)
+    a = step(psi, cfg)
     b = bd_periodic_flow(psi, mathieu_table, 0.05, psi.grid.epsilon)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
 
@@ -134,7 +133,7 @@ def test_ts_free_flow_spectral():
     psi0 = sample_gaussian(grid)
     T = 0.1
     cfg = StepperConfig("ts", "strang", T, lattice=free, external=NONE)
-    out = ts_step(psi0, cfg)
+    out = step(psi0, cfg)
     a = 5.0
     denom = 1.0 + 2j * a * eps * T
     x = grid.x_nodes
@@ -179,12 +178,12 @@ def test_gauge_invariance_of_bd_step(seed):
     tab = solve_bands(mathieu(16), grid, 16, 4)
     psi = sample_gaussian(grid)
     cfg = StepperConfig("bd", "strang", 0.02, bands=tab, external=HARMONIC)
-    ref = bd_step(psi, cfg)
+    ref = step(psi, cfg)
     phases = np.exp(2j * np.pi * rng.random((4, grid.L)))
     twisted = type(tab)(grid=grid, M=4, Lambda=16,
                         energies=tab.energies,
                         vectors=tab.vectors * phases[:, :, None],
                         potential=tab.potential, gauge_tag="random")
-    out = bd_step(psi, StepperConfig("bd", "strang", 0.02, bands=twisted,
-                                     external=HARMONIC))
+    out = step(psi, StepperConfig("bd", "strang", 0.02, bands=twisted,
+                                  external=HARMONIC))
     assert np.max(np.abs(out.values - ref.values)) < 1e-12
