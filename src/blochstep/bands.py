@@ -26,7 +26,7 @@ from .errors import (
     IoFailure,
     TruncationTooSmall,
 )
-from .grid import SimulationGrid
+from .grid import SimulationGrid, read_file, write_file
 from .potential import PeriodicPotential
 
 _CACHE_MAGIC = b"BDBT"
@@ -386,11 +386,15 @@ def band_gap(energies: np.ndarray, i: int) -> np.ndarray:
 
 
 def berry_connection(table: BandTable, m: int, k_index: int) -> complex:
-    """<chi_m, d_k chi_m> by centered differences of gauge-aligned vectors.
+    """Centered difference of the gauge-aligned neighbours, projected on chi_m.
 
-    The inner product is taken in coefficient space, consistent with the
-    unit coefficient norm of the stored eigenvectors; the result is purely
-    imaginary up to the finite-difference error.
+    Each neighbour v+- of v0 = chi_m(k_l) is rotated onto v0 first, so the
+    result is (|<v0, v+>| - |<v0, v->|) / (2 dk): real, with zero imaginary
+    part.  It is not the purely imaginary Berry connection <chi_m, d_k chi_m>:
+    it estimates that connection's real part, which is zero for a smooth
+    unit-norm family, so only its finite-difference error remains.  Inner
+    products are taken in coefficient space, where the stored vectors have
+    unit norm.
     """
     table.check_band(m)
     if band_gap(table.energies[:, k_index], m - 1) <= GAP_FLOOR:
@@ -438,12 +442,7 @@ def save_band_cache(table: BandTable, path) -> None:
     header = _CACHE_MAGIC + struct.pack(
         "<IIIdQQ", table.grid.L, table.M, table.Lambda,
         table.grid.epsilon, table.potential.content_hash(), digest)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_file(path, header + payload)
 
 
 def load_band_cache(path, grid: SimulationGrid,
@@ -451,12 +450,8 @@ def load_band_cache(path, grid: SimulationGrid,
     """Load a cache written by save_band_cache, verifying the potential hash,
     the payload checksum and the payload length."""
     head_size = 4 + struct.calcsize("<IIIdQQ")
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(head_size)
-            payload = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    blob = read_file(path)
+    head, payload = blob[:head_size], blob[head_size:]
     if len(head) != head_size or head[:4] != _CACHE_MAGIC:
         raise IoFailure(f"{path}: bad band cache header")
     L, M, Lambda, epsilon, vhash, digest = struct.unpack("<IIIdQQ", head[4:])

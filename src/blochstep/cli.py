@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -13,9 +12,11 @@ from . import harness
 from .bands import save_band_cache, solve_bands
 from .grid import (
     build_grid,
+    output_dir,
     sample_gaussian,
     save_wavefield_binary,
     save_wavefield_csv,
+    write_lines,
 )
 from .potential import external_from_spec, lattice_from_spec
 from .steppers import StepperConfig, evolve
@@ -51,13 +52,12 @@ def _band_setup(args):
 
 
 def cmd_bands(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
     grid, _, table = _band_setup(args)
     cache = out / "bands.bin"
     save_band_cache(table, cache)
     header = "k," + ",".join(f"E_{m}" for m in range(1, args.M + 1))
-    csv_path = harness.write_lines(out / "bands.csv", [header] + [
+    csv_path = write_lines(out / "bands.csv", [header] + [
         ",".join(f"{v:.6g}" for v in (grid.k_nodes[l], *table.energies[:, l]))
         for l in np.argsort(grid.k_nodes)])
     harness.write_manifest(out, _settings(args), [cache, csv_path])
@@ -66,8 +66,7 @@ def cmd_bands(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
     grid, lattice, table = _band_setup(args)
     U = external_from_spec(args.external)
     psi0 = sample_gaussian(grid)
@@ -93,8 +92,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
     grid, lattice, table = _band_setup(args)
     U = external_from_spec(args.external)
     psi0 = sample_gaussian(grid)
@@ -110,7 +108,7 @@ def cmd_compare(args) -> int:
                  args.T, ref_steps).final
     rows = [("bd", *harness.compare_solutions(bd, ref)),
             ("ts", *harness.compare_solutions(ts, ref))]
-    path = harness.write_lines(out / "compare.csv", ["scheme,l2,linf"] + [
+    path = write_lines(out / "compare.csv", ["scheme,l2,linf"] + [
         f"{scheme},{l2:.6g},{linf:.6g}" for scheme, l2, linf in rows])
     for scheme, l2, linf in rows:
         print(f"{scheme}: l2 = {l2:.6g}, linf = {linf:.6g}")
@@ -123,8 +121,7 @@ _PHI0 = {"zero": lambda x: 0.0 * x, "neg-cos": lambda x: -np.cos(x)}
 
 
 def cmd_wkb(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
     grid, _, table = _band_setup(args)
     U = external_from_spec(args.external)
     f = _F0[args.f0]
@@ -133,7 +130,7 @@ def cmd_wkb(args) -> int:
     if args.compare:
         cmp = wkb_compare(table, args.band, U, f, phi0, grid,
                           args.t_end, args.nx, args.steps)
-        files.append(harness.write_lines(out / "wkb_compare.csv", [
+        files.append(write_lines(out / "wkb_compare.csv", [
             "t,l2,linf,band_l2"] + [
             f"{t:.6g},{a:.6g},{b:.6g},{c:.6g}"
             for t, a, b, c in zip(cmp.times, cmp.l2, cmp.linf, cmp.band_l2)]))
@@ -143,7 +140,7 @@ def cmd_wkb(args) -> int:
     else:
         traj, amp, rep = wkb_pipeline(table, args.band, U, f, phi0,
                                       args.t_end, args.nx)
-        files.append(harness.write_lines(out / "wkb_phase.csv", [
+        files.append(write_lines(out / "wkb_phase.csv", [
             "x,phi,p,a_re,a_im"] + [
             f"{x:.6g},{phi:.6g},{p:.6g},{a.real:.6g},{a.imag:.6g}"
             for x, phi, p, a in zip(traj.x, traj.phi[-1], traj.p[-1],
@@ -168,7 +165,7 @@ def cmd_convergence(args) -> int:
             dt_list=tuple(float(s) for s in args.dt_list.split(","))
             if args.dt_list else (),
             T=args.T, out_dir=args.out or "out")
-    out = Path(config.out_dir)
+    out = output_dir(config.out_dir)
     reports = harness.run_convergence_study(config)
     files = []
     for report in reports:

@@ -1,16 +1,19 @@
-"""Two-scale grid, complex field containers, and discrete norms.
+"""Two-scale grid, complex field containers, discrete norms, and file access.
 
 The computational domain is [0, 2*pi] with periodic boundary conditions.
 It holds L lattice cells of period 2*pi*eps, each resolved with R points,
 so that the x-samples x_{l,r} = eps*(2*pi*(l-1) + y_r) form a uniform grid
 of L*R points.  Quasi-momenta k_l live in the Brillouin zone [-1/2, 1/2).
+
+Every file access of the package goes through output_dir, write_file and
+read_file, which turn any OSError into IoFailure.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -109,23 +112,13 @@ def sample_gaussian(grid: SimulationGrid) -> WaveField:
     return WaveField(grid, values.astype(complex))
 
 
-def discrete_norms(f) -> tuple[float, float]:
-    """Discrete (l2, linf) norms with uniform quadrature weight dx.
-
-    Accepts a WaveField, a CellField on the physical grid, or a bare array
-    sampled on a uniform periodic grid over [0, 2*pi].
-    """
-    if isinstance(f, (WaveField, CellField)):
-        values = f.values
-        dx = f.grid.dx
-    else:
-        values = np.asarray(f)
-        dx = 2.0 * np.pi / values.size
-    if not np.all(np.isfinite(values)):
+def discrete_norms(f: WaveField) -> tuple[float, float]:
+    """Discrete (l2, linf) norms with uniform quadrature weight dx."""
+    if not np.all(np.isfinite(f.values)):
         raise NonFinite("non-finite samples in norm computation")
-    absval = np.abs(values)
+    absval = np.abs(f.values)
     linf = float(absval.max()) if absval.size else 0.0
-    l2 = float(np.sqrt(dx * np.sum(absval ** 2)))
+    l2 = float(np.sqrt(f.grid.dx * np.sum(absval ** 2)))
     return l2, linf
 
 
@@ -136,43 +129,58 @@ def field_difference(a: WaveField, b: WaveField) -> WaveField:
     return WaveField(a.grid, a.values - b.values)
 
 
-def save_wavefield_csv(psi: WaveField, path) -> None:
-    """Write (l, r, x, Re psi, Im psi) rows."""
+def output_dir(path) -> Path:
+    """Make the directory path and its parents, as `mkdir -p` does."""
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l", "r", "x", "re", "im"])
-            for l in range(psi.grid.L):
-                for r in range(psi.grid.R):
-                    v = psi.values[l, r]
-                    writer.writerow([
-                        l + 1, r + 1,
-                        f"{psi.grid.x_nodes[l, r]:.12g}",
-                        f"{v.real:.12g}", f"{v.imag:.12g}",
-                    ])
+        Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    return Path(path)
+
+
+def write_file(path, data: bytes) -> Path:
+    """Write data to path, replacing any file there."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    return Path(path)
+
+
+def read_file(path) -> bytes:
+    """The contents of path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def write_lines(path, lines) -> Path:
+    """Write the lines to path as UTF-8, each ended by a newline."""
+    return write_file(path, "".join(f"{line}\n" for line in lines).encode())
+
+
+def save_wavefield_csv(psi: WaveField, path) -> None:
+    """Write (l, r, x, Re psi, Im psi) rows with CRLF line endings."""
+    x, v = psi.grid.x_nodes, psi.values
+    rows = ["l,r,x,re,im\r\n"] + [
+        f"{l + 1},{r + 1},{x[l, r]:.12g},{v[l, r].real:.12g},"
+        f"{v[l, r].imag:.12g}\r\n"
+        for l in range(psi.grid.L) for r in range(psi.grid.R)]
+    write_file(path, "".join(rows).encode())
 
 
 def save_wavefield_binary(psi: WaveField, path) -> None:
     """Binary dump: 16-byte header (magic, u32 L, u32 R, u32 pad), f64 pairs."""
     header = _WAVEFIELD_MAGIC + struct.pack("<III", psi.grid.L, psi.grid.R, 0)
     interleaved = np.stack([psi.values.real, psi.values.imag], axis=-1)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(interleaved.astype("<f8").tobytes())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_file(path, header + interleaved.astype("<f8").tobytes())
 
 
 def load_wavefield_binary(path, epsilon: float) -> WaveField:
     """Read a field written by save_wavefield_binary; grid is rebuilt from epsilon."""
-    try:
-        with open(path, "rb") as fh:
-            header, payload = fh.read(16), fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    blob = read_file(path)
+    header, payload = blob[:16], blob[16:]
     if len(header) != 16 or header[:4] != _WAVEFIELD_MAGIC:
         raise IoFailure(f"{path}: bad wavefield header")
     L, R, _ = struct.unpack("<III", header[4:])

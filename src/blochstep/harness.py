@@ -19,7 +19,11 @@ from .grid import (
     build_grid,
     discrete_norms,
     field_difference,
+    output_dir,
+    read_file,
     sample_gaussian,
+    write_file,
+    write_lines,
 )
 from .potential import external_from_spec, lattice_from_spec
 from .steppers import StepperConfig, evolve
@@ -158,21 +162,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_lines(path, lines) -> Path:
-    """Write the lines to path, each ended by a newline; an OSError raises
-    IoFailure."""
-    try:
-        with open(path, "w") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return Path(path)
-
-
 def emit_report(report: ErrorReport, fmt: str, out_dir) -> Path:
     """Write one report file; byte-deterministic for identical input."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir)
     stem = f"{report.scheme}_{report.label.replace('/', '_')}"
     orders = [float("nan")] + list(report.orders)  # no order on the first row
     if fmt == "csv":
@@ -240,8 +232,7 @@ def config_hash(config) -> str:
 def write_manifest(out_dir, config, files) -> Path:
     """manifest.json with the config, its hash and the names of the files
     written; config is an ExperimentConfig or a plain settings mapping."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir)
     manifest = {
         "config_hash": config_hash(config),
         "config": _config_dict(config),
@@ -262,12 +253,13 @@ _CONFIG_CASTS = {
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    """Flat key=value text; '#' starts a comment; keys mirror ExperimentConfig."""
+    """Flat key=value UTF-8 text; '#' starts a comment; keys mirror
+    ExperimentConfig.  A file that cannot be read or decoded raises IoFailure."""
     kwargs = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        text = read_file(path).decode()
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -336,9 +328,9 @@ def selftest(verbose: bool = True) -> bool:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "bands.bin"
             save_band_cache(tab, path)
-            data = bytearray(path.read_bytes())
+            data = bytearray(read_file(path))
             data[len(data) // 2] ^= 0xFF
-            path.write_bytes(bytes(data))
+            write_file(path, bytes(data))
             try:
                 load_band_cache(path, grid, tab.potential)
             except Exception:

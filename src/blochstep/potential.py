@@ -8,7 +8,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InsufficientSamples, NonFinite, NonSmoothForce, OutOfDomain
+from .errors import (InsufficientSamples, IoFailure, NonFinite,
+                     NonSmoothForce, OutOfDomain)
+from .grid import read_file
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,10 +166,6 @@ class ExternalPotential:
             return 2.0 * (x - np.pi)
         raise NonSmoothForce(f"{self.kind} potential has no smooth derivative")
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind in ("none", "linear", "harmonic")
-
 
 EXTERNAL_NONE = ExternalPotential("none")
 
@@ -191,13 +189,20 @@ def external_from_spec(spec: str) -> ExternalPotential:
 
 
 def lattice_from_spec(spec: str, Lambda: int) -> PeriodicPotential:
-    """Parse 'mathieu', 'kronig_penney', or 'file:<path>' (one real sample per line)."""
+    """Parse 'mathieu', 'kronig_penney', or 'file:<path>': UTF-8 text with one
+    real sample per line, where '#' starts a comment.  A file that cannot be
+    read or parsed raises IoFailure."""
     spec = spec.strip()
     if spec == "mathieu":
         return mathieu(Lambda)
     if spec == "kronig_penney":
         return kronig_penney(Lambda)
     if spec.startswith("file:"):
-        samples = np.loadtxt(spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        try:
+            samples = [float(s) for t in read_file(path).decode().splitlines()
+                       if (s := t.split("#", 1)[0].strip())]
+        except ValueError as exc:  # a UnicodeDecodeError is one too
+            raise IoFailure(f"{path}: {exc}") from exc
         return from_samples(samples, Lambda)
     raise ValueError(f"unknown lattice potential spec {spec!r}")

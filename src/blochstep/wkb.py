@@ -66,13 +66,7 @@ class PhaseTrajectory:
 
     def interp_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(phi, p) linearly interpolated in time."""
-        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
-            raise ValueError(f"t = {t} outside phase trajectory window")
-        i = int(np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.times) - 2))
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        w = float(np.clip(w, 0.0, 1.0))
-        return ((1 - w) * self.phi[i] + w * self.phi[i + 1],
-                (1 - w) * self.p[i] + w * self.p[i + 1])
+        return _lerp(self.times, t, self.phi), _lerp(self.times, t, self.p)
 
 
 @dataclass
@@ -85,10 +79,19 @@ class AmplitudeTrajectory:
     a: np.ndarray       # (Nt, Nx)
 
     def interp_time(self, t: float) -> np.ndarray:
-        i = int(np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.times) - 2))
-        w = float(np.clip((t - self.times[i]) / (self.times[i + 1] - self.times[i]),
-                          0.0, 1.0))
-        return (1 - w) * self.a[i] + w * self.a[i + 1]
+        """a linearly interpolated in time."""
+        return _lerp(self.times, t, self.a)
+
+
+def _lerp(times: np.ndarray, t: float, history: np.ndarray) -> np.ndarray:
+    """history (one row per entry of times) linearly interpolated at t;
+    ValueError when t lies outside [times[0], times[-1]]."""
+    if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:
+        raise ValueError(f"t = {t} outside trajectory window "
+                         f"[{times[0]}, {times[-1]}]")
+    i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
+    w = float(np.clip((t - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0))
+    return (1 - w) * history[i] + w * history[i + 1]
 
 
 def _minmod(a, b):
@@ -460,9 +463,7 @@ def bicharacteristics(bands: BandTable, m: int, U: ExternalPotential,
                       dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RK4 integration of the classical flow (X, Xi); returns (t, X, Xi)."""
     bands.check_band(m)
-    if not U.is_smooth:
-        from .errors import NonSmoothForce
-        raise NonSmoothForce(f"{U.kind} external potential along bicharacteristics")
+    U.derivative(np.atleast_1d(x0))  # NonSmoothForce for a step potential
 
     def force(X):
         return -np.asarray(U.derivative(np.atleast_1d(X)))[0]
@@ -512,8 +513,7 @@ class WkbComparison:
 
 
 def wkb_pipeline(bands: BandTable, m: int, U: ExternalPotential,
-                 f: Callable, phi0: Callable, t_end: float, nx: int,
-                 dt: Optional[float] = None,
+                 f: Callable, phi0: Callable, t_end: float, nx: int
                  ) -> tuple[PhaseTrajectory, AmplitudeTrajectory, CausticReport]:
     """Phase + amplitude evolution with the amplitude-support caustic policy.
 
@@ -523,10 +523,9 @@ def wkb_pipeline(bands: BandTable, m: int, U: ExternalPotential,
     potential at the domain seam) does not invalidate the expansion where
     the solution lives, so the phase is re-integrated past it.
     """
-    if dt is None:
-        # phase errors enter exp(i*phi/eps) amplified by 1/eps, so the step
-        # must resolve the phase beyond the advective CFL scale
-        dt = min(_cfl_step(bands, m, nx)[2], np.sqrt(bands.grid.epsilon) / 8.0)
+    # phase errors enter exp(i*phi/eps) amplified by 1/eps, so the step must
+    # resolve the phase beyond the advective CFL scale
+    dt = min(_cfl_step(bands, m, nx)[2], np.sqrt(bands.grid.epsilon) / 8.0)
     traj, rep = hj_solve(bands, m, U, phi0, t_end, nx, dt=dt)
     if rep.detected:
         amp = transport_solve(bands, m, U, traj, f)

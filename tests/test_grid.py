@@ -1,3 +1,8 @@
+import ast
+import csv
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +16,20 @@ from blochstep.errors import (
     ResolutionTooSmall,
     ShapeMismatch,
 )
-from blochstep.grid import field_difference, load_wavefield_binary, save_wavefield_binary
+from blochstep.grid import (
+    field_difference,
+    load_wavefield_binary,
+    output_dir,
+    read_file,
+    save_wavefield_binary,
+    save_wavefield_csv,
+    write_file,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "blochstep"
+FILE_HELPERS = {"output_dir", "write_file", "read_file"}
+FILE_CALLS = {"open", "mkdir", "read_bytes", "read_text", "write_bytes",
+              "write_text", "loadtxt"}
 
 
 def test_small_grid_nodes():
@@ -133,3 +151,66 @@ def test_binary_load_truncated_payload_is_io_failure(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(IoFailure):
         load_wavefield_binary(path, grid.epsilon)
+
+
+def test_csv_rows_match_csv_writer(tmp_path, rng):
+    grid = build_grid(1.0 / 4, 8)
+    psi = WaveField(grid, rng.standard_normal((4, 8))
+                    + 1j * rng.standard_normal((4, 8)))
+    psi.values[0, 0] = -0.0 + 1e-300j
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["l", "r", "x", "re", "im"])
+    for l in range(grid.L):
+        for r in range(grid.R):
+            v = psi.values[l, r]
+            writer.writerow([l + 1, r + 1, f"{grid.x_nodes[l, r]:.12g}",
+                             f"{v.real:.12g}", f"{v.imag:.12g}"])
+    path = tmp_path / "field.csv"
+    save_wavefield_csv(psi, path)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_file_helpers_raise_io_failure(tmp_path):
+    blocker = write_file(tmp_path / "blocker", b"x")
+    assert read_file(blocker) == b"x"
+    assert output_dir(tmp_path / "a" / "b").is_dir()
+    with pytest.raises(IoFailure):
+        output_dir(blocker)
+    with pytest.raises(IoFailure):
+        output_dir(blocker / "sub")
+    with pytest.raises(IoFailure):
+        write_file(tmp_path, b"")
+    with pytest.raises(IoFailure):
+        read_file(tmp_path)
+    with pytest.raises(IoFailure):
+        read_file(tmp_path / "absent")
+
+
+def _file_calls(source, helpers=frozenset()):
+    """Calls that open, create or read a path, outside the named functions."""
+    tree = ast.parse(source)
+    allowed = {id(n) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name in helpers
+               for n in ast.walk(f)}
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name in FILE_CALLS:
+                calls.append(f"{name} at line {node.lineno}")
+    return sorted(calls)
+
+
+def test_file_access_only_through_helpers():
+    found = {path.name: _file_calls(
+                 path.read_text(),
+                 FILE_HELPERS if path.name == "grid.py" else frozenset())
+             for path in SRC.glob("*.py")}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    # the helpers are where the access lives, and the scan sees it
+    assert _file_calls((SRC / "grid.py").read_text())
+    assert _file_calls("np.loadtxt(p)\nPath(p).mkdir()\nopen(p)") == [
+        "loadtxt at line 1", "mkdir at line 2", "open at line 3"]

@@ -132,27 +132,50 @@ def test_cli_evolve_names_final_field_after_end_time(tmp_path):
 
 
 _SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
+_COMPARE = ["compare", "--T", "0.02", "--bd-steps", "2", "--ts-steps", "2"]
+_WKB = ["wkb", "--nx", "32", "--t-end", "0.02"]
 
 
 @pytest.mark.parametrize("argv,csv", [
     (["bands"], "bands.csv"),
-    (["compare", "--T", "0.02", "--bd-steps", "2", "--ts-steps", "2"],
-     "compare.csv"),
-    (["wkb", "--nx", "32", "--t-end", "0.02"], "wkb_phase.csv"),
-    (["wkb", "--compare", "--nx", "32", "--t-end", "0.02", "--steps", "2"],
-     "wkb_compare.csv"),
-], ids=["bands", "compare", "wkb", "wkb-compare"])
+    (_COMPARE, "compare.csv"),
+    (_WKB, "wkb_phase.csv"),
+    (_WKB + ["--compare", "--steps", "2"], "wkb_compare.csv"),
+    (["bands"], None),
+    (["evolve", "--steps", "2"], None),
+    (_COMPARE, None),
+    (_WKB, None),
+    (["convergence", "--T", "0.02"], None),
+], ids=["bands", "compare", "wkb", "wkb-compare", "bands-out-is-file",
+        "evolve-out-is-file", "compare-out-is-file", "wkb-out-is-file",
+        "convergence-out-is-file"])
 def test_cli_csv_write_failure_is_io_failure(tmp_path, argv, csv):
+    # a directory where the CSV goes, or (csv None) an --out that is a file
     from blochstep.cli import main
-    (tmp_path / csv).mkdir(parents=True)
+    if csv is None:
+        out = tmp_path / "out"
+        out.write_text("")
+    else:
+        out = tmp_path
+        (tmp_path / csv).mkdir(parents=True)
     with pytest.raises(IoFailure):
-        main(argv + _SMALL + ["--out", str(tmp_path)])
+        main(argv + _SMALL + ["--out", str(out)])
 
 
 def test_manifest_write_failure_is_io_failure(tmp_path):
     (tmp_path / "manifest.json").mkdir()
     with pytest.raises(IoFailure):
         write_manifest(tmp_path, {"command": "bands"}, [])
+    # an output directory that is an existing file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.raises(IoFailure):
+        write_manifest(blocker, {"command": "bands"}, [])
+    report = ErrorReport(scheme="bd", label="dt", levels=[0.1], l2=[1e-2],
+                         linf=[2e-2], orders=[], wall_clock=[0.5],
+                         mass_drift=[0.0])
+    with pytest.raises(IoFailure):
+        emit_report(report, "csv", blocker)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -181,6 +204,16 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("scenario = spatial\nwavelength = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize("contents", [None, b"scenario = spatial\nT = 0.1\xff\n"],
+                         ids=["missing", "not-utf8"])
+def test_config_file_read_failure_is_io_failure(tmp_path, contents):
+    path = tmp_path / "study.cfg"
+    if contents is not None:
+        path.write_bytes(contents)
+    with pytest.raises(IoFailure):
         parse_config_file(path)
 
 

@@ -10,10 +10,11 @@ from blochstep import (
     build_grid,
     from_samples,
     kronig_penney,
+    lattice_from_spec,
     mathieu,
     solve_bands,
 )
-from blochstep.errors import InsufficientSamples, NonFinite, OutOfDomain
+from blochstep.errors import InsufficientSamples, IoFailure, NonFinite, OutOfDomain
 
 
 def _series(V, y):
@@ -61,6 +62,29 @@ def test_from_samples_kronig_penney_jump():
     box = 1.0 - ((y >= np.pi / 2) & (y <= 3 * np.pi / 2)).astype(float)
     V = from_samples(box, 8)
     assert abs(V.vhat(1) - 1 / np.pi) < 1e-3
+
+
+def test_lattice_file_matches_from_samples(tmp_path):
+    samples = np.cos(2 * np.pi * np.arange(64) / 64)
+    path = tmp_path / "lattice.txt"
+    path.write_text("# cosine lattice\n\n"
+                    + "".join(f"{float(v)!r}  # sample\n" for v in samples))
+    V = lattice_from_spec(f"file:{path}", 8)
+    np.testing.assert_array_equal(V.coeffs, from_samples(samples, 8).coeffs)
+
+
+@pytest.mark.parametrize("contents", [None, "dir", b"0.5\nhalf\n",
+                                      b"0.5\n\xff\xfe\n"],
+                         ids=["missing", "directory", "non-numeric",
+                              "not-utf8"])
+def test_lattice_file_failures_are_io_failure(tmp_path, contents):
+    path = tmp_path / "lattice.txt"
+    if contents == "dir":
+        path.mkdir()
+    elif contents is not None:
+        path.write_bytes(contents)
+    with pytest.raises(IoFailure):
+        lattice_from_spec(f"file:{path}", 8)
 
 
 def test_from_samples_rejects_short_input():

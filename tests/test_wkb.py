@@ -165,6 +165,22 @@ def test_chi_interpolator_refuses_degenerate_band():
         chi.coeffs(0.5)  # free bands touch at the zone edge
 
 
+def test_trajectory_interpolation_refuses_times_outside_window():
+    times = np.array([0.0, 0.5, 1.0])
+    rows = np.arange(6.0).reshape(3, 2)
+    phase = wkb_mod.PhaseTrajectory(1, np.zeros(2), times, rows, 2 * rows)
+    amp = wkb_mod.AmplitudeTrajectory(1, np.zeros(2), times, rows + 0j)
+    phi, p = phase.interp_time(0.75)
+    np.testing.assert_array_equal(phi, [3.0, 4.0])
+    np.testing.assert_array_equal(p, [6.0, 8.0])
+    np.testing.assert_array_equal(amp.interp_time(0.25), [1.0, 2.0])
+    for t in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="outside"):
+            phase.interp_time(t)
+        with pytest.raises(ValueError, match="outside"):
+            amp.interp_time(t)
+
+
 def test_bicharacteristics_free_motion(baseline_mathieu):
     grid = build_grid(1.0 / 16, 16)
     free = solve_bands(from_samples(np.zeros(128), 16), grid, 16, 2)
