@@ -23,7 +23,6 @@ from .grid import (
 from .potential import (
     ExternalPotential,
     PeriodicPotential,
-    eval_external,
     external_from_spec,
     from_samples,
     kronig_penney,

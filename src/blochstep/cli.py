@@ -33,8 +33,9 @@ def _add_problem_flags(p: argparse.ArgumentParser, external_default="none",
                    help="Fourier truncation of the cell eigenproblem")
     p.add_argument("--lattice", default="mathieu",
                    help="mathieu | kronig_penney | file:<path>")
-    p.add_argument("--external", default=external_default,
-                   help="none | harmonic | step | linear:<E>")
+    if external_default is not None:
+        p.add_argument("--external", default=external_default,
+                       help="none | harmonic | step | linear:<E>")
     p.add_argument("--out", default=out_default)
 
 
@@ -43,12 +44,16 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _band_setup(args):
+def _lattice_setup(args):
+    """The grid, the lattice and the Fourier truncation of its bands."""
     grid = build_grid(args.eps, args.R)
     Lambda = max(args.Lambda, args.R // 2 + 1, args.M)
-    lattice = lattice_from_spec(args.lattice, max(2 * Lambda, 64))
-    table = solve_bands(lattice, grid, Lambda, args.M)
-    return grid, lattice, table
+    return grid, lattice_from_spec(args.lattice, max(2 * Lambda, 64)), Lambda
+
+
+def _band_setup(args):
+    grid, lattice, Lambda = _lattice_setup(args)
+    return grid, lattice, solve_bands(lattice, grid, Lambda, args.M)
 
 
 def cmd_bands(args) -> int:
@@ -67,7 +72,10 @@ def cmd_bands(args) -> int:
 
 def cmd_evolve(args) -> int:
     out = output_dir(args.out)
-    grid, lattice, table = _band_setup(args)
+    grid, lattice, Lambda = _lattice_setup(args)
+    # TS samples the lattice and needs no band table
+    table = (solve_bands(lattice, grid, Lambda, args.M)
+             if args.scheme == "bd" else None)
     U = external_from_spec(args.external)
     psi0 = sample_gaussian(grid)
     cfg = StepperConfig(args.scheme, args.order, args.T / args.steps,
@@ -116,7 +124,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_F0 = {"gaussian": lambda x: np.exp(-5.0 * (x - np.pi) ** 2)}
+def _gaussian(x):
+    return np.exp(-5.0 * (x - np.pi) ** 2)
+
+
 _PHI0 = {"zero": lambda x: 0.0 * x, "neg-cos": lambda x: -np.cos(x)}
 
 
@@ -124,11 +135,10 @@ def cmd_wkb(args) -> int:
     out = output_dir(args.out)
     grid, _, table = _band_setup(args)
     U = external_from_spec(args.external)
-    f = _F0[args.f0]
     phi0 = _PHI0[args.phi0]
     files = []
     if args.compare:
-        cmp = wkb_compare(table, args.band, U, f, phi0, grid,
+        cmp = wkb_compare(table, args.band, U, _gaussian, phi0, grid,
                           args.t_end, args.nx, args.steps)
         files.append(write_lines(out / "wkb_compare.csv", [
             "t,l2,linf,band_l2"] + [
@@ -138,7 +148,7 @@ def cmd_wkb(args) -> int:
               f"sup in-band l2 = {cmp.sup_band_l2:.6g}")
         rep = cmp.caustic
     else:
-        traj, amp, rep = wkb_pipeline(table, args.band, U, f, phi0,
+        traj, amp, rep = wkb_pipeline(table, args.band, U, _gaussian, phi0,
                                       args.t_end, args.nx)
         files.append(write_lines(out / "wkb_phase.csv", [
             "x,phi,p,a_re,a_im"] + [
@@ -161,9 +171,7 @@ def cmd_convergence(args) -> int:
         config = harness.ExperimentConfig(
             scenario=args.scenario, epsilon=args.eps, R=args.R, M=args.M,
             Lambda=args.Lambda, lattice=args.lattice, external=args.external,
-            schemes=tuple(args.schemes.split(",")), dt=args.dt,
-            dt_list=tuple(float(s) for s in args.dt_list.split(","))
-            if args.dt_list else (),
+            schemes=args.schemes, dt=args.dt, dt_list=args.dt_list,
             T=args.T, out_dir=args.out or "out")
     out = output_dir(config.out_dir)
     reports = harness.run_convergence_study(config)
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="solve and cache a band table")
-    _add_problem_flags(p)
+    _add_problem_flags(p, external_default=None)
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("evolve", help="time-evolve a Gaussian wave packet")
@@ -212,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wkb", help="asymptotic phase/amplitude evolution")
     p.add_argument("--band", type=int, default=1)
     p.add_argument("--phi0", choices=tuple(_PHI0), default="zero")
-    p.add_argument("--f0", choices=tuple(_F0), default="gaussian")
     _add_problem_flags(p, external_default="harmonic")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--nx", type=int, default=256)
@@ -227,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=("spatial", "temporal"),
                    default="spatial")
     _add_problem_flags(p, out_default="")
-    p.add_argument("--schemes", default="bd")
+    p.add_argument("--schemes", type=harness.name_list, default="bd",
+                   help="comma-separated schemes: bd, ts")
     p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--dt-list", default="",
+    p.add_argument("--dt-list", type=harness.float_list, default="",
                    help="comma-separated decreasing steps (temporal)")
     p.add_argument("--T", type=float, default=0.1)
     p.set_defaults(func=cmd_convergence)

@@ -21,10 +21,6 @@ class InsufficientSamples(BlochStepError):
     """Too few samples to resolve the requested Fourier truncation."""
 
 
-class OutOfDomain(BlochStepError):
-    """Coordinate outside the computational domain [0, 2*pi]."""
-
-
 class TruncationTooSmall(BlochStepError):
     """Stored Fourier coefficient range cannot supply a matrix assembly."""
 
@@ -71,10 +67,6 @@ class CausticReached(BlochStepError):
 
 class NonSmoothForce(BlochStepError):
     """External potential lacks the smoothness required along a path."""
-
-
-class ReferenceTooCoarse(BlochStepError):
-    """Reference grid is not finer than the finest grid under test."""
 
 
 class IoFailure(BlochStepError):

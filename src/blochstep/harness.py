@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .bands import solve_bands
-from .errors import IoFailure, ReferenceTooCoarse, ShapeMismatch
+from .errors import IoFailure, ShapeMismatch
 from .grid import (
     WaveField,
     build_grid,
@@ -27,6 +27,11 @@ from .grid import (
 )
 from .potential import external_from_spec, lattice_from_spec
 from .steppers import StepperConfig, evolve
+
+# the BD reference of a study has this many times the finest R, and a step
+# this many times smaller than the finest dt
+REFERENCE_SPATIAL_FACTOR = 2
+REFERENCE_TEMPORAL_FACTOR = 10
 
 
 @dataclass
@@ -45,13 +50,13 @@ class ExperimentConfig:
     dt_list: tuple = ()              # strictly decreasing for temporal studies
     dt: float = 0.01                 # step for spatial studies
     T: float = 0.1
-    reference_spatial_factor: int = 2
-    reference_temporal_factor: int = 10
     out_dir: str = "out"
 
     def __post_init__(self):
         if self.scenario not in ("spatial", "temporal"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if not set(self.schemes) <= {"bd", "ts"}:
+            raise ValueError(f"unknown scheme in {self.schemes!r}")
         if self.dt_list and not all(
                 a > b for a, b in zip(self.dt_list, self.dt_list[1:])):
             raise ValueError("dt list must be strictly decreasing")
@@ -66,7 +71,7 @@ class ErrorReport:
     levels: list                     # refinement parameter per row
     l2: list
     linf: list
-    orders: list                     # len(levels) - 1 entries, log2 ratios
+    orders: list                     # len(levels) - 1 entries
     wall_clock: list                 # seconds per run
     mass_drift: list                 # |mass(T) - mass(0)| per run
 
@@ -76,12 +81,13 @@ def compare_solutions(a: WaveField, b: WaveField) -> tuple[float, float]:
     return discrete_norms(field_difference(a, b))
 
 
-def observed_orders(errors) -> list:
-    """log2(e_i / e_{i+1}) between adjacent refinement levels."""
+def observed_orders(levels, errors) -> list:
+    """log(e_i / e_{i+1}) / log(h_i / h_{i+1}) between adjacent refinement
+    levels h_i; nan where an error is not positive."""
     out = []
-    for e0, e1 in zip(errors, errors[1:]):
+    for h0, h1, e0, e1 in zip(levels, levels[1:], errors, errors[1:]):
         if e0 > 0 and e1 > 0:
-            out.append(float(np.log2(e0 / e1)))
+            out.append(float(np.log2(e0 / e1) / np.log2(h0 / h1)))
         else:
             out.append(float("nan"))
     return out
@@ -102,34 +108,18 @@ def _run_once(config: ExperimentConfig, scheme: str, R: int, dt: float,
     psi0 = sample_gaussian(grid)
     N = max(1, int(round(config.T / dt)))
     tic = time.perf_counter()
-    if scheme == "bd":
-        tab = solve_bands(lattice, grid, Lambda, config.M)
-        cfg = StepperConfig("bd", "strang", config.T / N, bands=tab, external=U)
-    else:
-        cfg = StepperConfig("ts", "strang", config.T / N, lattice=lattice,
-                            external=U)
+    tab = solve_bands(lattice, grid, Lambda, config.M) if scheme == "bd" else None
+    cfg = StepperConfig(scheme, "strang", config.T / N, bands=tab,
+                        lattice=lattice, external=U)
     out = evolve(psi0, cfg, config.T, N)
     wall = time.perf_counter() - tic
     drift = float(abs(out.mass_history[-1] - out.mass_history[0]))
     return out.final, wall, drift
 
 
-def _reference_solution(config: ExperimentConfig, R_finest: int, dt_finest,
-                        lattice, U) -> WaveField:
-    """BD reference at boosted spatial and temporal resolution."""
-    R_ref = config.reference_spatial_factor * R_finest
-    if R_ref <= R_finest:
-        raise ReferenceTooCoarse(
-            f"reference R = {R_ref} <= finest test R = {R_finest}")
-    dt_ref = dt_finest / config.reference_temporal_factor
-    ref, _, _ = _run_once(config, "bd", R_ref, dt_ref, lattice, U)
-    return ref
-
-
 def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
     """One ErrorReport per scheme; levels follow the configured scenario."""
-    n_fourier = max(config.Lambda,
-                    config.reference_spatial_factor * config.R)
+    n_fourier = max(config.Lambda, REFERENCE_SPATIAL_FACTOR * config.R)
     lattice = lattice_from_spec(config.lattice, n_fourier)
     U = external_from_spec(config.external)
     if config.scenario == "spatial":
@@ -139,7 +129,9 @@ def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
     else:
         label = "dt"
         runs = [(config.R, dt) for dt in list(config.dt_list) or [config.dt]]
-    ref = _reference_solution(config, *runs[-1], lattice, U)
+    R_finest, dt_finest = runs[-1]
+    ref = _run_once(config, "bd", REFERENCE_SPATIAL_FACTOR * R_finest,
+                    dt_finest / REFERENCE_TEMPORAL_FACTOR, lattice, U)[0]
     reports = []
     for scheme in config.schemes:
         rows = []
@@ -151,7 +143,7 @@ def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
         levels, l2s, linfs, walls, drifts = (list(c) for c in zip(*rows))
         reports.append(ErrorReport(
             scheme=scheme, label=label, levels=levels, l2=l2s, linf=linfs,
-            orders=observed_orders(l2s), wall_clock=walls,
+            orders=observed_orders(levels, l2s), wall_clock=walls,
             mass_drift=drifts))
     return reports
 
@@ -243,12 +235,19 @@ def write_manifest(out_dir, config, files) -> Path:
                                    default=str)])
 
 
+def name_list(text: str) -> tuple:
+    """Comma-separated entries, blanks dropped: 'bd, ts' -> ('bd', 'ts')."""
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+def float_list(text: str) -> tuple:
+    """Comma-separated floats, blanks dropped."""
+    return tuple(float(x) for x in name_list(text))
+
+
 _CONFIG_CASTS = {
     "epsilon": float, "R": int, "M": int, "Lambda": int, "dt": float,
-    "T": float, "reference_spatial_factor": int,
-    "reference_temporal_factor": int,
-    "schemes": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-    "dt_list": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
+    "T": float, "schemes": name_list, "dt_list": float_list,
 }
 
 

@@ -8,8 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (InsufficientSamples, IoFailure, NonFinite,
-                     NonSmoothForce, OutOfDomain)
+from .errors import InsufficientSamples, IoFailure, NonFinite, NonSmoothForce
 from .grid import read_file
 
 TWO_PI = 2.0 * np.pi
@@ -168,14 +167,6 @@ class ExternalPotential:
 
 
 EXTERNAL_NONE = ExternalPotential("none")
-
-
-def eval_external(U: ExternalPotential, x) -> np.ndarray:
-    """Evaluate U at x, enforcing the domain [0, 2*pi]."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > TWO_PI):
-        raise OutOfDomain(f"x outside [0, 2*pi]")
-    return U(xa)
 
 
 def external_from_spec(spec: str) -> ExternalPotential:

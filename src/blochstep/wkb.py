@@ -31,8 +31,10 @@ from .errors import (
     CFLViolation,
     NonFinite,
 )
-from .grid import SimulationGrid, WaveField
+from .grid import SimulationGrid, WaveField, discrete_norms, field_difference
 from .potential import ExternalPotential
+from .steppers import StepperConfig, evolve
+from .transform import BlochTransform
 
 TWO_PI = 2.0 * np.pi
 CHI_QUANTUM = 1e-6  # resolution of the off-node chi cache keys in k
@@ -238,8 +240,8 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
 
 
 def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
-                    phase: PhaseTrajectory, a0) -> AmplitudeTrajectory:
-    """Advance the WKB amplitude along the precomputed phase trajectory.
+                    phase: PhaseTrajectory, a0: Callable) -> AmplitudeTrajectory:
+    """Advance the WKB amplitude a0(x) along the precomputed phase trajectory.
 
     Each step splits into (i) semi-Lagrangian advection at the group velocity
     and (ii) the exact exponential of the local compression + geometric-phase
@@ -247,11 +249,7 @@ def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
     """
     bands.check_band(m)
     x = phase.x
-    nx = x.size
-    if callable(a0):
-        a = np.asarray(a0(x), dtype=complex)
-    else:
-        a = np.asarray(a0, dtype=complex).copy()
+    a = np.asarray(a0(x), dtype=complex)
     Ux = U.derivative(x)
     beta_interp = _berry_interpolator(bands, m)
     velocity = _trig_interpolant(bands, m, 1)
@@ -425,17 +423,24 @@ def _macro_spline(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return spline
 
 
+def _two_scale(chi: ChiInterpolator, grid: SimulationGrid, a: np.ndarray,
+               phi: np.ndarray, p: np.ndarray) -> WaveField:
+    """a chi_m(x/eps, p) exp(i phi/eps), from a, phi and p sampled at the
+    grid's nodes in ravel order."""
+    x = grid.x_nodes.reshape(-1)
+    y = np.mod(x / grid.epsilon, TWO_PI)
+    vals = a * chi.chi_values(p, y) * np.exp(1j * phi / grid.epsilon)
+    return WaveField(grid, vals.reshape(grid.L, grid.R))
+
+
 def build_wkb_initial(bands: BandTable, m: int, f: Callable, phi0: Callable,
                       grid: SimulationGrid) -> WaveField:
     """Two-scale initial data f(x) chi_m(x/eps, d(phi0)/dx) exp(i phi0 / eps)."""
     x = grid.x_nodes.reshape(-1)
     phi = np.asarray(phi0(x), dtype=float)
-    p = _spectral_derivative(phi)
-    chi = ChiInterpolator(bands, m)
-    y = np.mod(x / grid.epsilon, TWO_PI)
-    vals = np.asarray(f(x), dtype=complex) * chi.chi_values(p, y) \
-        * np.exp(1j * phi / grid.epsilon)
-    return WaveField(grid, vals.reshape(grid.L, grid.R))
+    return _two_scale(ChiInterpolator(bands, m), grid,
+                      np.asarray(f(x), dtype=complex), phi,
+                      _spectral_derivative(phi))
 
 
 def reconstruct_sc(phase: PhaseTrajectory, amp: AmplitudeTrajectory,
@@ -443,19 +448,16 @@ def reconstruct_sc(phase: PhaseTrajectory, amp: AmplitudeTrajectory,
                    t: float, chi: Optional[ChiInterpolator] = None) -> WaveField:
     """Assemble the approximate semiclassical field a chi exp(i phi/eps) at t."""
     phi_macro, p_macro = phase.interp_time(t)
-    a_macro = amp.interp_time(t)
     x = grid.x_nodes.reshape(-1)
     pbar = p_macro.mean()
     # the phase may carry a linear ramp; interpolate its periodic remainder
     phi = _macro_spline(phi_macro - pbar * (phase.x - np.pi))(x) \
         + pbar * (x - np.pi)
     p = _macro_spline(p_macro - pbar)(x) + pbar
-    a = _macro_spline(a_macro)(x)
+    a = _macro_spline(amp.interp_time(t))(x)
     if chi is None:
         chi = ChiInterpolator(bands, m)
-    y = np.mod(x / grid.epsilon, TWO_PI)
-    vals = a * chi.chi_values(p, y) * np.exp(1j * phi / grid.epsilon)
-    return WaveField(grid, vals.reshape(grid.L, grid.R))
+    return _two_scale(chi, grid, a, phi, p)
 
 
 def bicharacteristics(bands: BandTable, m: int, U: ExternalPotential,
@@ -544,35 +546,29 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
                 f: Callable, phi0: Callable, grid: SimulationGrid,
                 t_end: float, nx: int, n_steps: int,
                 n_samples: int = 11) -> WkbComparison:
-    """sup-norm difference table between the BD solution and the WKB field."""
-    from .grid import discrete_norms, field_difference
-    from .steppers import BDPropagator
-
+    """Differences between the BD solution and the WKB field at n_samples
+    times: `evolve` snapshots every n_steps / (n_samples - 1)-th Strang BD
+    step, each compared at its own time.  ValueError unless n_samples >= 2
+    and n_samples - 1 divides n_steps."""
+    if n_samples < 2 or n_steps % (n_samples - 1):
+        raise ValueError(f"n_samples - 1 = {n_samples - 1} must be >= 1 and "
+                         f"divide n_steps = {n_steps}")
     traj, amp, rep = wkb_pipeline(bands, m, U, f, phi0, t_end, nx)
     chi = ChiInterpolator(bands, m)
-    psi = build_wkb_initial(bands, m, f, phi0, grid)
-    sample_times = np.linspace(0.0, t_end, n_samples)
-    prop = BDPropagator(bands, U, t_end / n_steps, "strang")
-    state = prop.enter(psi.values)
-    l2s, linfs, bl2s = [], [], []
-    next_sample = 0
-    for n in range(n_steps + 1):
-        t = n * t_end / n_steps
-        if next_sample < n_samples and t >= sample_times[next_sample] - 1e-12:
-            sc = reconstruct_sc(traj, amp, bands, m, grid, t, chi=chi)
-            diff = field_difference(WaveField(grid, prop.leave(state)), sc)
-            d2, dinf = discrete_norms(diff)
-            l2s.append(d2)
-            linfs.append(dinf)
-            # the band projection is linear: the band-m part of the
-            # difference is the difference of the band-m parts
-            bl2s.append(prop.transform.masses(diff.values)[m - 1])
-            next_sample += 1
-        if n < n_steps:
-            state = prop.advance(state)
-    l2s = np.array(l2s)
-    linfs = np.array(linfs)
-    bl2s = np.array(bl2s)
-    return WkbComparison(times=sample_times, l2=l2s, linf=linfs, band_l2=bl2s,
-                         sup_l2=float(l2s.max()), sup_linf=float(linfs.max()),
+    cfg = StepperConfig("bd", "strang", t_end / n_steps, bands=bands,
+                        external=U)
+    bd = evolve(build_wkb_initial(bands, m, f, phi0, grid), cfg, t_end,
+                n_steps, snapshot_every=n_steps // (n_samples - 1))
+    transform = BlochTransform(bands)
+    rows = []
+    for t, psi in zip(bd.times, bd.snapshots):
+        diff = field_difference(
+            psi, reconstruct_sc(traj, amp, bands, m, grid, t, chi=chi))
+        # the band projection is linear: the band-m part of the difference
+        # is the difference of the band-m parts
+        rows.append((*discrete_norms(diff), transform.masses(diff.values)[m - 1]))
+    l2s, linfs, bl2s = (np.array(c) for c in zip(*rows))
+    return WkbComparison(times=np.array(bd.times), l2=l2s, linf=linfs,
+                         band_l2=bl2s, sup_l2=float(l2s.max()),
+                         sup_linf=float(linfs.max()),
                          sup_band_l2=float(bl2s.max()), caustic=rep)

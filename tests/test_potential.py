@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochstep import (
-    eval_external,
     external_from_spec,
     PeriodicPotential,
     build_grid,
@@ -14,7 +13,7 @@ from blochstep import (
     mathieu,
     solve_bands,
 )
-from blochstep.errors import InsufficientSamples, IoFailure, NonFinite, OutOfDomain
+from blochstep.errors import InsufficientSamples, IoFailure, NonFinite
 
 
 def _series(V, y):
@@ -108,16 +107,14 @@ def test_non_finite_coefficients_are_typed(bad):
 
 def test_external_potentials():
     U = external_from_spec("harmonic")
-    assert eval_external(U, np.pi) == 0.0
+    assert U(np.pi) == 0.0
     S = external_from_spec("step")
-    assert eval_external(S, np.pi) == 1.0
-    assert eval_external(S, 0.0) == 0.0
-    assert eval_external(S, np.pi / 2) == 1.0
-    assert eval_external(S, 3 * np.pi / 2) == 1.0
+    assert S(np.pi) == 1.0
+    assert S(0.0) == 0.0
+    assert S(np.pi / 2) == 1.0
+    assert S(3 * np.pi / 2) == 1.0
     Lin = external_from_spec("linear:1")
-    assert abs(eval_external(Lin, 2.0) - 2.0) < 1e-15
-    with pytest.raises(OutOfDomain):
-        eval_external(U, -0.1)
+    assert abs(Lin(2.0) - 2.0) < 1e-15
 
 
 @settings(max_examples=20, deadline=None)

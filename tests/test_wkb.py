@@ -5,11 +5,15 @@ from scipy.interpolate import CubicSpline
 import blochstep.wkb as wkb_mod
 from blochstep import (
     ChiInterpolator,
+    StepperConfig,
+    WaveField,
     bicharacteristics,
     build_grid,
     build_wkb_initial,
+    discrete_norms,
     eval_band,
     eval_band_deriv,
+    evolve,
     external_from_spec,
     from_samples,
     hj_solve,
@@ -23,6 +27,7 @@ from blochstep import (
 )
 from blochstep.errors import (
     BandGapTooSmall,
+    CausticReached,
     CFLViolation,
     NonFinite,
     NonSmoothForce,
@@ -239,6 +244,43 @@ def test_pipeline_continues_past_unsupported_trigger(kp_table):
                                   0.3, 512)
     assert rep.detected  # the seam trigger is reported ...
     assert abs(traj.times[-1] - 0.3) < 1e-12  # ... but integration completes
+
+
+def test_pipeline_halts_at_caustic_inside_amplitude(baseline_mathieu):
+    # the wkb_mathieu problem with its amplitude moved onto the seam x = 0,
+    # where the periodized harmonic force triggers the caustic detector
+    def on_seam(x):
+        return np.exp(-5.0 * np.minimum(x, 2 * np.pi - x) ** 2)
+    with pytest.raises(CausticReached) as info:
+        wkb_pipeline(baseline_mathieu, 1, HARMONIC, on_seam, zero_phase,
+                     1.0, 256)
+    rep = info.value.report
+    assert rep.detected and rep.x_c == 0.0
+    assert abs(rep.t_c - 0.2569) < 1e-4
+
+
+def test_wkb_compare_samples_at_snapshot_times(baseline_mathieu):
+    grid = baseline_mathieu.grid
+    args = (baseline_mathieu, 1, HARMONIC, gauss, zero_phase, grid, 0.1, 64)
+    cmp = wkb_compare(*args, 20, n_samples=5)
+    np.testing.assert_allclose(cmp.times, [0.0, 0.025, 0.05, 0.075, 0.1],
+                               rtol=0, atol=1e-15)
+    assert cmp.l2.shape == cmp.linf.shape == cmp.band_l2.shape == (5,)
+    # the sample at t = 0.05 compares the field after 10 of the 20 steps
+    traj, amp, _ = wkb_pipeline(baseline_mathieu, 1, HARMONIC, gauss,
+                                zero_phase, 0.1, 64)
+    psi = evolve(build_wkb_initial(baseline_mathieu, 1, gauss, zero_phase, grid),
+                 StepperConfig("bd", "strang", 0.005, bands=baseline_mathieu,
+                               external=HARMONIC), 0.05, 10).final
+    # an interpolator that has solved the same quasi-momenta in the same order
+    chi = ChiInterpolator(baseline_mathieu, 1)
+    for t in (0.0, 0.025, 0.05):
+        sc = reconstruct_sc(traj, amp, baseline_mathieu, 1, grid, t, chi=chi)
+    want = discrete_norms(WaveField(grid, psi.values - sc.values))[0]
+    assert cmp.l2[2] == want
+    for n_steps, n_samples in ((20, 1), (20, 4), (2, 11)):
+        with pytest.raises(ValueError, match="divide"):
+            wkb_compare(*args, n_steps, n_samples=n_samples)
 
 
 def test_wkb_epsilon_scaling():
