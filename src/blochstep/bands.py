@@ -50,6 +50,10 @@ def assemble_hk(V: PeriodicPotential, k: float, Lambda: int) -> np.ndarray:
 
 
 GAP_FLOOR = 1e-8  # a band closer than this to a neighbour counts as degenerate
+# a table node whose real solve has eps_mach ||H||_inf / gap above this takes
+# the complex solve: a real and a complex eigensolver part by about that much
+_REAL_COND_MAX = 1e-12
+_OVERLAP_FLOOR = 1e-12  # neighbour overlaps at or below this restart the gauge
 _RQI_STEPS = 8  # cap on the Rayleigh-quotient steps of one block
 _RESIDUAL_FACTOR = 4  # accept ||Hv - sigma v|| <= this * eps_mach * ||H||
 _SUPPORT_MARGIN = 2  # rows kept on each side of the guesses' support
@@ -98,6 +102,41 @@ def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
         energies[:, j] = vals
         vectors[:, j] = (vecs / np.linalg.norm(vecs, axis=0)).T
     return energies, vectors
+
+
+def _real_eigenpairs(T: np.ndarray, Lambda: int, ks,
+                     M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands 1..M of H(k) = T + diag(_kinetic(k)) for each k in 1-D ks, by
+    the real subset eigh, for a T whose lower triangle is real: energies
+    (M, nk), unit-norm vectors (M, nk, 2*Lambda) stored complex, and each
+    node's conditioning eps_mach ||H(k)||_inf / gap, the gap being the
+    smallest distance between neighbours among bands 1..M+1 (band M+1 gives
+    band M its upper gap; there is none when M = 2*Lambda).  A zero gap gives
+    an infinite conditioning."""
+    n = 2 * Lambda
+    hi = min(M, n - 1)
+    kin = _kinetic(Lambda, ks)
+    H0 = T.real.copy()
+    diag = np.diag_indices_from(H0)
+    vals = np.empty((hi + 1, ks.size))
+    vectors = np.empty((M, ks.size, n), dtype=complex)
+    for j, k in enumerate(ks):
+        H = H0.copy()
+        H[diag] += kin[j]
+        try:
+            # finite: PeriodicPotential rejects non-finite coefficients
+            vals[:, j], vecs = scipy.linalg.eigh(H, subset_by_index=[0, hi],
+                                                 check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise EigensolverFailure(f"eigensolver failed at k = {k}: {exc}") from exc
+        vecs = vecs[:, :M]
+        vectors[:, j] = (vecs / np.linalg.norm(vecs, axis=0)).T
+    off = np.abs(H0)
+    off[diag] = 0.0
+    norm = (off.sum(axis=1) + np.abs(H0.diagonal() + kin)).max(axis=1)
+    with np.errstate(divide="ignore"):
+        cond = np.finfo(float).eps * norm / np.diff(vals, axis=0).min(axis=0)
+    return vals[:M], vectors, cond
 
 
 def _tridiagonal_apply(d: np.ndarray, b: float, v: np.ndarray) -> np.ndarray:
@@ -232,13 +271,6 @@ def _band_vectors(V: PeriodicPotential, Lambda: int, parts, ks, m: int,
     return vectors
 
 
-def _anchor_phase(v: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude coefficient real positive."""
-    j = int(np.argmax(np.abs(v)))
-    phase = v[j] / abs(v[j]) if abs(v[j]) > 0 else 1.0
-    return v / phase
-
-
 @dataclass
 class BandTable:
     """Energies and gauge-aligned eigenvector coefficients per (band, k-node).
@@ -269,26 +301,53 @@ def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
                 M: int) -> BandTable:
     """Solve the truncated eigenproblem at every k-node and fix the gauge.
 
-    The M lowest eigenpairs per node come from _lowest_eigenpairs;
-    eigenvectors are aligned along k by parallel transport, with the phase
-    anchor applied at the first node.
+    When H(k) is dense with a real lower triangle (Kronig-Penney, the free
+    lattice) every node is solved by _real_eigenpairs, and the nodes whose
+    conditioning exceeds _REAL_COND_MAX are solved again by
+    _lowest_eigenpairs; every other potential takes _lowest_eigenpairs at
+    all nodes.  Eigenvectors are aligned along k by _transport_gauge.
     """
     if M > 2 * Lambda:
         raise BandCountExceedsTruncation(f"M = {M} > 2*Lambda = {2 * Lambda}")
     if 2 * Lambda <= grid.R:
         raise TruncationTooSmall(
             f"need Lambda > R/2 (Lambda={Lambda}, R={grid.R})")
-    energies, vectors = _lowest_eigenpairs(V, Lambda, grid.k_nodes, 0, M - 1)
-    for m in range(M):
-        vectors[m, 0] = _anchor_phase(vectors[m, 0])
-        for l in range(1, grid.L):
-            overlap = np.vdot(vectors[m, l - 1], vectors[m, l])
-            if abs(overlap) > 1e-12:
-                vectors[m, l] *= np.conj(overlap) / abs(overlap)
-            else:
-                vectors[m, l] = _anchor_phase(vectors[m, l])
+    ks = grid.k_nodes
+    T, e = _hamiltonian_parts(V, Lambda)
+    if e is None and not np.tril(T).imag.any():
+        energies, vectors, cond = _real_eigenpairs(T, Lambda, ks, M)
+        bad = cond > _REAL_COND_MAX
+        if bad.any():
+            energies[:, bad], vectors[:, bad] = _lowest_eigenpairs(
+                V, Lambda, ks[bad], 0, M - 1)
+    else:
+        energies, vectors = _lowest_eigenpairs(V, Lambda, ks, 0, M - 1)
+    for band in vectors:
+        _transport_gauge(band)
     return BandTable(grid=grid, M=M, Lambda=Lambda, energies=energies,
                      vectors=vectors, potential=V)
+
+
+def _transport_gauge(band: np.ndarray) -> None:
+    """Parallel-transport gauge, in place, along the rows of band (L, n) of
+    unit vectors: row l is multiplied by the cumulative product of the unit
+    phases conj(o)/|o| of the neighbour overlaps o = <v_{l-1}, v_l> of the
+    raw rows.  The product restarts at row 0 and at each row whose overlap
+    is at most _OVERLAP_FLOOR, with the phase that makes that row's
+    largest-magnitude entry real positive.  Each phase is put back on the
+    unit circle, so the round-off of the product does not scale the rows."""
+    o = np.vecdot(band[:-1], band[1:])
+    a = np.abs(o)
+    starts = np.concatenate(([0], np.flatnonzero(a <= _OVERLAP_FLOOR) + 1))
+    phase = np.empty(len(band), dtype=complex)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(o.conj(), a, out=phase[1:])
+    top = band[starts, np.argmax(np.abs(band[starts]), axis=1)]
+    phase[starts] = top.conj() / np.abs(top)
+    for s, t in zip(starts, np.append(starts[1:], len(band))):
+        np.cumprod(phase[s:t], out=phase[s:t])
+    phase /= np.abs(phase)
+    band *= phase[:, None]
 
 
 def fold_k(k) -> np.ndarray:

@@ -253,7 +253,9 @@ _CONFIG_CASTS = {
 
 def parse_config_file(path) -> ExperimentConfig:
     """Flat key=value UTF-8 text; '#' starts a comment; keys mirror
-    ExperimentConfig.  A file that cannot be read or decoded raises IoFailure."""
+    ExperimentConfig.  A file that cannot be read or decoded, a line without
+    '=', an unknown key or a value its cast rejects raises IoFailure, naming
+    path:line for the last three."""
     kwargs = {}
     try:
         text = read_file(path).decode()
@@ -264,11 +266,14 @@ def parse_config_file(path) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
+            raise IoFailure(f"{path}:{lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in ExperimentConfig.__dataclass_fields__:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        kwargs[key] = _CONFIG_CASTS.get(key, str)(value)
+            raise IoFailure(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            kwargs[key] = _CONFIG_CASTS.get(key, str)(value)
+        except ValueError as exc:
+            raise IoFailure(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 

@@ -200,7 +200,19 @@ T = 0.1
 def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("scenario = spatial\nwavelength = 3\n")
-    with pytest.raises(ValueError, match="unknown key"):
+    with pytest.raises(IoFailure, match=r"bad\.cfg:2: unknown key 'wavelength'"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("scenario = spatial\n\nR 16\n", r"bad\.cfg:3: expected key=value"),
+    ("# study\nR = sixteen\n", r"bad\.cfg:2: bad value for 'R'"),
+    ("dt_list = 0.02, x\n", r"bad\.cfg:1: bad value for 'dt_list'"),
+], ids=["no-equals", "int", "float-list"])
+def test_config_file_malformed_line_is_io_failure(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(IoFailure, match=message):
         parse_config_file(path)
 
 
