@@ -1,7 +1,8 @@
-"""The lowest-eigenpairs helper, the batched tridiagonal eigenvector kernel
-and the batched ChiInterpolator against the earlier per-k path (one assembled
-dense complex eigh per k) and the earlier per-point chi_values loop, kept here
-as a test-local oracle."""
+"""The lowest-eigenpairs helper, the real table solve with its complex
+fallback, the one-pass gauge, the batched tridiagonal eigenvector kernel and
+the batched ChiInterpolator against the earlier per-k path (one assembled
+dense complex eigh per k, sequential parallel transport) and the earlier
+per-point chi_values loop, kept here as a test-local oracle."""
 
 from functools import lru_cache
 
@@ -234,7 +235,6 @@ def test_solve_bands_dispatch(lattice, monkeypatch):
     calls only, the cosine lattice tridiagonal calls only."""
     V = (DENSE.get(lattice) or mathieu)(32)
     grid = build_grid(1.0 / 16, 4)
-    over = _over_conditioned(V, grid, 32, 8) if lattice in ("kp", "free") else 0
     calls = _count_dense_calls(monkeypatch)
     solve_bands(V, grid, 32, 8)
     assert calls == {
@@ -243,7 +243,8 @@ def test_solve_bands_dispatch(lattice, monkeypatch):
         "free": {"real": 16, "complex": 4, "eigh_tridiagonal": 0},
         "asymmetric": {"real": 0, "complex": 16, "eigh_tridiagonal": 0},
     }[lattice]
-    assert calls["complex"] == over or lattice == "asymmetric"
+    if lattice in ("kp", "free"):
+        assert calls["complex"] == _over_conditioned(V, grid, 32, 8)
 
 
 def test_zero_conditioning_bound_sends_every_node_to_the_complex_solve(
