@@ -4,7 +4,10 @@
         [--workload bd_kp_fine ...] --pairs 10 --seconds 40 [--seed 1] \
         [--json BENCH_label.json]
 
-The ref is unpacked with `git archive` into a temporary directory.  Each
+The ref is unpacked with `git archive` into a temporary directory.  Before
+the pairs, each workload runs `perfbench/run.py --trace 1 --seconds 1` once
+on each side, with the first pair's seed, so that a traced replay that
+crashes, reports `correct: false` or counts failed replays is flagged.  Each
 pair runs `perfbench/run.py --trace 0` once in that directory and once in
 this checkout, with the same seed, and the side that goes first alternates
 from pair to pair so that a drift in machine speed favours neither.  For
@@ -17,12 +20,12 @@ the metric's `better` direction, by more than the base's interquartile
 range.  Each `--workload` given runs its own pairs, with the same seeds, one
 workload after the other.  A metric whose checkout median is worse than the
 base median by more than the metric's relative `bound` in BENCHMARK.json is
-flagged, and so is a run that fails, reports `correct: false` or counts
-failed solves.  With
-`--json PATH` every workload's summary is also written to PATH as one JSON
-object, together with the seeds, the base ref and its commit, the
-checkout's commit and whether its tracked files are clean, and the machine
-as run.py reports it.
+flagged, and so is a run, traced or not, that fails, reports
+`correct: false` or counts failed solves.  With `--json PATH` every
+workload's summary, its traced runs' outcome included, is also written to
+PATH as one JSON object, together with the seeds, the base ref and its
+commit, the checkout's commit and whether its tracked files are clean, and
+the machine as run.py reports it.
 """
 
 from __future__ import annotations
@@ -79,13 +82,15 @@ def clean() -> bool:
                               capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int):
+def run_once(tree: Path, workload: str, seed: int, seconds: int,
+             trace: int = 0):
     """(result, problem): run.py's final JSON line, with its `env` line
     added under "env", and a note when the run failed or was not correct
     (None otherwise)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -103,6 +108,24 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
+
+
+def traced(workload, args, trees):
+    """Run one short traced replay of workload on each side; returns
+    ({side: outcome}, problems)."""
+    outcomes, problems = {}, []
+    for side in ("base", "change"):
+        result, problem = run_once(trees[side], workload, args.seed, 1,
+                                   trace=1)
+        keep = ("correct", "attempted", "failed")
+        outcomes[side] = {**({k: result[k] for k in keep} if result else {}),
+                          "problem": problem}
+        if problem:
+            problems.append(f"{workload} traced ({side}, seed {args.seed}): "
+                            f"{problem}")
+        print(f"{workload} traced {side}: {'FLAGGED' if problem else 'ok'}",
+              file=sys.stderr)
+    return outcomes, problems
 
 
 def compare(workload, args, trees, metrics):
@@ -172,12 +195,15 @@ def main(argv=None) -> int:
         trees = {"base": Path(tmp), "change": ROOT}
         unpack(args.base, trees["base"])
         for workload in args.workload:
+            trace, trace_flagged = traced(workload, args, trees)
             summary, flagged, env, complete = compare(workload, args, trees,
                                                       metrics)
+            flagged = trace_flagged + flagged
             problems += flagged
             envs += env
             workloads[workload] = {"complete_pairs": complete,
-                                   "metrics": summary, "flagged": flagged}
+                                   "metrics": summary, "traced": trace,
+                                   "flagged": flagged}
     for problem in problems:
         print(f"FLAGGED {problem}")
     if args.json:

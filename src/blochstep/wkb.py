@@ -11,6 +11,7 @@ a periodic spectral antiderivative plus the evolving cell average.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,7 +38,6 @@ from .steppers import StepperConfig, evolve
 from .transform import BlochTransform
 
 TWO_PI = 2.0 * np.pi
-CHI_QUANTUM = 1e-6  # resolution of the off-node chi cache keys in k
 HJ_CFL = 0.45  # Courant number of the relaxed Hamilton-Jacobi scheme
 CAUSTIC_PROBE_POINTS = 200  # samples of the caustic detector's slope probe
 # a caustic trigger halts wkb_pipeline only where the amplitude exceeds this
@@ -299,24 +299,25 @@ def _unit_conj(ov):
 class ChiInterpolator:
     """Off-node Bloch eigenvector evaluation, gauge-matched to a band table.
 
-    Each distinct folded quasi-momentum (quantized to CHI_QUANTUM) is solved
-    once, at its first point in ravel order, by bands._band_vectors from the
-    linear interpolation of the two bracketing table vectors; the fresh
-    eigenvector phase is aligned by maximal real overlap with that same
-    interpolation.
+    Each call solves each distinct folded quasi-momentum of its points once,
+    at that exact k, by bands._band_vectors from the linear interpolation of
+    the two bracketing table vectors, aligns its phase by maximal real overlap
+    with that interpolation, and keeps no vector for a later call.
     """
 
     def __init__(self, bands: BandTable, m: int):
         bands.check_band(m)
         self.bands = bands
         self.m = m
-        self._cache: dict[int, np.ndarray] = {}
+        # folded k of every eigensolve: perfbench/workloads.py:320 and :385
+        # read len(_cache) as the solve count until ROADMAP item 1's recorder
+        self._cache = array("d")
         self._parts = _hamiltonian_parts(bands.potential, bands.Lambda)
         # keys solved at once: the batched solve's 2*Lambda-step loops cost
         # per block, and its (2*Lambda, keys) arrays stay at 128 KB
         self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
-        # points evaluated at once: a block's distinct cached rows and its
-        # (2*Lambda, points) coefficient table stay at 256 KB together
+        # points evaluated at once: a block's (2*Lambda, points) coefficient
+        # table stays at 128 KB
         self._rows_per_block = max(1, 2 ** 13 // (2 * bands.Lambda))
         # table vectors at node indices 0..L+1, which bracket every folded k,
         # each paired with its successor aligned to it so that a blend never
@@ -330,8 +331,8 @@ class ChiInterpolator:
         # lattice potential with reflection symmetry; any unit phase without)
         self.holonomy = complex(_unit_conj(ov[-2]))
 
-    def _solve(self, keys: np.ndarray, kf: np.ndarray) -> None:
-        """Solve, gauge-align and cache the keys at folded kf."""
+    def _solve(self, kf: np.ndarray) -> np.ndarray:
+        """Gauge-aligned coefficient rows at the folded kf."""
         pos = (kf + 0.5) * self.bands.grid.L  # fractional node index
         node = np.floor(pos).astype(int)
         w = (pos - node)[:, None]
@@ -339,25 +340,25 @@ class ChiInterpolator:
         vecs = _band_vectors(self.bands.potential, self.bands.Lambda,
                              self._parts, kf, self.m, ref)
         ov = np.einsum("ij,ij->i", ref.conj(), vecs)
-        v = vecs * _unit_conj(ov)[:, None]
-        self._cache.update(zip(keys.tolist(), v))
+        return vecs * _unit_conj(ov)[:, None]
 
-    def _keys(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct keys of 1-D k (uncached ones solved) and each point's key index."""
+    def _rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows at the distinct folded k of 1-D k, each solved once, and each
+        point's row index."""
         if not np.all(np.isfinite(k)):
             raise NonFinite("non-finite quasi-momentum")
-        kf = fold_k(k)
-        keys, first, inv = np.unique(np.rint(kf / CHI_QUANTUM).astype(np.int64),
-                                     return_index=True, return_inverse=True)
-        todo = np.flatnonzero([key not in self._cache for key in keys.tolist()])
-        for b in range(0, todo.size, self._keys_per_block):
-            j = todo[b:b + self._keys_per_block]
-            self._solve(keys[j], kf[first[j]])
-        return keys, inv
+        kf, inv = np.unique(fold_k(k), return_inverse=True)
+        rows = np.empty((kf.size, 2 * self.bands.Lambda), dtype=complex)
+        for b in range(0, kf.size, n := self._keys_per_block):
+            rows[b:b + n] = self._solve(kf[b:b + n])
+        self._cache.extend(kf.tolist())
+        return rows, inv
 
     def coeffs(self, k: float) -> np.ndarray:
-        """Unit-norm Fourier coefficients of chi_m(., k), lam in [-Lambda, Lambda)."""
-        return self._cache[int(self._keys(np.ravel(k).astype(float))[0][0])]
+        """Unit-norm Fourier coefficients, lam in [-Lambda, Lambda), of chi_m
+        at the folded k, with no slot move for its zone shift: coeffs(2.3)
+        is the k = 0.3 vector."""
+        return self._rows(np.array([float(k)]))[0][0]
 
     def chi_values(self, k, y) -> np.ndarray:
         """chi_m(y_i, k_i) elementwise for matching arrays k and y.
@@ -377,16 +378,14 @@ class ChiInterpolator:
         kv, yv = np.ravel(k).astype(float), np.ravel(y).astype(float)
         if not np.all(np.isfinite(yv)):
             raise NonFinite("non-finite cell coordinate")
-        keys, inv = self._keys(kv)
+        rows, inv = self._rows(kv)
         shift = np.rint(kv - fold_k(kv))
         z = np.exp(1j * yv)
         out = np.exp(-1j * (self.bands.Lambda + shift) * yv)
         out *= self.holonomy ** shift
         for b in range(0, kv.size, self._rows_per_block):
             blk = slice(b, b + self._rows_per_block)
-            used, local = np.unique(inv[blk], return_inverse=True)
-            rows = np.array([self._cache[key] for key in keys[used].tolist()])
-            c, zb = rows.T[:, local], z[blk]  # c: (2*Lambda, points)
+            c, zb = rows.T[:, inv[blk]], z[blk]  # c: (2*Lambda, points)
             acc = c[-1].copy()
             for j in range(c.shape[0] - 2, -1, -1):
                 acc *= zb

@@ -4,6 +4,7 @@ the batched ChiInterpolator against the earlier per-k path (one assembled
 dense complex eigh per k, sequential parallel transport) and the earlier
 per-point chi_values loop, kept here as a test-local oracle."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +23,7 @@ from blochstep import (
     mathieu,
     solve_bands,
 )
-from blochstep import bands
+from blochstep import bands, wkb
 from blochstep.bands import _hamiltonian_parts, _lowest_eigenpairs
 from blochstep.errors import BandGapTooSmall, EigensolverFailure, NonFinite
 
@@ -91,9 +92,9 @@ def _oracle_neighbor(tab, m, l):
 
 
 class _OracleChi:
-    def __init__(self, tab, m, quantum=1e-6):
-        self.tab, self.m, self.quantum = tab, m, quantum
-        self.cache = {}
+    def __init__(self, tab, m):
+        self.tab, self.m = tab, m
+        self.cache = {}  # vector per exact folded k
         L = tab.grid.L
         # summed as ChiInterpolator sums it, so the two phases agree bitwise
         wrap = np.einsum("i,i->", tab.vectors[m - 1, L - 1].conj(),
@@ -112,9 +113,10 @@ class _OracleChi:
         return ref / np.linalg.norm(ref)
 
     def coeffs(self, k):
-        kf = float(fold_k(k))
-        key = int(round(kf / self.quantum))
-        if key not in self.cache:
+        return self._vector(float(fold_k(k)))
+
+    def _vector(self, kf):
+        if kf not in self.cache:
             lo = max(0, self.m - 2)
             hi = min(2 * self.tab.Lambda - 1, self.m)
             _, vecs = scipy.linalg.eigh(
@@ -125,8 +127,8 @@ class _OracleChi:
             ov = np.vdot(self._reference(kf), v)
             if abs(ov) > 1e-12:
                 v = v * (np.conj(ov) / abs(ov))
-            self.cache[key] = v
-        return self.cache[key]
+            self.cache[kf] = v
+        return self.cache[kf]
 
     def chi_values(self, k, y):
         kf = fold_k(k)
@@ -135,8 +137,34 @@ class _OracleChi:
         out = np.empty(k.shape, dtype=complex)
         for i in np.ndindex(k.shape):
             out[i] = self.holonomy ** shift[i] * (
-                np.exp(1j * (lam - shift[i]) * y[i]) @ self.coeffs(kf[i]))
+                np.exp(1j * (lam - shift[i]) * y[i])
+                @ self._vector(float(kf[i])))
         return out
+
+
+def _spy_solves(chi):
+    """The list that collects, in order, the gauge-aligned row blocks that
+    chi solves."""
+    blocks = []
+    real = chi._solve
+
+    def spied(kf):
+        blocks.append(real(kf))
+        return blocks[-1]
+    chi._solve = spied
+    return blocks
+
+
+def _check_solves(chi, blocks, oracle, k, before=0):
+    """The solves of chi after its first `before` were the distinct folded k
+    of its last call, each once and at the k itself, and their rows match
+    the oracle's vectors there."""
+    keys = chi._cache[before:].tolist()
+    assert keys == sorted(set(fold_k(np.ravel(k)).tolist()))
+    rows = np.concatenate(blocks)
+    assert len(rows) == len(chi._cache)
+    for key, row in zip(keys, rows[before:]):
+        assert np.max(np.abs(row - oracle.cache[key])) <= TOL
 
 
 # ---- cases ----
@@ -354,18 +382,20 @@ def test_chi_values_match_per_point_oracle(lattice, L, m, seed):
     table, _ = _tables(lattice, L, 16, 4)
     rng = np.random.default_rng(seed)
     chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+    blocks = _spy_solves(chi)
     assert chi.holonomy == oracle.holonomy
-    for _ in range(2):  # the second call reuses part of the cache
+    for _ in range(2):  # the second call solves its keys afresh
         k, y = _chi_points(rng, 40, 20)
         k = k.reshape(4, -1)
         y = y.reshape(4, -1)
+        before = len(chi._cache)
         got = chi.chi_values(k, y)
         assert got.shape == k.shape
         assert np.max(np.abs(got - oracle.chi_values(k, y))) <= TOL
-        assert sorted(chi._cache) == sorted(oracle.cache)
-    for key in oracle.cache:
-        assert np.max(np.abs(chi._cache[key] - oracle.cache[key])) <= TOL
+        _check_solves(chi, blocks, oracle, k, before)
     assert np.max(np.abs(chi.coeffs(2.3) - oracle.coeffs(2.3))) <= TOL
+    # coeffs folds k and moves no slot for the zone shift
+    assert np.max(np.abs(chi.coeffs(2.3) - oracle.coeffs(0.3))) <= TOL
 
 
 @pytest.mark.parametrize("k,y", [
@@ -427,12 +457,11 @@ def test_kernel_accepted_keys_match_oracle(Lambda, L, monkeypatch):
     calls = _count_tridiagonal_calls(monkeypatch)
     for m in (1, 2, 3):
         chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+        blocks = _spy_solves(chi)
         got = chi.chi_values(EDGE_K, y)
         assert not calls  # every key accepted by the kernel
         assert np.max(np.abs(got - oracle.chi_values(EDGE_K, y))) <= TOL
-        assert sorted(chi._cache) == sorted(oracle.cache)
-        for key in oracle.cache:
-            assert np.max(np.abs(chi._cache[key] - oracle.cache[key])) <= TOL
+        _check_solves(chi, blocks, oracle, EDGE_K)
 
 
 def test_weak_cosine_lattice_gap_is_rejected_and_raised(monkeypatch):
@@ -463,9 +492,11 @@ def test_non_finite_kernel_output_falls_back(bad, monkeypatch):
     k = np.linspace(-0.45, 0.45, 9)
     y = np.linspace(0.0, 6.0, 9)
     chi, oracle = ChiInterpolator(table, 2), _OracleChi(table, 2)
+    blocks = _spy_solves(chi)
     assert np.max(np.abs(chi.chi_values(k, y) - oracle.chi_values(k, y))) <= TOL
     assert len(calls) == 5  # one LAPACK call per poisoned key
-    assert all(np.all(np.isfinite(v)) for v in chi._cache.values())
+    _check_solves(chi, blocks, oracle, k)
+    assert np.all(np.isfinite(np.concatenate(blocks)))
 
 
 @pytest.mark.parametrize("lattice", ["mathieu", "kp", "asymmetric"])
@@ -501,14 +532,17 @@ def _windowed_rows(monkeypatch):
 
 
 def _chi_per_band(table, y, monkeypatch):
-    """(values, cache, LAPACK calls) of chi_values(WINDOW_K, y) per band."""
+    """(values, solved keys, their rows, LAPACK calls) of
+    chi_values(WINDOW_K, y) per band."""
     calls = _count_tridiagonal_calls(monkeypatch)
     out = []
     for m in range(1, 9):
         chi = ChiInterpolator(table, m)
+        blocks = _spy_solves(chi)
         before = len(calls)
         got = chi.chi_values(WINDOW_K, y)
-        out.append((got, chi._cache, len(calls) - before))
+        out.append((got, chi._cache.tolist(), np.concatenate(blocks),
+                    len(calls) - before))
     return out
 
 
@@ -522,7 +556,8 @@ def test_support_window_matches_full_rows_and_oracle(monkeypatch):
     monkeypatch.setattr(bands, "_support", lambda v: slice(0, v.shape[0]))
     full = _chi_per_band(table, y, monkeypatch)
     assert rows[8:] == [64] * 8
-    for m, ((got, cache, calls), (want, full_cache, full_calls)) in enumerate(
+    for m, ((got, keys, vecs, calls),
+            (want, full_keys, full_vecs, full_calls)) in enumerate(
             zip(windowed, full), start=1):
         # every key is accepted, on the window as on the full rows (band 2
         # at k = 0, a table node, keeps its exact start vector)
@@ -530,9 +565,8 @@ def test_support_window_matches_full_rows_and_oracle(monkeypatch):
         assert np.max(np.abs(got - want)) <= TOL
         oracle = _OracleChi(table, m)
         want = oracle.chi_values(WINDOW_K, y)
-        assert sorted(cache) == sorted(full_cache) == sorted(oracle.cache)
-        for key in cache:
-            assert np.max(np.abs(cache[key] - full_cache[key])) <= TOL
+        assert keys == full_keys == sorted(oracle.cache)
+        assert np.max(np.abs(vecs - full_vecs)) <= TOL
         # the gaps of bands 6-8 at these keys fall to 1.9e-6, where two
         # eigensolvers differ by eps * ||H|| / gap (the full rows differ
         # from the oracle by up to 9e-9 there), so those bands are checked
@@ -580,14 +614,13 @@ def test_window_that_cuts_a_tail_falls_back(monkeypatch):
     calls = _count_tridiagonal_calls(monkeypatch)
     for m in (1, 4):
         chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+        blocks = _spy_solves(chi)
         before = len(calls)
         got = chi.chi_values(WINDOW_K, y)
         # _lowest_eigenpairs makes one LAPACK call per rejected key
         assert len(calls) - before == len(chi._cache) == 10
         assert np.max(np.abs(got - oracle.chi_values(WINDOW_K, y))) <= TOL
-        assert sorted(chi._cache) == sorted(oracle.cache)
-        for key in oracle.cache:
-            assert np.max(np.abs(chi._cache[key] - oracle.cache[key])) <= TOL
+        _check_solves(chi, blocks, oracle, WINDOW_K)
 
 
 def test_chi_values_match_oracle_at_workload_scale():
@@ -603,3 +636,33 @@ def test_chi_values_match_oracle_at_workload_scale():
         chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
         got = chi.chi_values(k, y)
         assert np.max(np.abs(got - oracle.chi_values(k, y))) <= TOL
+
+
+def test_interpolator_keeps_no_vectors(baseline_mathieu, monkeypatch):
+    """Four calls of 1024 distinct k on the eps = 1/32, Lambda = 32 table
+    leave the interpolator holding at most 64 bytes per solved key (its log
+    of solved k; a vector cache holds 1 KB and more per key), and the log
+    counts every k the eigensolver is given."""
+    rng = np.random.default_rng(2024)
+
+    def points():
+        return rng.uniform(-2.5, 2.5, 1024), rng.uniform(0.0, 2 * np.pi, 1024)
+    ChiInterpolator(baseline_mathieu, 1).chi_values(*points())  # warm-up
+    solved = []
+    real = wkb._band_vectors
+
+    def spied(V, Lambda, parts, ks, m, guess):
+        solved.append(ks.size)
+        return real(V, Lambda, parts, ks, m, guess)
+    monkeypatch.setattr(wkb, "_band_vectors", spied)
+    chi = ChiInterpolator(baseline_mathieu, 1)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            chi.chi_values(*points())
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * sum(solved)
+    assert len(chi._cache) == sum(solved) == 4 * 1024

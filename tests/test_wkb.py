@@ -272,15 +272,25 @@ def test_wkb_compare_samples_at_snapshot_times(baseline_mathieu):
     psi = evolve(build_wkb_initial(baseline_mathieu, 1, gauss, zero_phase, grid),
                  StepperConfig("bd", "strang", 0.005, bands=baseline_mathieu,
                                external=HARMONIC), 0.05, 10).final
-    # an interpolator that has solved the same quasi-momenta in the same order
-    chi = ChiInterpolator(baseline_mathieu, 1)
-    for t in (0.0, 0.025, 0.05):
-        sc = reconstruct_sc(traj, amp, baseline_mathieu, 1, grid, t, chi=chi)
+    sc = reconstruct_sc(traj, amp, baseline_mathieu, 1, grid, 0.05)
     want = discrete_norms(WaveField(grid, psi.values - sc.values))[0]
     assert cmp.l2[2] == want
     for n_steps, n_samples in ((20, 1), (20, 4), (2, 11)):
         with pytest.raises(ValueError, match="divide"):
             wkb_compare(*args, n_steps, n_samples=n_samples)
+
+
+def test_reconstruction_does_not_depend_on_earlier_times(baseline_mathieu):
+    """reconstruct_sc at t gives the same field, bitwise, from a fresh
+    interpolator and from one that first reconstructed earlier times."""
+    grid = baseline_mathieu.grid
+    traj, amp, _ = wkb_pipeline(baseline_mathieu, 1, HARMONIC, gauss,
+                                zero_phase, 0.1, 64)
+    fresh = reconstruct_sc(traj, amp, baseline_mathieu, 1, grid, 0.05)
+    chi = ChiInterpolator(baseline_mathieu, 1)
+    for t in (0.0, 0.025, 0.05):
+        seen = reconstruct_sc(traj, amp, baseline_mathieu, 1, grid, t, chi=chi)
+    assert np.array_equal(seen.values, fresh.values)
 
 
 def test_wkb_epsilon_scaling():
