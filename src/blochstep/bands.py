@@ -69,8 +69,14 @@ def _hamiltonian_parts(V: PeriodicPotential, Lambda: int):
     T = assemble_hk(V, 0.0, Lambda)
     T[np.diag_indices_from(T)] = V.vhat(0)
     e = np.diagonal(T, -1).real
-    tridiag = not np.tril(T).imag.any() and e.all() and not np.tril(T, -2).any()
+    tridiag = _is_real(V, Lambda) and e.all() and not np.tril(T, -2).any()
     return T, (e if tridiag else None)
+
+
+def _is_real(V: PeriodicPotential, Lambda: int) -> bool:
+    """Whether H(k) has a real lower triangle, V-hat(0..2*Lambda-1): its
+    eigenvectors are then real, and a band table stores them as float64."""
+    return not V.vhat(np.arange(2 * Lambda)).imag.any()
 
 
 def _kinetic(Lambda: int, ks) -> np.ndarray:
@@ -82,12 +88,14 @@ def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
                        hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs lo..hi (0-based, ascending) of H(k) for each k in 1-D ks:
     energies (hi-lo+1, nk) and unit-norm vectors (hi-lo+1, nk, 2*Lambda).
-    eigh_tridiagonal on the cosine lattice, the dense complex eigh elsewhere."""
+    eigh_tridiagonal on the cosine lattice, with real vectors, and the dense
+    complex eigh elsewhere."""
     T, e = _hamiltonian_parts(V, Lambda)
     kin = _kinetic(Lambda, ks)
     diag = np.diag_indices_from(T)
     energies = np.empty((hi - lo + 1, ks.size))
-    vectors = np.empty(energies.shape + (2 * Lambda,), dtype=complex)
+    vectors = np.empty(energies.shape + (2 * Lambda,),
+                       dtype=float if e is not None else complex)
     for j, k in enumerate(ks):
         try:
             if e is not None:
@@ -106,34 +114,45 @@ def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
 
 def _real_eigenpairs(T: np.ndarray, Lambda: int, ks,
                      M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bands 1..M of H(k) = T + diag(_kinetic(k)) for each k in 1-D ks, by
-    the real subset eigh, for a T whose lower triangle is real: energies
-    (M, nk), unit-norm vectors (M, nk, 2*Lambda) stored complex, and each
-    node's conditioning eps_mach ||H(k)||_inf / gap, the gap being the
-    smallest distance between neighbours among bands 1..M+1 (band M+1 gives
-    band M its upper gap; there is none when M = 2*Lambda).  A zero gap gives
-    an infinite conditioning."""
+    """Bands 1..M of H(k) = T + diag(_kinetic(k)) for each k in 1-D ks, for a
+    T whose lower triangle is real: energies (M, nk), unit-norm real vectors
+    (M, nk, 2*Lambda), and each node's conditioning eps_mach ||H(k)||_inf /
+    gap, the gap being the smallest distance between neighbours among bands
+    1..M+1 (band M+1 gives band M its upper gap; there is none when
+    M = 2*Lambda).  A zero gap gives an infinite conditioning.
+
+    Each node is one LAPACK dsyevr call for bands 1..M+1 (range "I", lower
+    triangle), the routine and arguments of scipy's subset eigh, on one
+    Fortran-order H overwritten in place, with the workspace queried once.
+    H(k) is finite, since PeriodicPotential rejects non-finite coefficients.
+    A nonzero LAPACK info raises EigensolverFailure."""
     n = 2 * Lambda
     hi = min(M, n - 1)
     kin = _kinetic(Lambda, ks)
-    H0 = T.real.copy()
-    diag = np.diag_indices_from(H0)
+    H0 = np.asfortranarray(T.real)
+    d0 = H0.diagonal().copy()
+    syevr, syevr_lwork = scipy.linalg.lapack.get_lapack_funcs(
+        ("syevr", "syevr_lwork"), (H0,))
+    lwork, liwork, _ = syevr_lwork(n, lower=1)
+    H = np.empty_like(H0)
+    diag = H.ravel(order="K")[::n + 1]  # a view of H's diagonal
     vals = np.empty((hi + 1, ks.size))
-    vectors = np.empty((M, ks.size, n), dtype=complex)
+    vectors = np.empty((M, ks.size, n))
     for j, k in enumerate(ks):
-        H = H0.copy()
-        H[diag] += kin[j]
-        try:
-            # finite: PeriodicPotential rejects non-finite coefficients
-            vals[:, j], vecs = scipy.linalg.eigh(H, subset_by_index=[0, hi],
-                                                 check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"eigensolver failed at k = {k}: {exc}") from exc
-        vecs = vecs[:, :M]
-        vectors[:, j] = (vecs / np.linalg.norm(vecs, axis=0)).T
-    off = np.abs(H0)
-    off[diag] = 0.0
-    norm = (off.sum(axis=1) + np.abs(H0.diagonal() + kin)).max(axis=1)
+        np.copyto(H, H0)
+        np.add(d0, kin[j], out=diag)
+        w, z, _, _, info = syevr(H, range="I", lower=1, il=1, iu=hi + 1,
+                                 lwork=int(lwork), liwork=liwork,
+                                 overwrite_a=1)
+        if info:
+            raise EigensolverFailure(
+                f"LAPACK dsyevr failed at k = {k} (info = {info})")
+        vals[:, j] = w[:hi + 1]
+        vectors[:, j] = z[:, :M].T
+    vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+    off = np.abs(T.real)
+    off[np.diag_indices_from(off)] = 0.0
+    norm = (off.sum(axis=1) + np.abs(d0 + kin)).max(axis=1)
     with np.errstate(divide="ignore"):
         cond = np.finfo(float).eps * norm / np.diff(vals, axis=0).min(axis=0)
     return vals[:M], vectors, cond
@@ -277,14 +296,18 @@ class BandTable:
 
     energies[m, l] = E_{m+1}(k_l); vectors[m, l, :] are the 2*Lambda Fourier
     coefficients of chi_{m+1}(., k_l) for lam in {-Lambda, ..., Lambda-1},
-    normalized to unit coefficient norm.
+    normalized to unit coefficient norm.  vectors is float64 when the
+    potential's H(k) has a real lower triangle (an even lattice: the cosine,
+    Kronig-Penney and free lattices), whose eigenvectors are real up to a
+    phase that the gauge fixes, and complex128 otherwise; every consumer
+    accepts either.
     """
 
     grid: SimulationGrid
     M: int
     Lambda: int
     energies: np.ndarray  # (M, L)
-    vectors: np.ndarray   # (M, L, 2*Lambda) complex
+    vectors: np.ndarray   # (M, L, 2*Lambda) float64 or complex128
     potential: PeriodicPotential
     gauge_tag: str = "parallel-transport, anchor: largest coefficient real positive"
 
@@ -304,8 +327,11 @@ def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
     When H(k) is dense with a real lower triangle (Kronig-Penney, the free
     lattice) every node is solved by _real_eigenpairs, and the nodes whose
     conditioning exceeds _REAL_COND_MAX are solved again by
-    _lowest_eigenpairs; every other potential takes _lowest_eigenpairs at
-    all nodes.  Eigenvectors are aligned along k by _transport_gauge.
+    _lowest_eigenpairs, whose complex vectors have a zero imaginary part on
+    a real H(k) and are stored by their real part; every other potential
+    takes _lowest_eigenpairs at all nodes.  The table is real exactly when
+    H(k) is (_is_real).  Eigenvectors are aligned along k by
+    _transport_gauge.
     """
     if M > 2 * Lambda:
         raise BandCountExceedsTruncation(f"M = {M} > 2*Lambda = {2 * Lambda}")
@@ -314,12 +340,13 @@ def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
             f"need Lambda > R/2 (Lambda={Lambda}, R={grid.R})")
     ks = grid.k_nodes
     T, e = _hamiltonian_parts(V, Lambda)
-    if e is None and not np.tril(T).imag.any():
+    if e is None and _is_real(V, Lambda):
         energies, vectors, cond = _real_eigenpairs(T, Lambda, ks, M)
         bad = cond > _REAL_COND_MAX
         if bad.any():
-            energies[:, bad], vectors[:, bad] = _lowest_eigenpairs(
+            energies[:, bad], fallback = _lowest_eigenpairs(
                 V, Lambda, ks[bad], 0, M - 1)
+            vectors[:, bad] = fallback.real
     else:
         energies, vectors = _lowest_eigenpairs(V, Lambda, ks, 0, M - 1)
     for band in vectors:
@@ -330,16 +357,16 @@ def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
 
 def _transport_gauge(band: np.ndarray) -> None:
     """Parallel-transport gauge, in place, along the rows of band (L, n) of
-    unit vectors: row l is multiplied by the cumulative product of the unit
-    phases conj(o)/|o| of the neighbour overlaps o = <v_{l-1}, v_l> of the
-    raw rows.  The product restarts at row 0 and at each row whose overlap
+    unit vectors, real or complex: row l is multiplied by the cumulative
+    product of the unit phases conj(o)/|o| (+-1 for real rows) of the
+    neighbour overlaps o = <v_{l-1}, v_l> of the raw rows.  The product restarts at row 0 and at each row whose overlap
     is at most _OVERLAP_FLOOR, with the phase that makes that row's
     largest-magnitude entry real positive.  Each phase is put back on the
     unit circle, so the round-off of the product does not scale the rows."""
     o = np.vecdot(band[:-1], band[1:])
     a = np.abs(o)
     starts = np.concatenate(([0], np.flatnonzero(a <= _OVERLAP_FLOOR) + 1))
-    phase = np.empty(len(band), dtype=complex)
+    phase = np.empty(len(band), dtype=band.dtype)
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(o.conj(), a, out=phase[1:])
     top = band[starts, np.argmax(np.abs(band[starts]), axis=1)]
@@ -493,7 +520,7 @@ def effective_mass(table: BandTable, m: int, k0: float,
 def save_band_cache(table: BandTable, path) -> None:
     """Binary cache: magic, u32 L/M/Lambda, f64 epsilon, u64 potential hash,
     u64 payload checksum, then energies (f64) and coefficients (f64 pairs)
-    in (m, l, lam) order."""
+    in (m, l, lam) order.  A real table writes +0.0 imaginary halves."""
     inter = np.stack([table.vectors.real, table.vectors.imag], axis=-1)
     payload = table.energies.astype("<f8").tobytes() + inter.astype("<f8").tobytes()
     digest = int.from_bytes(
@@ -507,7 +534,9 @@ def save_band_cache(table: BandTable, path) -> None:
 def load_band_cache(path, grid: SimulationGrid,
                     V: PeriodicPotential) -> BandTable:
     """Load a cache written by save_band_cache, verifying the potential hash,
-    the payload checksum and the payload length."""
+    the payload checksum and the payload length.  The vectors come back
+    real, as solve_bands gives them, when the potential's H(k) is real and
+    every imaginary half is zero (of either sign), and complex otherwise."""
     head_size = 4 + struct.calcsize("<IIIdQQ")
     blob = read_file(path)
     head, payload = blob[:head_size], blob[head_size:]
@@ -528,6 +557,9 @@ def load_band_cache(path, grid: SimulationGrid,
                              dtype="<f8").reshape(M, L).copy()
     raw = np.frombuffer(payload[M * L * 8:],
                         dtype="<f8").reshape(M, L, 2 * Lambda, 2)
-    vectors = raw[..., 0] + 1j * raw[..., 1]
+    if _is_real(V, Lambda) and not raw[..., 1].any():
+        vectors = raw[..., 0].copy()
+    else:
+        vectors = raw[..., 0] + 1j * raw[..., 1]
     return BandTable(grid=grid, M=M, Lambda=Lambda, energies=energies,
                      vectors=vectors, potential=V)

@@ -12,7 +12,7 @@ import scipy.fft
 
 from .bands import BandTable
 from .errors import NonFinite
-from .grid import SimulationGrid, WaveField, discrete_norms
+from .grid import SimulationGrid, WaveField
 from .potential import EXTERNAL_NONE, ExternalPotential, PeriodicPotential
 from .transform import TWO_PI, BlochTransform
 
@@ -77,17 +77,15 @@ class _Splitting:
         return state.projection
 
     def mass(self, state: _State) -> float:
-        """Discrete L2 norm of the state's samples; by Parseval,
-        ||backward(c)||^2 = mass_scale * Re<c, round_trip(c)>."""
+        """Discrete L2 norm of the state's samples, as discrete_norms gives
+        it; by Parseval, ||backward(c)||^2 = mass_scale * Re<c, round_trip(c)>.
+        A NaN or infinity in the state, or a squared norm that overflows,
+        gives a non-finite mass."""
         if state.coeffs is None:
-            return discrete_norms(WaveField(self.grid, state.values))[0]
+            values = state.values
+            return float(np.sqrt(self.grid.dx * np.sum(np.abs(values) ** 2)))
         return float(np.sqrt(self.mass_scale * np.vdot(
             state.coeffs, self.project(state)).real))
-
-    @staticmethod
-    def finite(state: _State) -> bool:
-        held = state.values if state.coeffs is None else state.coeffs
-        return bool(np.all(np.isfinite(held)))
 
     def step(self, psi: WaveField) -> WaveField:
         state = self.advance(self.enter(psi.values))
@@ -117,7 +115,13 @@ class BDPropagator(_Splitting):
         self._analysis, self._synthesis = tr.analyse, tr.synthesise
 
     def _round_trip(self, C):
-        return np.matmul(self.gram, C[:, :, None])[:, :, 0]
+        if np.iscomplexobj(self.gram):
+            return np.matmul(self.gram, C[:, :, None])[:, :, 0]
+        # G @ C would upcast a real G to complex every step; it acts on the
+        # (L, M, 2) float view of C instead
+        L, M = C.shape
+        pairs = C.view(float).reshape(L, M, 2)
+        return np.matmul(self.gram, pairs).view(complex)[:, :, 0]
 
 
 # Grids of at least this many points transform by the four-step
@@ -279,7 +283,8 @@ def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
            snapshot_every: int = 0, track_band_masses: bool = False) -> Trajectory:
     """Apply N steps of size T/N, recording mass (and band masses on request).
     Between steps the field stays in the propagator's basis: physical samples
-    are formed only for snapshots, the final field and TS band masses."""
+    are formed only for snapshots, the final field and TS band masses.  A
+    step whose mass is not finite raises NonFinite naming the step."""
     if N < 1 or T <= 0:
         raise ValueError("need N >= 1 and T > 0")
     cfg = replace(config, dt=T / N)
@@ -305,9 +310,9 @@ def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
     times, snapshots = ([0.0], [psi0.copy()]) if snapshot_every else ([], [])
     for n in range(1, N + 1):
         state = prop.advance(state)
-        if not prop.finite(state):
-            raise NonFinite(f"non-finite field after step {n}")
         masses.append(prop.mass(state))
+        if not np.isfinite(masses[-1]):
+            raise NonFinite(f"non-finite field after step {n}")
         if track_band_masses:
             bmass.append(band_masses(state))
         if snapshot_every and n % snapshot_every == 0 and n < N:

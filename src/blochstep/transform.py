@@ -63,16 +63,19 @@ class BlochTransform:
     reverse.  The same formula holds for every L, odd or even.  `analyse`
     and `synthesise` are the same pair on the cell field (-1)^l psi_{l,r}.
     Coefficients, Parseval weights and Gram matrices are all (L, M) per
-    k-row, the contraction's own layout."""
+    k-row, the contraction's own layout.  A real band table gives real
+    weights and Gram matrices formed in real arithmetic."""
 
     def __init__(self, bands: BandTable):
         L, R = self.shape = (bands.grid.L, bands.grid.R)
         self.chi = _window_vectors(bands).transpose(1, 0, 2)  # (L, M, R) view
         self.waves = _bloch_waves(self.chi, L, R)  # (L, M, R)
         self.sign = _cell_sign(L)
-        a, b = self.chi.real, self.chi.imag  # |chi|^2 with no (L, M, R) temporary
-        self.weights = (np.einsum("lmr,lmr->lm", a, a)
-                        + np.einsum("lmr,lmr->lm", b, b))  # (L, M)
+        a = self.chi.real  # |chi|^2 with no (L, M, R) temporary
+        self.weights = np.einsum("lmr,lmr->lm", a, a)  # (L, M)
+        if np.iscomplexobj(self.chi):
+            b = self.chi.imag
+            self.weights += np.einsum("lmr,lmr->lm", b, b)
 
     def _contract(self, X: np.ndarray) -> np.ndarray:
         """C (L, M) of the (L, R) cell field X; may overwrite X."""
@@ -116,11 +119,16 @@ class BlochTransform:
         """Window Gram matrices G_l[m', m] = sum_r conj(chi_{m'lr}) chi_{mlr},
         shape (L, M, M), so that forward(backward(C))_l = G_l C_l up to
         FFT round-off.  G differs from I where the bands leak out of the
-        R-mode window.  Built from the real and imaginary views of chi, so
-        that no conjugated copy of it is made."""
+        R-mode window.  A real chi gives the real G = chi chi^T, one
+        matmul; a complex chi is built from its real and imaginary views,
+        so that no conjugated copy of it is made."""
         L, M, _ = self.chi.shape
-        a, b = self.chi.real, self.chi.imag
-        at, bt = a.transpose(0, 2, 1), b.transpose(0, 2, 1)
+        a = self.chi.real
+        at = a.transpose(0, 2, 1)
+        if not np.iscomplexobj(self.chi):
+            return a @ at
+        b = self.chi.imag
+        bt = b.transpose(0, 2, 1)
         G = np.empty((L, M, M), dtype=complex)
         np.matmul(a, at, out=G.real)
         G.real += b @ bt

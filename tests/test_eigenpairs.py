@@ -4,6 +4,8 @@ the batched ChiInterpolator against the earlier per-k path (one assembled
 dense complex eigh per k, sequential parallel transport) and the earlier
 per-point chi_values loop, kept here as a test-local oracle."""
 
+import dataclasses
+import functools
 import tracemalloc
 from functools import lru_cache
 
@@ -24,7 +26,12 @@ from blochstep import (
     solve_bands,
 )
 from blochstep import bands, wkb
-from blochstep.bands import _hamiltonian_parts, _lowest_eigenpairs
+from blochstep.bands import (
+    _hamiltonian_parts,
+    _lowest_eigenpairs,
+    load_band_cache,
+    save_band_cache,
+)
 from blochstep.errors import BandGapTooSmall, EigensolverFailure, NonFinite
 
 TOL = 1e-12
@@ -215,6 +222,50 @@ def test_dense_path_bitwise_equal_to_oracle(lattice):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("lattice,dtype", [
+    ("mathieu", np.float64), ("kp", np.float64), ("free", np.float64),
+    ("asymmetric", np.complex128)])
+def test_table_dtype_follows_the_potential(lattice, dtype):
+    """Real vectors exactly when H(k) has a real lower triangle."""
+    table, _ = _tables(lattice, 7, 16, 4)
+    assert table.vectors.dtype == dtype
+
+
+@pytest.mark.parametrize("lattice", ["mathieu", "kp", "asymmetric"])
+def test_cache_round_trip_keeps_values_and_dtype(lattice, tmp_path):
+    """The loaded table equals the saved one, in the dtype solve_bands
+    gives; a real table writes +0.0 imaginary halves."""
+    table, _ = _tables(lattice, 7, 16, 4)
+    path = tmp_path / "bands.bin"
+    save_band_cache(table, path)
+    back = load_band_cache(path, table.grid, table.potential)
+    assert back.vectors.dtype == table.vectors.dtype
+    assert np.array_equal(back.energies, table.energies)
+    assert np.array_equal(back.vectors, table.vectors)
+    if lattice != "asymmetric":
+        pairs = path.read_bytes()[-16 * table.vectors.size:]
+        imag = np.frombuffer(pairs, dtype="<f8")[1::2]
+        assert not imag.any() and not np.signbit(imag).any()
+
+
+def test_cache_written_complex_loads_by_its_values(tmp_path):
+    """A real table written complex, with -0.0 in imaginary halves as a
+    complex solve can leave them, loads real and equal; a table turned by
+    complex phases, as the gauge-invariance check turns one, stays
+    complex and equal."""
+    table, _ = _tables("kp", 7, 16, 4)
+    signed = table.vectors.astype(complex)
+    signed.imag[..., ::2] = -0.0
+    phases = np.exp(1j * np.arange(table.grid.L))[None, :, None]
+    path = tmp_path / "bands.bin"
+    for vectors, dtype in ((signed, np.float64),
+                           (table.vectors * phases, np.complex128)):
+        save_band_cache(dataclasses.replace(table, vectors=vectors), path)
+        back = load_band_cache(path, table.grid, table.potential)
+        assert back.vectors.dtype == dtype
+        assert np.array_equal(back.vectors, vectors)
+
+
 @pytest.mark.parametrize("lattice,tridiagonal", [
     ("mathieu", True), ("kp", False), ("free", False), ("asymmetric", False)])
 def test_dispatch_picks_tridiagonal_only_for_the_cosine_lattice(
@@ -231,18 +282,43 @@ def test_dispatch_picks_tridiagonal_only_for_the_cosine_lattice(
                      else {"eigh": 3, "eigh_tridiagonal": 0})
 
 
+def _wrap_direct_solve(monkeypatch, wrapper):
+    """Route each direct LAPACK dsyevr call of bands._real_eigenpairs through
+    wrapper(dsyevr, *args, **kwargs)."""
+    get = scipy.linalg.lapack.get_lapack_funcs
+
+    def patched(names, arrays=()):
+        solve, lwork = get(names, arrays)
+        assert solve.typecode + names[0] == "dsyevr"
+        return functools.partial(wrapper, solve), lwork
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", patched)
+
+
+def _info_one(syevr, *args, **kwargs):
+    """The call's results with LAPACK info = 1, as if it had failed."""
+    return (*syevr(*args, **kwargs)[:-1], 1)
+
+
 def _count_dense_calls(monkeypatch):
-    """Record the dtype of every eigh call and count eigh_tridiagonal calls."""
+    """Count the real solve's direct dsyevr calls as "real", the complex eigh
+    calls and the eigh_tridiagonal calls; scipy's eigh must not be reached
+    with a real matrix."""
     calls = {"real": 0, "complex": 0, "eigh_tridiagonal": 0}
     eigh, tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
 
+    def counted_syevr(syevr, *args, **kw):
+        calls["real"] += 1
+        return syevr(*args, **kw)
+
     def counted_eigh(a, *args, **kw):
-        calls["complex" if np.iscomplexobj(a) else "real"] += 1
+        assert np.iscomplexobj(a)
+        calls["complex"] += 1
         return eigh(a, *args, **kw)
 
     def counted_tridiagonal(*args, **kw):
         calls["eigh_tridiagonal"] += 1
         return tridiagonal(*args, **kw)
+    _wrap_direct_solve(monkeypatch, counted_syevr)
     monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_tridiagonal)
     return calls
@@ -256,8 +332,8 @@ def _over_conditioned(V, grid, Lambda, M):
 
 @pytest.mark.parametrize("lattice", ["mathieu", "kp", "free", "asymmetric"])
 def test_solve_bands_dispatch(lattice, monkeypatch):
-    """Kronig-Penney and the free lattice make one real eigh per node and a
-    complex eigh only at the nodes over _REAL_COND_MAX (k = -1/2 and 0 on
+    """Kronig-Penney and the free lattice make one direct real dsyevr call
+    per node and a complex eigh only at the nodes over _REAL_COND_MAX (k = -1/2 and 0 on
     this Kronig-Penney table; on the free one the crossings at -1/2 and 0
     and the near-crossings at +-7/16); the asymmetric lattice makes complex
     calls only, the cosine lattice tridiagonal calls only."""
@@ -422,8 +498,11 @@ def _non_finite_rqi(d, b, v, floor):
 @pytest.mark.parametrize("lattice,solver", [
     ("kp", "eigh"), ("mathieu", "eigh_tridiagonal")])
 def test_eigensolver_failures_are_typed(lattice, solver, monkeypatch):
+    """chi's solve and the table solve; the Kronig-Penney table reaches
+    LAPACK by the real solve's direct dsyevr, which fails with info = 1."""
     table, _ = _tables(lattice, 7, 16, 4)
     monkeypatch.setattr(scipy.linalg, solver, _failing)
+    _wrap_direct_solve(monkeypatch, _info_one)
     # on the cosine lattice chi reaches LAPACK only for keys the batched
     # kernel rejects
     monkeypatch.setattr(bands, "_twisted_rqi", _non_finite_rqi)
@@ -431,6 +510,23 @@ def test_eigensolver_failures_are_typed(lattice, solver, monkeypatch):
         ChiInterpolator(table, 2).chi_values(np.array([0.3]), np.array([0.0]))
     with pytest.raises(EigensolverFailure):
         solve_bands(table.potential, table.grid, 16, 4)
+
+
+def test_direct_solve_failure_names_k(monkeypatch):
+    """A nonzero LAPACK info from the real solve's dsyevr, here at the third
+    node, raises EigensolverFailure naming that node's k and the info."""
+    V, grid = kronig_penney(16), build_grid(1.0 / 16, 4)
+    calls = []
+
+    def third_fails(syevr, *args, **kw):
+        calls.append(1)
+        out = syevr(*args, **kw)
+        return (*out[:-1], 1) if len(calls) == 3 else out
+    _wrap_direct_solve(monkeypatch, third_fails)
+    with pytest.raises(EigensolverFailure,
+                       match=rf"at k = {grid.k_nodes[2]} \(info = 1\)"):
+        solve_bands(V, grid, 16, 4)
+    assert len(calls) == 3
 
 
 def _count_tridiagonal_calls(monkeypatch):

@@ -158,6 +158,31 @@ def test_non_finite_at_the_same_step(scheme, order, lattice, where):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("scheme,order,lattice", SCHEMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_injected_at_step_k_raises_at_step_k(scheme, order, lattice,
+                                                        bad, monkeypatch):
+    """A NaN or an infinity put into the state that step k returns, in its
+    samples (Lie) or its coefficients (Strang), makes that step's mass
+    non-finite, and evolve raises NonFinite naming step k."""
+    k = 3
+    cfg = _config(scheme, order, lattice, 8)
+    psi0 = _random_field(_table(lattice, 8).grid, 5)
+    cls = type(cfg.propagator(psi0.grid))
+    advance, steps = cls.advance, []
+
+    def injected(self, state):
+        out = advance(self, state)
+        steps.append(out)
+        if len(steps) == k:
+            (out.values if out.coeffs is None else out.coeffs).flat[5] = bad
+        return out
+    monkeypatch.setattr(cls, "advance", injected)
+    with pytest.raises(NonFinite, match=rf"^non-finite field after step {k}$"):
+        evolve(psi0, cfg, T, 5, track_band_masses=True)
+    assert len(steps) == k
+
+
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
 @pytest.mark.parametrize("L", [1, 3, 7, 8, 32])
 def test_gram_matrix_is_the_transform_round_trip(lattice, L):
