@@ -359,10 +359,11 @@ def _transport_gauge(band: np.ndarray) -> None:
     """Parallel-transport gauge, in place, along the rows of band (L, n) of
     unit vectors, real or complex: row l is multiplied by the cumulative
     product of the unit phases conj(o)/|o| (+-1 for real rows) of the
-    neighbour overlaps o = <v_{l-1}, v_l> of the raw rows.  The product restarts at row 0 and at each row whose overlap
-    is at most _OVERLAP_FLOOR, with the phase that makes that row's
-    largest-magnitude entry real positive.  Each phase is put back on the
-    unit circle, so the round-off of the product does not scale the rows."""
+    neighbour overlaps o = <v_{l-1}, v_l> of the raw rows.  The product
+    restarts at row 0 and at each row whose overlap is at most
+    _OVERLAP_FLOOR, with the phase that makes that row's largest-magnitude
+    entry real positive.  Each phase is put back on the unit circle, so the
+    round-off of the product does not scale the rows."""
     o = np.vecdot(band[:-1], band[1:])
     a = np.abs(o)
     starts = np.concatenate(([0], np.flatnonzero(a <= _OVERLAP_FLOOR) + 1))

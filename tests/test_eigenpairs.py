@@ -333,10 +333,11 @@ def _over_conditioned(V, grid, Lambda, M):
 @pytest.mark.parametrize("lattice", ["mathieu", "kp", "free", "asymmetric"])
 def test_solve_bands_dispatch(lattice, monkeypatch):
     """Kronig-Penney and the free lattice make one direct real dsyevr call
-    per node and a complex eigh only at the nodes over _REAL_COND_MAX (k = -1/2 and 0 on
-    this Kronig-Penney table; on the free one the crossings at -1/2 and 0
-    and the near-crossings at +-7/16); the asymmetric lattice makes complex
-    calls only, the cosine lattice tridiagonal calls only."""
+    per node and a complex eigh only at the nodes over _REAL_COND_MAX
+    (k = -1/2 and 0 on this Kronig-Penney table; on the free one the
+    crossings at -1/2 and 0 and the near-crossings at +-7/16); the
+    asymmetric lattice makes complex calls only, the cosine lattice
+    tridiagonal calls only."""
     V = (DENSE.get(lattice) or mathieu)(32)
     grid = build_grid(1.0 / 16, 4)
     calls = _count_dense_calls(monkeypatch)
