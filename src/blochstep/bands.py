@@ -84,78 +84,60 @@ def _kinetic(Lambda: int, ks) -> np.ndarray:
     return 0.5 * (ks[:, None] - Lambda + np.arange(1, 2 * Lambda + 1) - 1) ** 2
 
 
-def _lowest_eigenpairs(V: PeriodicPotential, Lambda: int, ks, lo: int,
-                       hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs lo..hi (0-based, ascending) of H(k) for each k in 1-D ks:
-    energies (hi-lo+1, nk) and unit-norm vectors (hi-lo+1, nk, 2*Lambda).
-    eigh_tridiagonal on the cosine lattice, with real vectors, and the dense
-    complex eigh elsewhere."""
-    T, e = _hamiltonian_parts(V, Lambda)
+def _lowest_eigenpairs(parts, Lambda: int, ks, lo: int, hi: int,
+                       keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs lo..hi (0-based, ascending) of H(k) = T + diag(_kinetic(k)),
+    (T, e) = parts, for each k in 1-D ks: energies (hi-lo+1, nk) and the
+    unit-norm vectors (keep, nk, 2*Lambda) of the first keep (all by
+    default).  eigh_tridiagonal when e is given, with real vectors; else one
+    direct LAPACK call per k in T's dtype, dsyevr or zheevr, with scipy's
+    subset-eigh arguments on one Fortran-order H overwritten per node and the
+    workspace queried once.  A failure raises EigensolverFailure naming k."""
+    T, e = parts
+    n, keep = 2 * Lambda, keep or hi - lo + 1
     kin = _kinetic(Lambda, ks)
-    diag = np.diag_indices_from(T)
+    if e is None:
+        name = "zheevr" if np.iscomplexobj(T) else "dsyevr"
+        evr, query = scipy.linalg.lapack.get_lapack_funcs(
+            (name[1:], name[1:] + "_lwork"), (T,))
+        # zheevr's query returns lwork, lrwork and liwork; dsyevr's no lrwork
+        sizes = ("lwork", "lrwork", "liwork")[::1 if name == "zheevr" else 2]
+        work = dict(zip(sizes, (int(x.real) for x in query(n, lower=1)[:-1])))
+        H0 = np.asfortranarray(T)
+        H = np.empty_like(H0)
+        diag = H.ravel(order="K")[::n + 1]  # a view of H's diagonal
     energies = np.empty((hi - lo + 1, ks.size))
-    vectors = np.empty(energies.shape + (2 * Lambda,),
-                       dtype=float if e is not None else complex)
+    vectors = np.empty((keep, ks.size, n), dtype=float if e is not None else T.dtype)
     for j, k in enumerate(ks):
-        try:
-            if e is not None:
-                vals, vecs = scipy.linalg.eigh_tridiagonal(
-                    T[diag].real + kin[j], e, select="i", select_range=(lo, hi))
-            else:
-                H = T.copy()
-                H[diag] += kin[j]
-                vals, vecs = scipy.linalg.eigh(H, subset_by_index=[lo, hi])
-        except scipy.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"eigensolver failed at k = {k}: {exc}") from exc
-        energies[:, j] = vals
-        vectors[:, j] = (vecs / np.linalg.norm(vecs, axis=0)).T
+        if e is not None:
+            try:
+                w, z = scipy.linalg.eigh_tridiagonal(
+                    T.diagonal().real + kin[j], e, select="i", select_range=(lo, hi))
+            except scipy.linalg.LinAlgError as exc:
+                raise EigensolverFailure(f"eigensolver failed at k = {k}: {exc}") from exc
+        else:
+            np.copyto(H, H0)
+            np.add(T.diagonal(), kin[j], out=diag)
+            w, z, _, _, info = evr(H, range="I", lower=1, il=lo + 1, iu=hi + 1,
+                                   overwrite_a=1, **work)
+            if info:
+                raise EigensolverFailure(
+                    f"LAPACK {name} failed at k = {k} (info = {info})")
+        energies[:, j] = w[:hi - lo + 1]
+        vectors[:, j] = z[:, :keep].T
+    vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
     return energies, vectors
 
 
-def _real_eigenpairs(T: np.ndarray, Lambda: int, ks,
-                     M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bands 1..M of H(k) = T + diag(_kinetic(k)) for each k in 1-D ks, for a
-    T whose lower triangle is real: energies (M, nk), unit-norm real vectors
-    (M, nk, 2*Lambda), and each node's conditioning eps_mach ||H(k)||_inf /
-    gap, the gap being the smallest distance between neighbours among bands
-    1..M+1 (band M+1 gives band M its upper gap; there is none when
-    M = 2*Lambda).  A zero gap gives an infinite conditioning.
-
-    Each node is one LAPACK dsyevr call for bands 1..M+1 (range "I", lower
-    triangle), the routine and arguments of scipy's subset eigh, on one
-    Fortran-order H overwritten in place, with the workspace queried once.
-    H(k) is finite, since PeriodicPotential rejects non-finite coefficients.
-    A nonzero LAPACK info raises EigensolverFailure."""
-    n = 2 * Lambda
-    hi = min(M, n - 1)
-    kin = _kinetic(Lambda, ks)
-    H0 = np.asfortranarray(T.real)
-    d0 = H0.diagonal().copy()
-    syevr, syevr_lwork = scipy.linalg.lapack.get_lapack_funcs(
-        ("syevr", "syevr_lwork"), (H0,))
-    lwork, liwork, _ = syevr_lwork(n, lower=1)
-    H = np.empty_like(H0)
-    diag = H.ravel(order="K")[::n + 1]  # a view of H's diagonal
-    vals = np.empty((hi + 1, ks.size))
-    vectors = np.empty((M, ks.size, n))
-    for j, k in enumerate(ks):
-        np.copyto(H, H0)
-        np.add(d0, kin[j], out=diag)
-        w, z, _, _, info = syevr(H, range="I", lower=1, il=1, iu=hi + 1,
-                                 lwork=int(lwork), liwork=liwork,
-                                 overwrite_a=1)
-        if info:
-            raise EigensolverFailure(
-                f"LAPACK dsyevr failed at k = {k} (info = {info})")
-        vals[:, j] = w[:hi + 1]
-        vectors[:, j] = z[:, :M].T
-    vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
-    off = np.abs(T.real)
+def _conditioning(T: np.ndarray, Lambda: int, ks, energies) -> np.ndarray:
+    """eps_mach ||H(k)||_inf / gap for each k in 1-D ks, the gap being the
+    smallest distance between neighbouring rows of energies (bands, nk); a
+    zero gap gives an infinite conditioning."""
+    off = np.abs(T)
     off[np.diag_indices_from(off)] = 0.0
-    norm = (off.sum(axis=1) + np.abs(d0 + kin)).max(axis=1)
+    norm = (off.sum(axis=1) + np.abs(T.diagonal() + _kinetic(Lambda, ks))).max(axis=1)
     with np.errstate(divide="ignore"):
-        cond = np.finfo(float).eps * norm / np.diff(vals, axis=0).min(axis=0)
-    return vals[:M], vectors, cond
+        return np.finfo(float).eps * norm / np.diff(energies, axis=0).min(axis=0)
 
 
 def _tridiagonal_apply(d: np.ndarray, b: float, v: np.ndarray) -> np.ndarray:
@@ -236,7 +218,7 @@ def _support(v: np.ndarray) -> slice:
                  rows[-1] + 1 + _SUPPORT_MARGIN)
 
 
-def _band_vectors(V: PeriodicPotential, Lambda: int, parts, ks, m: int,
+def _band_vectors(parts, Lambda: int, ks, m: int,
                   guess: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of band m (1-based) of H(k), one row per k in 1-D ks,
     each close to its row of guess (nk, 2*Lambda); phases unaligned.  parts
@@ -280,7 +262,7 @@ def _band_vectors(V: PeriodicPotential, Lambda: int, parts, ks, m: int,
         vectors[~rest] = v.T[~rest]
     if rest.any():
         lo, hi = max(0, m - 2), min(2 * Lambda - 1, m)
-        vals, vecs = _lowest_eigenpairs(V, Lambda, ks[rest], lo, hi)
+        vals, vecs = _lowest_eigenpairs(parts, Lambda, ks[rest], lo, hi)
         gap = band_gap(vals, m - 1 - lo)
         j = int(np.argmin(gap))
         if gap[j] <= GAP_FLOOR:
@@ -324,31 +306,40 @@ def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
                 M: int) -> BandTable:
     """Solve the truncated eigenproblem at every k-node and fix the gauge.
 
-    When H(k) is dense with a real lower triangle (Kronig-Penney, the free
-    lattice) every node is solved by _real_eigenpairs, and the nodes whose
-    conditioning exceeds _REAL_COND_MAX are solved again by
-    _lowest_eigenpairs, whose complex vectors have a zero imaginary part on
-    a real H(k) and are stored by their real part; every other potential
-    takes _lowest_eigenpairs at all nodes.  The table is real exactly when
-    H(k) is (_is_real).  Eigenvectors are aligned along k by
+    Every node is one _lowest_eigenpairs solve: eigh_tridiagonal on the
+    cosine lattice, and one direct LAPACK call per node elsewhere, whose
+    routine follows T's dtype.  When H(k) is dense with a real lower
+    triangle (Kronig-Penney, the free lattice) the nodes are solved with the
+    real T by dsyevr for bands 1..M+1, and the nodes whose conditioning
+    (_conditioning, from the gap among those bands) exceeds _REAL_COND_MAX
+    are solved again with the complex T by zheevr, whose vectors have a zero
+    imaginary part on a real H(k) and are stored by their real part; the
+    asymmetric potentials take zheevr at every node.  The table is real
+    exactly when H(k) is (_is_real).  Eigenvectors are aligned along k by
     _transport_gauge.
     """
+    if M < 1:
+        raise ValueError("M must be >= 1")
     if M > 2 * Lambda:
         raise BandCountExceedsTruncation(f"M = {M} > 2*Lambda = {2 * Lambda}")
     if 2 * Lambda <= grid.R:
         raise TruncationTooSmall(
             f"need Lambda > R/2 (Lambda={Lambda}, R={grid.R})")
     ks = grid.k_nodes
-    T, e = _hamiltonian_parts(V, Lambda)
-    if e is None and _is_real(V, Lambda):
-        energies, vectors, cond = _real_eigenpairs(T, Lambda, ks, M)
-        bad = cond > _REAL_COND_MAX
+    parts = _hamiltonian_parts(V, Lambda)
+    if parts[1] is None and _is_real(V, Lambda):
+        T = parts[0].real
+        # band M+1 gives band M its upper gap; there is none when M = 2*Lambda
+        energies, vectors = _lowest_eigenpairs(
+            (T, None), Lambda, ks, 0, min(M, 2 * Lambda - 1), keep=M)
+        bad = _conditioning(T, Lambda, ks, energies) > _REAL_COND_MAX
+        energies = energies[:M]
         if bad.any():
             energies[:, bad], fallback = _lowest_eigenpairs(
-                V, Lambda, ks[bad], 0, M - 1)
+                parts, Lambda, ks[bad], 0, M - 1)
             vectors[:, bad] = fallback.real
     else:
-        energies, vectors = _lowest_eigenpairs(V, Lambda, ks, 0, M - 1)
+        energies, vectors = _lowest_eigenpairs(parts, Lambda, ks, 0, M - 1)
     for band in vectors:
         _transport_gauge(band)
     return BandTable(grid=grid, M=M, Lambda=Lambda, energies=energies,

@@ -135,11 +135,16 @@ class ExternalPotential:
     """Slowly varying external potential U(x) on [0, 2*pi].
 
     kind is one of none / linear / harmonic / step.  Linear carries a
-    force-field strength.
+    force-field strength, which must be finite.
     """
 
     kind: str
     strength: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.strength):
+            raise NonFinite(
+                f"non-finite external potential strength {self.strength}")
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

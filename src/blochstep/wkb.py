@@ -337,8 +337,7 @@ class ChiInterpolator:
         node = np.floor(pos).astype(int)
         w = (pos - node)[:, None]
         ref = (1 - w) * self._pairs[0][node] + w * self._pairs[1][node]
-        vecs = _band_vectors(self.bands.potential, self.bands.Lambda,
-                             self._parts, kf, self.m, ref)
+        vecs = _band_vectors(self._parts, self.bands.Lambda, kf, self.m, ref)
         ov = np.einsum("ij,ij->i", ref.conj(), vecs)
         return vecs * _unit_conj(ov)[:, None]
 

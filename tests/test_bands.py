@@ -318,6 +318,17 @@ def test_solve_bands_rejects_m_beyond_truncation():
         solve_bands(mathieu(2), grid, 2, 5)
 
 
+@pytest.mark.parametrize("lattice", [mathieu, kronig_penney])
+@pytest.mark.parametrize("M", [0, -1])
+def test_solve_bands_rejects_m_below_one(lattice, M, monkeypatch):
+    """One ValueError before any solve, whatever the lattice."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no eigensolve for M < 1")
+    monkeypatch.setattr("blochstep.bands._lowest_eigenpairs", no_solve)
+    with pytest.raises(ValueError, match=r"^M must be >= 1$"):
+        solve_bands(lattice(8), build_grid(1.0 / 4, 8), 8, M)
+
+
 def test_cache_roundtrip_and_corruption(tmp_path, mathieu_table):
     path = tmp_path / "bands.bin"
     save_band_cache(mathieu_table, path)

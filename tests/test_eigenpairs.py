@@ -1,7 +1,9 @@
-"""The lowest-eigenpairs helper, the real table solve with its complex
-fallback, the one-pass gauge, the batched tridiagonal eigenvector kernel and
-the batched ChiInterpolator against the earlier per-k path (one assembled
-dense complex eigh per k, sequential parallel transport) and the earlier
+"""The one eigenpair loop (eigh_tridiagonal, or one direct LAPACK dsyevr or
+zheevr per k), the real table solve with its complex fallback, the one-pass
+gauge, the batched tridiagonal eigenvector kernel and the batched
+ChiInterpolator against the earlier per-k path (one assembled dense complex
+eigh per k, sequential parallel transport), the same solves made node by
+node through scipy's public eigh and eigh_tridiagonal, and the earlier
 per-point chi_values loop, kept here as a test-local oracle."""
 
 import dataclasses
@@ -206,18 +208,20 @@ def test_mathieu_tridiagonal_tables_match_dense_oracle(Lambda, L, M):
 
 @pytest.mark.parametrize("lattice", sorted(DENSE))
 def test_dense_path_bitwise_equal_to_oracle(lattice):
-    """_lowest_eigenpairs is bitwise the per-k complex eigh, and so are the
-    table energies of the asymmetric lattice, which takes it at every node.
-    The Kronig-Penney and free-lattice tables take the real solve and every
-    table takes the one-pass gauge, so their vectors, and the energies of
-    those two lattices, are held to TOL."""
+    """_lowest_eigenpairs on the complex T, its direct zheevr, is bitwise the
+    per-k complex eigh, and so are the table energies of the asymmetric
+    lattice, which takes it at every node.  The Kronig-Penney and
+    free-lattice tables take the real solve and every table takes the
+    one-pass gauge, so against this oracle their vectors, and the energies
+    of those two lattices, are held to TOL."""
     table, (energies, vectors) = _tables(lattice, 7, 16, 4)
     if lattice == "asymmetric":
         assert np.array_equal(table.energies, energies)
     assert np.max(np.abs(table.energies - energies)) <= TOL
     assert np.max(np.abs(table.vectors - vectors)) <= TOL
     ks = np.linspace(-0.7, 0.6, 9)
-    got = _lowest_eigenpairs(table.potential, 16, ks, 1, 3)
+    got = _lowest_eigenpairs(_hamiltonian_parts(table.potential, 16), 16, ks,
+                             1, 3)
     want = _oracle_eigenpairs(table.potential, 16, ks, 1, 3)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -270,98 +274,178 @@ def test_cache_written_complex_loads_by_its_values(tmp_path):
     ("mathieu", True), ("kp", False), ("free", False), ("asymmetric", False)])
 def test_dispatch_picks_tridiagonal_only_for_the_cosine_lattice(
         lattice, tridiagonal, monkeypatch):
-    calls = {"eigh": 0, "eigh_tridiagonal": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(scipy.linalg, name), _n=name, **kw):
-            calls[_n] += 1
-            return _f(*args, **kw)
-        monkeypatch.setattr(scipy.linalg, name, counted)
+    """The parts of a dense lattice hold the complex T, so each k is one
+    direct zheevr call."""
+    calls = _count_dense_calls(monkeypatch)
     V = (DENSE.get(lattice) or mathieu)(8)
-    _lowest_eigenpairs(V, 8, np.array([0.1, 0.2, 0.3]), 0, 2)
-    assert calls == ({"eigh": 0, "eigh_tridiagonal": 3} if tridiagonal
-                     else {"eigh": 3, "eigh_tridiagonal": 0})
+    _lowest_eigenpairs(_hamiltonian_parts(V, 8), 8, np.array([0.1, 0.2, 0.3]),
+                       0, 2)
+    assert calls == ({"dsyevr": 0, "zheevr": 0, "eigh_tridiagonal": 3}
+                     if tridiagonal else
+                     {"dsyevr": 0, "zheevr": 3, "eigh_tridiagonal": 0})
 
 
 def _wrap_direct_solve(monkeypatch, wrapper):
-    """Route each direct LAPACK dsyevr call of bands._real_eigenpairs through
-    wrapper(dsyevr, *args, **kwargs)."""
+    """Route each direct LAPACK call of bands._lowest_eigenpairs through
+    wrapper(name, routine, *args, **kwargs), name being the routine's full
+    LAPACK name, dsyevr or zheevr; scipy's eigh fails if it is reached."""
     get = scipy.linalg.lapack.get_lapack_funcs
 
     def patched(names, arrays=()):
         solve, lwork = get(names, arrays)
-        assert solve.typecode + names[0] == "dsyevr"
-        return functools.partial(wrapper, solve), lwork
+        name = solve.typecode + names[0]
+        assert name in ("dsyevr", "zheevr")
+        return functools.partial(wrapper, name, solve), lwork
     monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", patched)
-
-
-def _info_one(syevr, *args, **kwargs):
-    """The call's results with LAPACK info = 1, as if it had failed."""
-    return (*syevr(*args, **kwargs)[:-1], 1)
+    monkeypatch.setattr(scipy.linalg, "eigh", _failing)
 
 
 def _count_dense_calls(monkeypatch):
-    """Count the real solve's direct dsyevr calls as "real", the complex eigh
-    calls and the eigh_tridiagonal calls; scipy's eigh must not be reached
-    with a real matrix."""
-    calls = {"real": 0, "complex": 0, "eigh_tridiagonal": 0}
-    eigh, tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
+    """Count the direct LAPACK calls by their name, dsyevr or zheevr, and the
+    eigh_tridiagonal calls; scipy's eigh must not be reached."""
+    calls = {"dsyevr": 0, "zheevr": 0, "eigh_tridiagonal": 0}
+    tridiagonal = scipy.linalg.eigh_tridiagonal
 
-    def counted_syevr(syevr, *args, **kw):
-        calls["real"] += 1
-        return syevr(*args, **kw)
-
-    def counted_eigh(a, *args, **kw):
-        assert np.iscomplexobj(a)
-        calls["complex"] += 1
-        return eigh(a, *args, **kw)
+    def counted_direct(name, solve, *args, **kw):
+        calls[name] += 1
+        return solve(*args, **kw)
 
     def counted_tridiagonal(*args, **kw):
         calls["eigh_tridiagonal"] += 1
         return tridiagonal(*args, **kw)
-    _wrap_direct_solve(monkeypatch, counted_syevr)
-    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    _wrap_direct_solve(monkeypatch, counted_direct)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_tridiagonal)
     return calls
 
 
+def _conditioning(V, grid, Lambda, M):
+    """The table solve's per-node conditioning on a real dense H(k), from
+    the real solve's bands 1..M+1."""
+    T = _hamiltonian_parts(V, Lambda)[0].real
+    energies, _ = _lowest_eigenpairs((T, None), Lambda, grid.k_nodes, 0,
+                                     min(M, 2 * Lambda - 1))
+    return bands._conditioning(T, Lambda, grid.k_nodes, energies)
+
+
 def _over_conditioned(V, grid, Lambda, M):
-    T, _ = _hamiltonian_parts(V, Lambda)
-    *_, cond = bands._real_eigenpairs(T, Lambda, grid.k_nodes, M)
-    return int(np.count_nonzero(cond > bands._REAL_COND_MAX))
+    return int(np.count_nonzero(_conditioning(V, grid, Lambda, M)
+                                > bands._REAL_COND_MAX))
 
 
 @pytest.mark.parametrize("lattice", ["mathieu", "kp", "free", "asymmetric"])
 def test_solve_bands_dispatch(lattice, monkeypatch):
-    """Kronig-Penney and the free lattice make one direct real dsyevr call
-    per node and a complex eigh only at the nodes over _REAL_COND_MAX
-    (k = -1/2 and 0 on this Kronig-Penney table; on the free one the
-    crossings at -1/2 and 0 and the near-crossings at +-7/16); the
-    asymmetric lattice makes complex calls only, the cosine lattice
-    tridiagonal calls only."""
+    """Kronig-Penney and the free lattice make one direct dsyevr call per
+    node and a zheevr call only at the nodes over _REAL_COND_MAX (k = -1/2
+    and 0 on this Kronig-Penney table; on the free one the crossings at -1/2
+    and 0 and the near-crossings at +-7/16); the asymmetric lattice makes
+    zheevr calls only, the cosine lattice tridiagonal calls only."""
     V = (DENSE.get(lattice) or mathieu)(32)
     grid = build_grid(1.0 / 16, 4)
     calls = _count_dense_calls(monkeypatch)
     solve_bands(V, grid, 32, 8)
     assert calls == {
-        "mathieu": {"real": 0, "complex": 0, "eigh_tridiagonal": 16},
-        "kp": {"real": 16, "complex": 2, "eigh_tridiagonal": 0},
-        "free": {"real": 16, "complex": 4, "eigh_tridiagonal": 0},
-        "asymmetric": {"real": 0, "complex": 16, "eigh_tridiagonal": 0},
+        "mathieu": {"dsyevr": 0, "zheevr": 0, "eigh_tridiagonal": 16},
+        "kp": {"dsyevr": 16, "zheevr": 2, "eigh_tridiagonal": 0},
+        "free": {"dsyevr": 16, "zheevr": 4, "eigh_tridiagonal": 0},
+        "asymmetric": {"dsyevr": 0, "zheevr": 16, "eigh_tridiagonal": 0},
     }[lattice]
     if lattice in ("kp", "free"):
-        assert calls["complex"] == _over_conditioned(V, grid, 32, 8)
+        assert calls["zheevr"] == _over_conditioned(V, grid, 32, 8)
 
 
 def test_zero_conditioning_bound_sends_every_node_to_the_complex_solve(
         monkeypatch):
     V, grid = kronig_penney(16), build_grid(1.0 / 16, 4)
+    energies, vectors = _oracle_table(V, grid, 16, 4)
     monkeypatch.setattr(bands, "_REAL_COND_MAX", 0.0)
     calls = _count_dense_calls(monkeypatch)
     table = solve_bands(V, grid, 16, 4)
-    assert calls == {"real": 16, "complex": 16, "eigh_tridiagonal": 0}
-    energies, vectors = _oracle_table(V, grid, 16, 4)
+    assert calls == {"dsyevr": 16, "zheevr": 16, "eigh_tridiagonal": 0}
     assert np.array_equal(table.energies, energies)
     assert np.max(np.abs(table.vectors - vectors)) <= TOL
+
+
+def _per_k_solve(H, lo, hi, tridiagonal):
+    """Eigenpairs lo..hi of one assembled H through scipy's public solvers,
+    eigh_tridiagonal or eigh (the real eigh for a real H), as unit columns."""
+    if tridiagonal:
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            H.diagonal().real, H.diagonal(-1).real, select="i",
+            select_range=(lo, hi))
+    else:
+        vals, vecs = scipy.linalg.eigh(H, subset_by_index=[lo, hi])
+    return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+
+def _per_k_table(lattice, V, grid, Lambda, M):
+    """solve_bands node by node through _per_k_solve: eigh_tridiagonal on the
+    cosine lattice; on an even dense lattice the real eigh of bands
+    1..M+1, and the complex eigh where eps_mach ||H(k)||_inf over the
+    smallest gap among them exceeds _REAL_COND_MAX; the complex eigh on the
+    asymmetric lattice; then the table's gauge."""
+    n = 2 * Lambda
+    real = lattice in ("kp", "free")
+    energies = np.empty((M, grid.L))
+    vectors = np.empty((M, grid.L, n), dtype=complex if lattice ==
+                       "asymmetric" else float)
+    for l, k in enumerate(grid.k_nodes):
+        H = _oracle_hk(V, k, Lambda)
+        if real:
+            vals, vecs = _per_k_solve(H.real, 0, min(M, n - 1), False)
+            with np.errstate(divide="ignore"):  # a crossing has no gap
+                cond = np.finfo(float).eps * np.abs(H).sum(axis=1).max() \
+                    / np.diff(vals).min()
+            if cond > bands._REAL_COND_MAX:
+                vals, vecs = _per_k_solve(H, 0, M - 1, False)
+                vecs = vecs.real
+        else:
+            vals, vecs = _per_k_solve(H, 0, M - 1, lattice == "mathieu")
+        energies[:, l] = vals[:M]
+        vectors[:, l] = vecs[:, :M].T
+    for band in vectors:
+        bands._transport_gauge(band)
+    return energies, vectors
+
+
+@pytest.mark.parametrize("lattice,L,Lambda,M", [
+    ("mathieu", 7, 16, 4), ("kp", 16, 32, 8), ("free", 16, 32, 8),
+    ("asymmetric", 7, 16, 4)])
+def test_tables_bitwise_equal_to_per_k_oracle(lattice, L, Lambda, M):
+    """Energies and vectors of every table are bitwise the node-by-node
+    solves through scipy's public solvers: the one loop makes the same
+    LAPACK calls with the same arguments, and normalises the same way.  The
+    Kronig-Penney and free tables here take the complex fallback at 2 and 4
+    nodes (test_solve_bands_dispatch)."""
+    V = (DENSE.get(lattice) or mathieu)(Lambda)
+    grid = build_grid(1.0 / L, 4)
+    table = solve_bands(V, grid, Lambda, M)
+    energies, vectors = _per_k_table(lattice, V, grid, Lambda, M)
+    assert table.vectors.dtype == vectors.dtype
+    assert np.array_equal(table.energies, energies)
+    assert np.array_equal(table.vectors, vectors)
+
+
+@pytest.mark.parametrize("lattice", ["mathieu", "kp", "asymmetric"])
+def test_chi_values_bitwise_equal_to_per_k_oracle(lattice, monkeypatch):
+    """chi_values is bitwise the same with its eigenpair loop replaced by
+    the node-by-node solves through scipy's public solvers.  On the cosine
+    lattice every key is sent to the loop by a kernel that gives NaN."""
+    table, _ = _tables(lattice, 7, 16, 4)
+    V = table.potential
+    if lattice == "mathieu":
+        monkeypatch.setattr(bands, "_twisted_rqi", _non_finite_rqi)
+    rng = np.random.default_rng(19)
+    k, y = _chi_points(rng, 60, 10)
+    got = [ChiInterpolator(table, m).chi_values(k, y) for m in (1, 2, 3)]
+
+    def per_k(parts, Lambda, ks, lo, hi):
+        pairs = [_per_k_solve(_oracle_hk(V, k, Lambda), lo, hi,
+                              lattice == "mathieu") for k in ks]
+        return (np.stack([vals for vals, _ in pairs], axis=1),
+                np.stack([vecs.T for _, vecs in pairs], axis=1))
+    monkeypatch.setattr(bands, "_lowest_eigenpairs", per_k)
+    want = [ChiInterpolator(table, m).chi_values(k, y) for m in (1, 2, 3)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_kp_table_matches_oracle_at_workload_scale():
@@ -393,8 +477,9 @@ def test_kp_energies_against_extended_precision(k):
     with mpmath.workdps(32):
         exact = sorted(mpmath.eigsy(mpmath.matrix(H.tolist()),
                                     eigvals_only=True))[:8]
-        real = bands._real_eigenpairs(T, 16, ks, 8)[0][:, 0]
-        dense = _lowest_eigenpairs(V, 16, ks, 0, 7)[0][:, 0]
+        # the table's real solve takes bands 1..9, band 9 for the gap only
+        real = _lowest_eigenpairs((T.real, None), 16, ks, 0, 8)[0][:8, 0]
+        dense = _lowest_eigenpairs((T, None), 16, ks, 0, 7)[0][:, 0]
         errors = [max(abs(float(mpmath.mpf(e) - x)) for e, x in zip(got, exact))
                   for got in (real, dense)]
     bound = 2 * np.finfo(float).eps * np.abs(H).sum(axis=1).max()
@@ -414,7 +499,8 @@ def test_gauge_restarts_at_free_lattice_crossings():
     V = DENSE["free"](16)
     grid = build_grid(1.0 / 8, 4)
     table = solve_bands(V, grid, 16, 4)
-    _, raw = _lowest_eigenpairs(V, 16, grid.k_nodes, 0, 3)
+    _, raw = _lowest_eigenpairs(_hamiltonian_parts(V, 16), 16, grid.k_nodes,
+                                0, 3)
     restarts = []
     for m, band in enumerate(raw):
         restarts.append(_oracle_gauge(band))
@@ -496,16 +582,14 @@ def _non_finite_rqi(d, b, v, floor):
     return np.full(v.shape, np.nan)
 
 
-@pytest.mark.parametrize("lattice,solver", [
-    ("kp", "eigh"), ("mathieu", "eigh_tridiagonal")])
+@pytest.mark.parametrize("lattice,solver", [("mathieu", "eigh_tridiagonal")])
 def test_eigensolver_failures_are_typed(lattice, solver, monkeypatch):
-    """chi's solve and the table solve; the Kronig-Penney table reaches
-    LAPACK by the real solve's direct dsyevr, which fails with info = 1."""
+    """chi's solve and the table solve on the cosine lattice; the direct
+    LAPACK calls of the dense lattices are covered by
+    test_direct_solve_failure_names_k and test_zheevr_failure_names_k."""
     table, _ = _tables(lattice, 7, 16, 4)
     monkeypatch.setattr(scipy.linalg, solver, _failing)
-    _wrap_direct_solve(monkeypatch, _info_one)
-    # on the cosine lattice chi reaches LAPACK only for keys the batched
-    # kernel rejects
+    # chi reaches LAPACK only for keys the batched kernel rejects
     monkeypatch.setattr(bands, "_twisted_rqi", _non_finite_rqi)
     with pytest.raises(EigensolverFailure):
         ChiInterpolator(table, 2).chi_values(np.array([0.3]), np.array([0.0]))
@@ -519,15 +603,54 @@ def test_direct_solve_failure_names_k(monkeypatch):
     V, grid = kronig_penney(16), build_grid(1.0 / 16, 4)
     calls = []
 
-    def third_fails(syevr, *args, **kw):
-        calls.append(1)
+    def third_fails(name, syevr, *args, **kw):
+        calls.append(name)
         out = syevr(*args, **kw)
         return (*out[:-1], 1) if len(calls) == 3 else out
     _wrap_direct_solve(monkeypatch, third_fails)
     with pytest.raises(EigensolverFailure,
-                       match=rf"at k = {grid.k_nodes[2]} \(info = 1\)"):
+                       match=rf"dsyevr failed at k = {grid.k_nodes[2]} "
+                             rf"\(info = 1\)"):
         solve_bands(V, grid, 16, 4)
-    assert len(calls) == 3
+    assert calls == ["dsyevr"] * 3
+
+
+@pytest.mark.parametrize("site,info", [
+    (site, info) for site in ("asymmetric-table", "kp-fallback", "kp-chi")
+    for info in (1, -3)])
+def test_zheevr_failure_names_k(site, info, monkeypatch):
+    """A nonzero LAPACK info, positive or negative, from the first direct
+    zheevr call raises EigensolverFailure naming that call's k and the info:
+    at the first node of the asymmetric table, at the first fallback node of
+    the Kronig-Penney table (k = -1/2, after every dsyevr call succeeded) and
+    at the one key of a Kronig-Penney chi_values call."""
+    lattice, what = site.split("-")
+    V = DENSE[lattice](32)
+    grid = build_grid(1.0 / 16, 4)
+    calls = []
+
+    def first_zheevr_fails(name, solve, *args, **kw):
+        calls.append(name)
+        out = solve(*args, **kw)
+        return (*out[:-1], info) if calls.count("zheevr") == 1 \
+            and name == "zheevr" else out
+    if what == "chi":
+        chi = ChiInterpolator(solve_bands(V, grid, 32, 8), 2)
+        _wrap_direct_solve(monkeypatch, first_zheevr_fails)
+        k = float(fold_k(0.3))  # the folded key the solve is given
+        with pytest.raises(EigensolverFailure,
+                           match=rf"zheevr failed at k = {k} "
+                                 rf"\(info = {info}\)"):
+            chi.chi_values(np.array([k]), np.array([0.0]))
+        assert calls == ["zheevr"]
+        return
+    _wrap_direct_solve(monkeypatch, first_zheevr_fails)
+    k = grid.k_nodes[0]
+    with pytest.raises(EigensolverFailure,
+                       match=rf"zheevr failed at k = {k} \(info = {info}\)"):
+        solve_bands(V, grid, 32, 8)
+    assert calls == (["zheevr"] if lattice == "asymmetric"
+                     else ["dsyevr"] * grid.L + ["zheevr"])
 
 
 def _count_tridiagonal_calls(monkeypatch):
@@ -682,9 +805,9 @@ def test_exact_guess_at_a_table_node_needs_no_fallback(monkeypatch):
     keys = []
     real = bands._lowest_eigenpairs
 
-    def spied(V, Lambda, ks, lo, hi):
+    def spied(parts, Lambda, ks, lo, hi):
         keys.extend(ks)
-        return real(V, Lambda, ks, lo, hi)
+        return real(parts, Lambda, ks, lo, hi)
     monkeypatch.setattr(bands, "_lowest_eigenpairs", spied)
     k = np.zeros(16)
     y = np.linspace(0.0, 2 * np.pi, k.size, endpoint=False)
@@ -748,9 +871,9 @@ def test_interpolator_keeps_no_vectors(baseline_mathieu, monkeypatch):
     solved = []
     real = wkb._band_vectors
 
-    def spied(V, Lambda, parts, ks, m, guess):
+    def spied(parts, Lambda, ks, m, guess):
         solved.append(ks.size)
-        return real(V, Lambda, parts, ks, m, guess)
+        return real(parts, Lambda, ks, m, guess)
     monkeypatch.setattr(wkb, "_band_vectors", spied)
     chi = ChiInterpolator(baseline_mathieu, 1)
     tracemalloc.start()

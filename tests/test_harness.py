@@ -119,6 +119,13 @@ def test_cli_manifest_records_flags_and_hash(tmp_path):
     assert manifest["config_hash"] == config_hash(manifest["config"])
 
 
+def test_cli_bands_rejects_m_below_one(tmp_path):
+    from blochstep.cli import main
+    with pytest.raises(ValueError, match=r"^M must be >= 1$"):
+        main(["bands", "--eps", "0.25", "--R", "8", "--M", "0",
+              "--Lambda", "8", "--out", str(tmp_path / "bands")])
+
+
 def test_cli_evolve_names_final_field_after_end_time(tmp_path):
     from blochstep.cli import main
     out = tmp_path / "evolve"

@@ -14,6 +14,7 @@ from blochstep import (
     solve_bands,
 )
 from blochstep.errors import InsufficientSamples, IoFailure, NonFinite
+from blochstep.potential import ExternalPotential
 
 
 def _series(V, y):
@@ -115,6 +116,14 @@ def test_external_potentials():
     assert S(3 * np.pi / 2) == 1.0
     Lin = external_from_spec("linear:1")
     assert abs(Lin(2.0) - 2.0) < 1e-15
+
+
+@pytest.mark.parametrize("spec", ["linear:nan", "linear:inf", "linear:-inf"])
+def test_non_finite_external_strength_is_typed(spec):
+    with pytest.raises(NonFinite, match="strength"):
+        external_from_spec(spec)
+    with pytest.raises(NonFinite, match="strength"):
+        ExternalPotential("linear", strength=float(spec.split(":")[1]))
 
 
 @settings(max_examples=20, deadline=None)
