@@ -9,12 +9,14 @@ gauge along the k-grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .errors import (
@@ -54,9 +56,6 @@ GAP_FLOOR = 1e-8  # a band closer than this to a neighbour counts as degenerate
 # the complex solve: a real and a complex eigensolver part by about that much
 _REAL_COND_MAX = 1e-12
 _OVERLAP_FLOOR = 1e-12  # neighbour overlaps at or below this restart the gauge
-_RQI_STEPS = 8  # cap on the Rayleigh-quotient steps of one block
-_RESIDUAL_FACTOR = 4  # accept ||Hv - sigma v|| <= this * eps_mach * ||H||
-_SUPPORT_MARGIN = 2  # rows kept on each side of the guesses' support
 
 
 def _hamiltonian_parts(V: PeriodicPotential, Lambda: int):
@@ -125,7 +124,12 @@ def _lowest_eigenpairs(parts, Lambda: int, ks, lo: int, hi: int,
                     f"LAPACK {name} failed at k = {k} (info = {info})")
         energies[:, j] = w[:hi - lo + 1]
         vectors[:, j] = z[:, :keep].T
-    vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+    # normalised 16 nodes at a time, so that the norm's temporaries are a
+    # small part of the table (one per node cost 11 ms at 1024 nodes); each
+    # row is summed as over the whole array
+    for j in range(0, ks.size, 16):
+        block = vectors[:, j:j + 16]
+        block /= np.linalg.norm(block, axis=2, keepdims=True)
     return energies, vectors
 
 
@@ -140,136 +144,74 @@ def _conditioning(T: np.ndarray, Lambda: int, ks, energies) -> np.ndarray:
         return np.finfo(float).eps * norm / np.diff(energies, axis=0).min(axis=0)
 
 
-def _tridiagonal_apply(d: np.ndarray, b: float, v: np.ndarray) -> np.ndarray:
-    """H v column by column, for diagonals d (n, B) and off-diagonal b."""
-    out = d * v
-    out[1:] += b * v[:-1]
-    out[:-1] += b * v[1:]
-    return out
+def _band_solve(parts, Lambda: int, ks, m: int):
+    """(gap, vectors): the distance of band m (1-based) to its nearest
+    neighbour and its unit eigenvectors, phases unaligned, at each k of 1-D
+    ks, from one _lowest_eigenpairs solve of bands m-1..m+1, which raises
+    EigensolverFailure.  parts is _hamiltonian_parts(V, Lambda)."""
+    lo, hi = max(0, m - 2), min(2 * Lambda - 1, m)
+    vals, vecs = _lowest_eigenpairs(parts, Lambda, ks, lo, hi)
+    return band_gap(vals, m - 1 - lo), vecs[m - 1 - lo]
 
 
-def _pivots(a: np.ndarray, b: float) -> np.ndarray:
-    """The LDL^T pivots, in place, of the tridiagonal matrices with diagonals
-    a (n, B) and off-diagonal b: a_i - b^2 / a_{i-1}, down each column."""
-    b2 = b * b
-    with np.errstate(all="ignore"):
-        for i in range(1, a.shape[0]):
-            a[i] -= b2 / a[i - 1]
-    return a
+def _band_vectors(parts, Lambda: int, ks, m: int) -> np.ndarray:
+    """_band_solve's vectors; BandGapTooSmall when band m is within
+    GAP_FLOOR of a neighbour at some k."""
+    gap, vecs = _band_solve(parts, Lambda, ks, m)
+    j = int(np.argmin(gap))
+    if gap[j] <= GAP_FLOOR:
+        raise BandGapTooSmall(f"band {m} gap {gap[j]:g} at k = {ks[j]:g}")
+    return vecs
 
 
-def _twisted_rqi(d: np.ndarray, b: float, v: np.ndarray,
-                 floor: np.ndarray) -> np.ndarray:
-    """Rayleigh-quotient iteration on the columns of v (n, B) for the real
-    symmetric tridiagonal matrices with diagonals d (n, B) and off-diagonal b.
+def _chebyshev_vectors(parts, Lambda: int, m: int):
+    """(ks, interpolant): the k solved, in order, and band m's eigenvector as
+    a function of 1-D k in [-1/2, 1/2], or None when the band has none.
 
-    Each step solves (H - sigma) z = gamma_r e_r through the twisted
-    factorisation of H - sigma (Dhillon & Parlett 2004; Parlett, The
-    Symmetric Eigenvalue Problem, ch. 4): forward and backward LDL^T pivots
-    (the backward ones are the forward pivots of the reversed diagonal, since
-    b is constant), the twist r = argmin |gamma|, and z, with z_r = 1, as two
-    running products of the multipliers.  The shift then moves by z's
-    Rayleigh correction gamma_r / |z|^2.  A column is done once its
-    correction stops shrinking, or one step after it fell to its round-off
-    floor (B,), so that its last z comes from a shift already converged; the
-    iteration stops when every column is done, or after _RQI_STEPS steps, and
-    returns each column's last finite z, unnormalised and unchecked.  A guess
-    that is already the eigenvector makes H - sigma singular to round-off,
-    so the next z can overflow to NaN; the column then keeps its previous
-    iterate (the start vector before the first step)."""
-    n, B = d.shape
-    sigma = np.einsum("ij,ij->j", v, _tridiagonal_apply(d, b, v)) \
-        / np.einsum("ij,ij->j", v, v)
-    below = np.arange(n - 1)[:, None]
-    last = np.full(B, np.inf)
-    live = np.ones(B, dtype=bool)
-    out = v.copy()
-    with np.errstate(all="ignore"):
-        for _ in range(_RQI_STEPS):
-            a = d - sigma
-            piv = _pivots(np.hstack([a, a[::-1]]), b)
-            fwd, bwd = piv[:, :B], piv[::-1, B:]
-            gamma = fwd + bwd - a
-            r = np.argmin(np.abs(gamma), axis=0)
-            # z_i = -b / fwd_i * z_{i+1} above the twist, and
-            # z_{i+1} = -b / bwd_{i+1} * z_i below it
-            up = np.where(below < r, -b / fwd[:-1], 1.0)
-            down = np.where(below >= r, -b / bwd[1:], 1.0)
-            z = np.ones((n, B))
-            z[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
-            z[1:] *= np.cumprod(down, axis=0)
-            np.copyto(out, z, where=np.isfinite(z).all(axis=0))
-            step = gamma[r, np.arange(B)] / np.einsum("ij,ij->j", z, z)
-            sigma = sigma + step
-            prev, last = last, np.abs(step)
-            live &= (last < prev) & (prev > floor)
-            if not live.any():
-                break
-    return out
+    An isolated band's eigenvector is analytic in k (Kato 1966), so it is
+    interpolated at the Chebyshev points cos(pi j / n) / 2, j = 0..n, for
+    n = 16, 32, 64, 128, formed as sin(pi (n - 2j) / 2n) / 2 so that they
+    are exactly symmetric.  Each grid holds the one before it, whose nodes
+    are not solved again, and k = 0 and +-1/2, where the gaps of a 1-D
+    lattice are smallest.  Each node is gauged by making real positive the
+    coefficient whose smallest magnitude over the nodes is largest.  The
+    first grid whose last n/4 Chebyshev coefficients (one DCT-I) are at most
+    1e-13 of the largest is taken; there is none when no grid is, or when
+    band m comes within GAP_FLOOR of a neighbour at a node.  The interpolant
+    is _barycentric, and its vectors are not normalised."""
+    solved, vecs = [], None
+    for n in (16, 32, 64, 128):
+        nodes = 0.5 * np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+        solved.append(nodes if vecs is None else nodes[1::2])
+        gap, new = _band_solve(parts, Lambda, solved[-1], m)
+        if gap.min() <= GAP_FLOOR:
+            break
+        vecs = new if vecs is None else np.insert(
+            vecs, np.arange(1, len(vecs)), new, axis=0)
+        top = vecs[:, np.argmax(np.abs(vecs).min(axis=0))]
+        values = vecs * (top.conj() / np.abs(top))[:, None]
+        coeffs = np.abs(scipy.fft.dct(values, type=1, axis=0))
+        if coeffs[-(n // 4):].max() <= 1e-13 * coeffs.max():
+            return np.concatenate(solved), functools.partial(
+                _barycentric, nodes, values)
+    return np.concatenate(solved), None
 
 
-def _support(v: np.ndarray) -> slice:
-    """The rows of v (n, B) from the first to the last where some column is
-    above round-off relative to its largest entry, widened by
-    _SUPPORT_MARGIN rows on each side and clipped to the matrix."""
-    a = np.abs(v)
-    rows = np.flatnonzero((a > np.finfo(float).eps * a.max(axis=0)).any(axis=1))
-    return slice(max(0, rows[0] - _SUPPORT_MARGIN),
-                 rows[-1] + 1 + _SUPPORT_MARGIN)
-
-
-def _band_vectors(parts, Lambda: int, ks, m: int,
-                  guess: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of band m (1-based) of H(k), one row per k in 1-D ks,
-    each close to its row of guess (nk, 2*Lambda); phases unaligned.  parts
-    is _hamiltonian_parts(V, Lambda), built once by the caller.
-
-    On the cosine lattice the block runs _twisted_rqi from the guess rows,
-    made real by the phase of their largest entry, on the guesses' numerical
-    support (_support): the eigenvector decays like 1/(j!)^2 j rows away
-    from its band's Fourier centre, so the rest of it is zero to round-off
-    and is padded back as zeros.  A key is accepted when its vector is
-    finite, its residual in the full H is at most _RESIDUAL_FACTOR eps_mach
-    ||H|| and H has m - 1 eigenvalues below sigma - GAP_FLOOR and m below
-    sigma + GAP_FLOOR (negative pivots, by Sylvester's law of inertia), which
-    checks the band index and the gap in one test; a support that cut off a
-    tail above round-off fails the residual test.  Every other key takes
-    _lowest_eigenpairs, which raises EigensolverFailure, and BandGapTooSmall
-    is raised when band m there is within GAP_FLOOR of a neighbour."""
-    T, e = parts
-    vectors = np.empty(guess.shape, dtype=complex)
-    rest = np.ones(ks.size, dtype=bool)
-    if e is not None:
-        b = float(e[0])  # the Toeplitz sub-diagonal is V-hat(1) throughout
-        d = (T.diagonal().real + _kinetic(Lambda, ks)).T
-        floor = np.finfo(float).eps * (np.abs(d).max(axis=0) + 2 * abs(b))
-        top = guess[np.arange(ks.size), np.argmax(np.abs(guess), axis=1)]
-        start = (guess * top.conj()[:, None]).real.T
-        rows = _support(start)
-        z = np.zeros(d.shape)
-        z[rows] = _twisted_rqi(d[rows], b, start[rows], floor)
-        with np.errstate(all="ignore"):
-            v = z / np.linalg.norm(z, axis=0)
-            hv = _tridiagonal_apply(d, b, v)
-            sigma = np.einsum("ij,ij->j", v, hv)
-            residual = np.linalg.norm(hv - sigma * v, axis=0)
-            below = np.count_nonzero(_pivots(np.hstack(
-                [d - (sigma - GAP_FLOOR), d - (sigma + GAP_FLOOR)]), b) < 0,
-                axis=0).reshape(2, -1)
-        rest = ~(np.isfinite(v).all(axis=0)
-                 & (residual <= _RESIDUAL_FACTOR * floor)
-                 & (below[0] == m - 1) & (below[1] == m))
-        vectors[~rest] = v.T[~rest]
-    if rest.any():
-        lo, hi = max(0, m - 2), min(2 * Lambda - 1, m)
-        vals, vecs = _lowest_eigenpairs(parts, Lambda, ks[rest], lo, hi)
-        gap = band_gap(vals, m - 1 - lo)
-        j = int(np.argmin(gap))
-        if gap[j] <= GAP_FLOOR:
-            raise BandGapTooSmall(
-                f"band {m} gap {gap[j]:g} at k = {ks[rest][j]:g}")
-        vectors[rest] = vecs[m - 1 - lo]
-    return vectors
+def _barycentric(nodes: np.ndarray, values: np.ndarray,
+                 k: np.ndarray) -> np.ndarray:
+    """The polynomial through values (n + 1, ...) at the Chebyshev points
+    nodes = cos(pi j / n) / 2, j = 0..n, at each k of 1-D k, by the
+    barycentric formula with weights (-1)^j, halved at both ends (Berrut &
+    Trefethen, SIAM Rev. 46, 2004); a k on a node gets that node's row."""
+    weights = np.resize([1.0, -1.0], len(nodes))
+    weights[[0, -1]] *= 0.5
+    d = k[:, None] - nodes
+    hit = d == 0
+    with np.errstate(divide="ignore"):
+        c = weights / d
+    on = hit.any(axis=1)
+    c[on] = hit[on]
+    return (c @ values) / c.sum(axis=1)[:, None]
 
 
 @dataclass

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import harness
 from .bands import save_band_cache, solve_bands
+from .errors import BlochStepError
 from .grid import (
     build_grid,
     output_dir,
@@ -248,8 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Input the package rejects, a BlochStepError or a
+    ValueError, ends it with one line on stderr and status 2, argparse's own
+    status for bad input."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BlochStepError, ValueError) as exc:
+        print(f"blochstep {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import numpy as np
 from .bands import (
     BandTable,
     _band_vectors,
+    _chebyshev_vectors,
     _hamiltonian_parts,
     _neighbor_vector,
     _trig_interpolant,
@@ -299,22 +300,27 @@ def _unit_conj(ov):
 class ChiInterpolator:
     """Off-node Bloch eigenvector evaluation, gauge-matched to a band table.
 
-    Each call solves each distinct folded quasi-momentum of its points once,
-    at that exact k, by bands._band_vectors from the linear interpolation of
-    the two bracketing table vectors, aligns its phase by maximal real overlap
-    with that interpolation, and keeps no vector for a later call.
+    The band's eigenvector is interpolated in k from node solves made once,
+    here (bands._chebyshev_vectors); a band with no interpolant has each
+    distinct folded k of a call solved at that exact k, by bands._band_vectors.
+    Each vector is normalised and its phase aligned by maximal real overlap
+    with the linear interpolation of the two bracketing table vectors.
     """
 
     def __init__(self, bands: BandTable, m: int):
         bands.check_band(m)
         self.bands = bands
         self.m = m
-        # folded k of every eigensolve: perfbench/workloads.py:320 and :385
-        # read len(_cache) as the solve count until ROADMAP item 1's recorder
-        self._cache = array("d")
         self._parts = _hamiltonian_parts(bands.potential, bands.Lambda)
-        # keys solved at once: the batched solve's 2*Lambda-step loops cost
-        # per block, and its (2*Lambda, keys) arrays stay at 128 KB
+        solved, self._interpolant = _chebyshev_vectors(
+            self._parts, bands.Lambda, m)
+        # k of every eigensolve, the interpolant's nodes first:
+        # perfbench/workloads.py:320 and :385 read len(_cache) as the solve
+        # count until ROADMAP item 1's recorder
+        self._cache = array("d", solved.tolist())
+        # keys evaluated at once: a block's (keys, 2*Lambda) rows stay at
+        # 128 KB, and its (keys, nodes) interpolation weights, at most 129
+        # nodes, at 264 KB for Lambda = 32
         self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
         # points evaluated at once: a block's (2*Lambda, points) coefficient
         # table stays at 128 KB
@@ -337,20 +343,24 @@ class ChiInterpolator:
         node = np.floor(pos).astype(int)
         w = (pos - node)[:, None]
         ref = (1 - w) * self._pairs[0][node] + w * self._pairs[1][node]
-        vecs = _band_vectors(self._parts, self.bands.Lambda, kf, self.m, ref)
+        if self._interpolant is None:
+            vecs = _band_vectors(self._parts, self.bands.Lambda, kf, self.m)
+            self._cache.extend(kf.tolist())
+        else:
+            vecs = self._interpolant(kf)
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         ov = np.einsum("ij,ij->i", ref.conj(), vecs)
         return vecs * _unit_conj(ov)[:, None]
 
     def _rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows at the distinct folded k of 1-D k, each solved once, and each
-        point's row index."""
+        """Rows at the distinct folded k of 1-D k, each evaluated once, and
+        each point's row index."""
         if not np.all(np.isfinite(k)):
             raise NonFinite("non-finite quasi-momentum")
         kf, inv = np.unique(fold_k(k), return_inverse=True)
         rows = np.empty((kf.size, 2 * self.bands.Lambda), dtype=complex)
         for b in range(0, kf.size, n := self._keys_per_block):
             rows[b:b + n] = self._solve(kf[b:b + n])
-        self._cache.extend(kf.tolist())
         return rows, inv
 
     def coeffs(self, k: float) -> np.ndarray:
@@ -431,14 +441,19 @@ def _two_scale(chi: ChiInterpolator, grid: SimulationGrid, a: np.ndarray,
     return WaveField(grid, vals.reshape(grid.L, grid.R))
 
 
+def _initial(chi: ChiInterpolator, f: Callable, phi0: Callable,
+             grid: SimulationGrid) -> WaveField:
+    """build_wkb_initial with chi's band, from chi."""
+    x = grid.x_nodes.reshape(-1)
+    phi = np.asarray(phi0(x), dtype=float)
+    return _two_scale(chi, grid, np.asarray(f(x), dtype=complex), phi,
+                      _spectral_derivative(phi))
+
+
 def build_wkb_initial(bands: BandTable, m: int, f: Callable, phi0: Callable,
                       grid: SimulationGrid) -> WaveField:
     """Two-scale initial data f(x) chi_m(x/eps, d(phi0)/dx) exp(i phi0 / eps)."""
-    x = grid.x_nodes.reshape(-1)
-    phi = np.asarray(phi0(x), dtype=float)
-    return _two_scale(ChiInterpolator(bands, m), grid,
-                      np.asarray(f(x), dtype=complex), phi,
-                      _spectral_derivative(phi))
+    return _initial(ChiInterpolator(bands, m), f, phi0, grid)
 
 
 def reconstruct_sc(phase: PhaseTrajectory, amp: AmplitudeTrajectory,
@@ -555,8 +570,8 @@ def wkb_compare(bands: BandTable, m: int, U: ExternalPotential,
     chi = ChiInterpolator(bands, m)
     cfg = StepperConfig("bd", "strang", t_end / n_steps, bands=bands,
                         external=U)
-    bd = evolve(build_wkb_initial(bands, m, f, phi0, grid), cfg, t_end,
-                n_steps, snapshot_every=n_steps // (n_samples - 1))
+    bd = evolve(_initial(chi, f, phi0, grid), cfg, t_end, n_steps,
+                snapshot_every=n_steps // (n_samples - 1))
     transform = BlochTransform(bands)
     rows = []
     for t, psi in zip(bd.times, bd.snapshots):

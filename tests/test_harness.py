@@ -119,11 +119,32 @@ def test_cli_manifest_records_flags_and_hash(tmp_path):
     assert manifest["config_hash"] == config_hash(manifest["config"])
 
 
-def test_cli_bands_rejects_m_below_one(tmp_path):
+def test_cli_bands_rejects_m_below_one(tmp_path, capsys):
     from blochstep.cli import main
-    with pytest.raises(ValueError, match=r"^M must be >= 1$"):
-        main(["bands", "--eps", "0.25", "--R", "8", "--M", "0",
-              "--Lambda", "8", "--out", str(tmp_path / "bands")])
+    assert main(["bands", "--eps", "0.25", "--R", "8", "--M", "0",
+                 "--Lambda", "8", "--out", str(tmp_path / "bands")]) == 2
+    assert capsys.readouterr().err == \
+        "blochstep bands: ValueError: M must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["bands", "--M", "0"], "ValueError: M must be >= 1"),
+    (["evolve", "--eps", "0.3"], "NonIntegerCellCount: "),
+    (["compare", "--lattice", "bogus"],
+     "ValueError: unknown lattice potential spec 'bogus'"),
+    (["wkb", "--external", "linear:nan"], "NonFinite: "),
+    (["convergence", "--config", "missing.cfg"], "IoFailure: "),
+], ids=["bands", "evolve", "compare", "wkb", "convergence"])
+def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
+                                                     monkeypatch, argv, error):
+    """Each subcommand ends rejected input with one line on stderr, naming
+    the subcommand and the error, and status 2, with no traceback."""
+    from blochstep.cli import main
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"blochstep {argv[0]}: {error}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cli_evolve_names_final_field_after_end_time(tmp_path):
@@ -153,8 +174,9 @@ _WKB = ["wkb", "--nx", "32", "--t-end", "0.02"]
 ], ids=["bands", "compare", "wkb", "wkb-compare", "bands-out-is-file",
         "evolve-out-is-file", "compare-out-is-file", "wkb-out-is-file",
         "convergence-out-is-file"])
-def test_cli_csv_write_failure_is_io_failure(tmp_path, argv, csv):
-    # a directory where the CSV goes, or (csv None) an --out that is a file
+def test_cli_csv_write_failure_is_io_failure(tmp_path, capsys, argv, csv):
+    # a directory where the CSV goes, or (csv None) an --out that is a file;
+    # main reports the IoFailure in one line and returns 2
     from blochstep.cli import main
     if csv is None:
         out = tmp_path / "out"
@@ -162,8 +184,8 @@ def test_cli_csv_write_failure_is_io_failure(tmp_path, argv, csv):
     else:
         out = tmp_path
         (tmp_path / csv).mkdir(parents=True)
-    with pytest.raises(IoFailure):
-        main(argv + _SMALL + ["--out", str(out)])
+    assert main(argv + _SMALL + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"blochstep {argv[0]}: IoFailure: ")
 
 
 def test_manifest_write_failure_is_io_failure(tmp_path):
