@@ -27,7 +27,7 @@ from blochstep import (
     mathieu,
     solve_bands,
 )
-from blochstep import bands, wkb
+from blochstep import bands
 from blochstep.bands import (
     _hamiltonian_parts,
     _lowest_eigenpairs,
