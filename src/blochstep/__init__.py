@@ -5,7 +5,6 @@ from .bands import (
     BandTable,
     assemble_hk,
     berry_connection,
-    effective_mass,
     eval_band,
     eval_band_deriv,
     eval_chi,

@@ -23,7 +23,6 @@ from .errors import (
     BandCountExceedsTruncation,
     BandGapTooSmall,
     BandIndexOutOfRange,
-    DegenerateCurvature,
     EigensolverFailure,
     IoFailure,
     TruncationTooSmall,
@@ -405,50 +404,29 @@ def band_gap(energies: np.ndarray, i: int) -> np.ndarray:
     return np.abs(energies[near] - energies[i]).min(axis=0, initial=np.inf)
 
 
-def berry_connection(table: BandTable, m: int, k_index: int) -> complex:
-    """Centered difference of the gauge-aligned neighbours, projected on chi_m.
+def berry_connection(table: BandTable, m: int) -> np.ndarray:
+    """Centered difference of the gauge-aligned neighbours, projected on
+    chi_m, at every k-node: the real (L,) array
+    (|<v_l, v_{l+1}>| - |<v_{l-1}, v_l>|) / (2 dk), v_l = chi_m(k_l), with
+    the neighbour rows wrapped across the zone edge by _neighbor_vector.
 
-    Each neighbour v+- of v0 = chi_m(k_l) is rotated onto v0 first, so the
-    result is (|<v0, v+>| - |<v0, v->|) / (2 dk): real, with zero imaginary
-    part.  It is not the purely imaginary Berry connection <chi_m, d_k chi_m>:
-    it estimates that connection's real part, which is zero for a smooth
+    Each neighbour is rotated onto v_l first, so the result is real.  It is
+    not the purely imaginary Berry connection <chi_m, d_k chi_m>: it
+    estimates that connection's real part, which is zero for a smooth
     unit-norm family, so only its finite-difference error remains.  Inner
     products are taken in coefficient space, where the stored vectors have
-    unit norm.
+    unit norm.  BandGapTooSmall when band m is within GAP_FLOOR of a
+    neighbour at some node.
     """
     table.check_band(m)
-    if band_gap(table.energies[:, k_index], m - 1) <= GAP_FLOOR:
-        raise BandGapTooSmall(f"band {m} nearly degenerate at node {k_index}")
+    gap = band_gap(table.energies, m - 1)
+    if gap.min() <= GAP_FLOOR:
+        raise BandGapTooSmall(
+            f"band {m} nearly degenerate at node {int(np.argmin(gap))}")
     L = table.grid.L
-    dk = 1.0 / L
-    v0 = table.vectors[m - 1, k_index]
-    vp = _neighbor_vector(table, m, k_index + 1)
-    vm = _neighbor_vector(table, m, k_index - 1)
-
-    def aligned(v):
-        ov = np.vdot(v0, v)
-        return v * np.conj(ov) / abs(ov)
-
-    beta = np.vdot(v0, (aligned(vp) - aligned(vm)) / (2.0 * dk))
-    return complex(beta)
-
-
-def effective_mass(table: BandTable, m: int, k0: float,
-                   h: float | None = None) -> float:
-    """1 / E_m''(k0) from a central second difference on the interpolant.
-
-    The stencil width defaults to the k-grid spacing so that a node-centered
-    stencil collocates exact table values (the interpolant's own curvature is
-    unreliable for bands with a periodization kink, e.g. the free particle).
-    """
-    table.check_band(m)
-    if h is None:
-        h = 1.0 / table.grid.L
-    e = eval_band(table, m, np.array([k0 - h, k0, k0 + h]))
-    curv = (e[0] - 2.0 * e[1] + e[2]) / h ** 2
-    if abs(curv) < 1e-10:
-        raise DegenerateCurvature(f"|E''({k0})| = {abs(curv):g} < 1e-10")
-    return 1.0 / curv
+    rows = _neighbor_vector(table, m, np.arange(L + 1))
+    ahead = np.abs(np.vecdot(rows[:-1], rows[1:]))  # |<v_l, v_{l+1}>|
+    return (ahead - np.roll(ahead, 1)) * (L / 2.0)
 
 
 def save_band_cache(table: BandTable, path) -> None:

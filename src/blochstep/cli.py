@@ -40,6 +40,17 @@ def _add_problem_flags(p: argparse.ArgumentParser, external_default="none",
     p.add_argument("--out", default=out_default)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a step or point count: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return n
+
+
 def _settings(args: argparse.Namespace) -> dict:
     """The parsed flags, as recorded in manifest.json."""
     return {k: v for k, v in vars(args).items() if k != "func"}
@@ -207,15 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("lie", "strang"), default="strang")
     _add_problem_flags(p)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--snapshot-every", type=int, default=0)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("compare", help="BD vs TS errors against a fine reference")
     _add_problem_flags(p, external_default="harmonic")
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--bd-steps", type=int, default=100)
-    p.add_argument("--ts-steps", type=int, default=1000)
+    p.add_argument("--bd-steps", type=_positive_int, default=100)
+    p.add_argument("--ts-steps", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("wkb", help="asymptotic phase/amplitude evolution")
@@ -223,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi0", choices=tuple(_PHI0), default="zero")
     _add_problem_flags(p, external_default="harmonic")
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--nx", type=int, default=256)
-    p.add_argument("--steps", type=int, default=1000,
+    p.add_argument("--nx", type=_positive_int, default=256)
+    p.add_argument("--steps", type=_positive_int, default=1000,
                    help="BD steps when --compare is set")
     p.add_argument("--compare", action="store_true",
                    help="run the full solver alongside and emit differences")

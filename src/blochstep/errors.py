@@ -41,10 +41,6 @@ class BandGapTooSmall(BlochStepError):
     """Band is nearly degenerate; the requested quantity is ill-defined."""
 
 
-class DegenerateCurvature(BlochStepError):
-    """Band curvature too small to define an effective mass."""
-
-
 class TruncationMismatch(BlochStepError):
     """Band table truncation incompatible with the per-cell resolution."""
 

@@ -59,6 +59,9 @@ class SimulationGrid:
 
 def build_grid(epsilon: float, R: int) -> SimulationGrid:
     """Build the two-scale grid for the given scale ratio and cell resolution."""
+    if not 0 < epsilon < np.inf:
+        raise NonIntegerCellCount(f"epsilon = {epsilon} is not 1/L for an "
+                                  f"integer L >= 1")
     inv = 1.0 / epsilon
     L = int(round(inv))
     if abs(inv - L) > 1e-9 or L < 1:

@@ -60,6 +60,9 @@ class ExperimentConfig:
         if self.dt_list and not all(
                 a > b for a, b in zip(self.dt_list, self.dt_list[1:])):
             raise ValueError("dt list must be strictly decreasing")
+        if not all(h > 0 for h in (self.dt, *self.dt_list)):
+            raise ValueError(f"steps must be > 0: dt = {self.dt}, "
+                             f"dt list = {self.dt_list}")
 
 
 @dataclass

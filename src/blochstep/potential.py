@@ -134,14 +134,16 @@ def from_samples(samples, Lambda: int) -> PeriodicPotential:
 class ExternalPotential:
     """Slowly varying external potential U(x) on [0, 2*pi].
 
-    kind is one of none / linear / harmonic / step.  Linear carries a
-    force-field strength, which must be finite.
+    kind is one of none / linear / harmonic / step, else ValueError.  Linear
+    carries a force-field strength, which must be finite.
     """
 
     kind: str
     strength: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("none", "linear", "harmonic", "step"):
+            raise ValueError(f"unknown external potential kind {self.kind!r}")
         if not np.isfinite(self.strength):
             raise NonFinite(
                 f"non-finite external potential strength {self.strength}")
@@ -154,10 +156,8 @@ class ExternalPotential:
             return self.strength * x
         if self.kind == "harmonic":
             return (x - np.pi) ** 2
-        if self.kind == "step":
-            # closed interval [pi/2, 3*pi/2]
-            return ((x >= np.pi / 2) & (x <= 3 * np.pi / 2)).astype(float)
-        raise ValueError(f"unknown external potential kind {self.kind!r}")
+        # step: the closed interval [pi/2, 3*pi/2]
+        return ((x >= np.pi / 2) & (x <= 3 * np.pi / 2)).astype(float)
 
     def derivative(self, x) -> np.ndarray:
         """dU/dx; refuses the step potential (distributional force)."""

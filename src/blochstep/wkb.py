@@ -51,10 +51,10 @@ class CausticReport:
     """Caustic onset diagnostics from a Hamilton-Jacobi run."""
 
     detected: bool
-    t_c: Optional[float]
-    trigger_history: np.ndarray  # max |d2(phi)/dx2| per accepted step
+    t_c: Optional[float]  # onset of the first trigger
+    trigger_history: np.ndarray  # max |d2(phi)/dx2| at t = 0 and every step
     threshold: float
-    x_c: Optional[float] = None  # probe location of the triggering slope
+    x_c: Optional[float] = None  # probe location of the first triggering slope
 
 
 @dataclass
@@ -138,11 +138,12 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
              phi0: Callable[[np.ndarray], np.ndarray], t_end: float,
              nx: int, dt: Optional[float] = None,
              caustic_factor: float = 50.0) -> tuple[PhaseTrajectory, CausticReport]:
-    """March the band Hamilton-Jacobi equation up to t_end or the caustic.
+    """March the band Hamilton-Jacobi equation up to t_end on nx >= 1 points.
 
     The caustic detector triggers when max |d(p)/dx| exceeds caustic_factor
     times its initial value (floored at 1, the curvature scale of the domain);
-    the onset time is linearly interpolated between the bracketing steps.
+    the report gives the first trigger, whose onset time is linearly
+    interpolated between the bracketing steps, and the march goes on past it.
     The curvature is probed at a fixed physical scale (CAUSTIC_PROBE_POINTS
     samples across the domain, capped by the solver grid) so that the onset
     time is stable under solver-grid refinement: at a forming discontinuity
@@ -150,6 +151,8 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     otherwise push the detection time toward zero.
     """
     bands.check_band(m)
+    if nx < 1:
+        raise ValueError(f"nx = {nx} must be >= 1")
     x = TWO_PI * np.arange(nx) / nx
     dx = TWO_PI / nx
     phi_init = np.asarray(phi0(x), dtype=float)
@@ -225,13 +228,12 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
         times.append(t)
         ps.append(p.copy())
         phis.append(phi_from(p, phibar))
-        if curv > threshold:
+        if curv > threshold and not detected:
             prev = history[-2]
             frac = (threshold - prev) / (curv - prev) if curv > prev else 1.0
             t_c = t - dt + frac * dt
             x_c = x_trigger
             detected = True
-            break
     report = CausticReport(detected=detected, t_c=t_c, x_c=x_c,
                            trigger_history=np.array(history),
                            threshold=threshold)
@@ -252,16 +254,19 @@ def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
     x = phase.x
     a = np.asarray(a0(x), dtype=complex)
     Ux = U.derivative(x)
-    beta_interp = _berry_interpolator(bands, m)
+    # the geometric term at the k-nodes and at k = 1/2, the wrap of node 0
+    knodes = np.append(bands.grid.k_nodes, 0.5)
+    beta = berry_connection(bands, m)
+    beta = np.append(beta, beta[0])
     velocity = _trig_interpolant(bands, m, 1)
 
     out = [a.copy()]
     for i in range(len(phase.times) - 1):
         dt = phase.times[i + 1] - phase.times[i]
-        pmid = 0.5 * (phase.p[i] + phase.p[i + 1])
-        v = velocity(fold_k(pmid))
+        kmid = fold_k(0.5 * (phase.p[i] + phase.p[i + 1]))
+        v = velocity(kmid)
         dv = _spectral_derivative(v)
-        local = np.exp(0.5 * dt * (-0.5 * dv + beta_interp(pmid) * Ux))
+        local = np.exp(0.5 * dt * (-0.5 * dv + np.interp(kmid, knodes, beta) * Ux))
         a = a * local
         # midpoint departure points of the characteristics
         x_dep = x - dt * _macro_spline(v)(x - 0.5 * dt * v)
@@ -271,24 +276,6 @@ def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
         out.append(a.copy())
     return AmplitudeTrajectory(band=m, x=x, times=phase.times.copy(),
                                a=np.array(out))
-
-
-def _berry_interpolator(bands: BandTable, m: int):
-    """Linear-in-k interpolant of the geometric phase term at the table nodes."""
-    L = bands.grid.L
-    beta = np.empty(L + 1, dtype=complex)
-    for l in range(L):
-        beta[l] = berry_connection(bands, m, l)
-    beta[L] = beta[0]  # periodic wrap at k = 1/2
-    knodes = np.concatenate([bands.grid.k_nodes, [0.5]])
-
-    def interp(k):
-        kf = fold_k(k)
-        re = np.interp(kf, knodes, beta.real)
-        im = np.interp(kf, knodes, beta.imag)
-        return re + 1j * im
-
-    return interp
 
 
 def _unit_conj(ov):
@@ -532,26 +519,24 @@ def wkb_pipeline(bands: BandTable, m: int, U: ExternalPotential,
                  ) -> tuple[PhaseTrajectory, AmplitudeTrajectory, CausticReport]:
     """Phase + amplitude evolution with the amplitude-support caustic policy.
 
-    A detected caustic halts the pipeline only if the transported amplitude
-    at the trigger site is non-negligible; a trigger outside the support of
+    One hj_solve and one transport_solve run to t_end.  A detected caustic
+    then raises CausticReached only if the amplitude at the trigger site, at
+    the trigger step, is non-negligible; a trigger outside the support of
     the solution (e.g. the artificial kink of a non-periodic external
     potential at the domain seam) does not invalidate the expansion where
-    the solution lives, so the phase is re-integrated past it.
+    the solution lives, and the run to t_end is returned.
     """
     # phase errors enter exp(i*phi/eps) amplified by 1/eps, so the step must
     # resolve the phase beyond the advective CFL scale
     dt = min(_cfl_step(bands, m, nx)[2], np.sqrt(bands.grid.epsilon) / 8.0)
     traj, rep = hj_solve(bands, m, U, phi0, t_end, nx, dt=dt)
-    if rep.detected:
-        amp = transport_solve(bands, m, U, traj, f)
-        a_end = np.abs(amp.a[-1])
-        at_site = np.interp(rep.x_c, np.concatenate([traj.x, [TWO_PI]]),
-                            np.concatenate([a_end, a_end[:1]]))
-        if at_site > SUPPORT_TOL * a_end.max():
-            raise CausticReached(rep)
-        traj, _ = hj_solve(bands, m, U, phi0, t_end, nx, dt=dt,
-                           caustic_factor=np.inf)
     amp = transport_solve(bands, m, U, traj, f)
+    if rep.detected:
+        a_c = np.abs(amp.a[np.argmax(rep.trigger_history > rep.threshold)])
+        at_site = np.interp(rep.x_c, np.append(traj.x, TWO_PI),
+                            np.append(a_c, a_c[0]))
+        if at_site > SUPPORT_TOL * a_c.max():
+            raise CausticReached(rep)
     return traj, amp, rep
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blochstep import build_grid, kronig_penney, mathieu, solve_bands
+from blochstep.bands import _neighbor_vector
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +33,29 @@ def baseline_mathieu(baseline_grid):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+def _berry_per_node(table, m):
+    """The earlier per-node form of bands.berry_connection, kept as an
+    oracle: at each node l, each neighbour of v0 = chi_m(k_l) is rotated
+    onto v0, and the centered difference is projected on v0.  A complex
+    (L,) array."""
+    L = table.grid.L
+    dk = 1.0 / L
+    out = np.empty(L, dtype=complex)
+    for l in range(L):
+        v0 = table.vectors[m - 1, l]
+
+        def aligned(v):
+            ov = np.vdot(v0, v)
+            return v * np.conj(ov) / abs(ov)
+
+        vp = _neighbor_vector(table, m, l + 1)
+        vm = _neighbor_vector(table, m, l - 1)
+        out[l] = np.vdot(v0, (aligned(vp) - aligned(vm)) / (2.0 * dk))
+    return out
+
+
+@pytest.fixture(scope="session")
+def berry_per_node():
+    return _berry_per_node

@@ -10,7 +10,6 @@ from blochstep import (
     assemble_hk,
     berry_connection,
     build_grid,
-    effective_mass,
     eval_band,
     eval_band_deriv,
     eval_chi,
@@ -251,22 +250,43 @@ def test_eval_chi_free_plane_wave():
     assert abs(abs(chi[0]) - 1.0) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def kp_l32_table():
+    return solve_bands(kronig_penney(64), build_grid(1.0 / 32, 64), 64, 4)
+
+
+@pytest.fixture(scope="module")
+def kp_l1024_table():
+    return solve_bands(kronig_penney(32), build_grid(1.0 / 1024, 16), 32, 4)
+
+
+@pytest.mark.parametrize("table", ["baseline_mathieu", "kp_l32_table",
+                                   "kp_l1024_table"])
+def test_berry_connection_matches_per_node_oracle(table, request,
+                                                 berry_per_node):
+    tab = request.getfixturevalue(table)
+    for m in range(1, tab.M + 1):
+        beta = berry_connection(tab, m)
+        assert beta.shape == (tab.grid.L,) and beta.dtype == float
+        want = berry_per_node(tab, m)
+        assert not want.imag.any()
+        assert np.max(np.abs(beta - want.real)) <= 1e-12
+
+
 def test_berry_connection_free_and_mathieu(mathieu_table):
     grid = build_grid(1.0 / 8, 16)
     free = solve_bands(free_potential(16), grid, 16, 1)
     l = int(np.argmin(np.abs(grid.k_nodes - 0.125)))
-    assert abs(berry_connection(free, 1, l)) < 1e-10
+    assert abs(berry_connection(free, 1)[l]) < 1e-10
     l0 = int(np.argmin(np.abs(mathieu_table.grid.k_nodes)))
-    beta = berry_connection(mathieu_table, 1, l0)
-    assert abs(beta.real) < 1e-8
+    assert abs(berry_connection(mathieu_table, 1)[l0]) < 1e-8
 
 
 def test_berry_connection_refuses_near_crossing():
     grid = build_grid(1.0 / 8, 16)
     free = solve_bands(free_potential(16), grid, 16, 2)
-    l_edge = int(np.argmin(np.abs(grid.k_nodes + 0.5)))
-    with pytest.raises(BandGapTooSmall):
-        berry_connection(free, 1, l_edge)
+    with pytest.raises(BandGapTooSmall, match="node 0"):
+        berry_connection(free, 1)
 
 
 def test_berry_connection_k_refinement():
@@ -275,31 +295,11 @@ def test_berry_connection_k_refinement():
         grid = build_grid(1.0 / L, 8)
         tab = solve_bands(mathieu(16), grid, 16, 2)
         l = int(np.argmin(np.abs(grid.k_nodes - 0.25)))
-        beta.append(berry_connection(tab, 2, l))
+        beta.append(berry_connection(tab, 2)[l])
     # centered difference: successive halvings of the k spacing shrink the
     # discretization part of beta by ~4x
     assert abs(beta[1]) < 0.4 * abs(beta[0])
     assert abs(beta[2]) < 0.4 * abs(beta[1])
-
-
-def test_effective_mass_free_and_stencil():
-    grid = build_grid(1.0 / 8, 16)
-    free = solve_bands(free_potential(16), grid, 16, 1)
-    assert abs(effective_mass(free, 1, 0.0) - 1.0) < 1e-6
-    # node-centered stencils of different widths collocate exact values
-    m1 = effective_mass(free, 1, 0.0, h=1.0 / 8)
-    m2 = effective_mass(free, 1, 0.0, h=2.0 / 8)
-    assert abs(m1 - m2) < 1e-10
-
-
-def test_effective_mass_mathieu_stable():
-    vals = []
-    for L in (32, 64):
-        grid = build_grid(1.0 / L, 8)
-        tab = solve_bands(mathieu(16), grid, 16, 1)
-        vals.append(effective_mass(tab, 1, 0.0))
-    assert vals[0] > 0
-    assert abs(vals[1] - vals[0]) < 0.01 * abs(vals[0])
 
 
 def test_variational_monotonicity_in_truncation():

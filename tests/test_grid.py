@@ -56,8 +56,9 @@ def test_three_cell_grid_against_scalar_loop():
 
 
 def test_grid_rejects_bad_epsilon_and_resolution():
-    with pytest.raises(NonIntegerCellCount):
-        build_grid(0.3, 8)
+    for eps in (0.3, 0.0, -0.25, np.nan, np.inf):
+        with pytest.raises(NonIntegerCellCount):
+            build_grid(eps, 8)
     with pytest.raises(ResolutionTooSmall):
         build_grid(0.5, 2)
 

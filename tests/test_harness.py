@@ -134,7 +134,11 @@ def test_cli_bands_rejects_m_below_one(tmp_path, capsys):
      "ValueError: unknown lattice potential spec 'bogus'"),
     (["wkb", "--external", "linear:nan"], "NonFinite: "),
     (["convergence", "--config", "missing.cfg"], "IoFailure: "),
-], ids=["bands", "evolve", "compare", "wkb", "convergence"])
+    (["bands", "--eps", "0"], "NonIntegerCellCount: "),
+    (["bands", "--eps", "nan"], "NonIntegerCellCount: "),
+    (["convergence", "--dt", "0"], "ValueError: steps must be > 0"),
+], ids=["bands", "evolve", "compare", "wkb", "convergence", "bands-eps-0",
+        "bands-eps-nan", "convergence-dt-0"])
 def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
                                                      monkeypatch, argv, error):
     """Each subcommand ends rejected input with one line on stderr, naming
@@ -145,6 +149,27 @@ def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith(f"blochstep {argv[0]}: {error}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--steps", "0"],
+    ["compare", "--bd-steps", "0"],
+    ["compare", "--ts-steps", "0"],
+    ["wkb", "--compare", "--steps", "0"],
+    ["wkb", "--nx", "0"],
+    ["wkb", "--nx", "-2"],
+    ["evolve", "--steps", "1.5"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_rejects_counts_below_one_through_argparse(tmp_path, capsys, argv):
+    """A step or point count below 1 is refused while the flags are parsed,
+    with argparse's usage line and status 2, before anything divides by it."""
+    from blochstep.cli import main
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not an integer >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_evolve_names_final_field_after_end_time(tmp_path):
@@ -258,6 +283,18 @@ def test_config_file_read_failure_is_io_failure(tmp_path, contents):
 def test_config_rejects_nondecreasing_dt_list():
     with pytest.raises(ValueError, match="decreasing"):
         ExperimentConfig(scenario="temporal", dt_list=(0.01, 0.02))
+
+
+@pytest.mark.parametrize("steps", [
+    {"dt": 0.0}, {"dt": -0.01}, {"dt": float("nan")},
+    {"scenario": "temporal", "dt_list": (0.1, -1.0)},
+    {"scenario": "temporal", "dt_list": (0.1, 0.0)},
+])
+def test_config_rejects_non_positive_steps(steps):
+    # dt = 0 used to end in ZeroDivisionError, and a dt list of 0.1, -1 in
+    # a silent one-step study
+    with pytest.raises(ValueError, match="steps must be > 0"):
+        ExperimentConfig(**steps)
 
 
 def test_config_rejects_unknown_scheme(tmp_path):

@@ -126,6 +126,12 @@ def test_non_finite_external_strength_is_typed(spec):
         ExternalPotential("linear", strength=float(spec.split(":")[1]))
 
 
+def test_unknown_external_kind_is_rejected_at_construction():
+    # it used to be built, and its derivative raised NonSmoothForce
+    with pytest.raises(ValueError, match="unknown external potential kind"):
+        ExternalPotential("bogus")
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_series_real_at_random_points(seed):

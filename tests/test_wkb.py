@@ -47,6 +47,12 @@ def gauss(x):
     return np.exp(-5.0 * (x - np.pi) ** 2)
 
 
+def on_seam(x):
+    """gauss moved onto the seam x = 0, where the periodized harmonic force
+    triggers the caustic detector."""
+    return np.exp(-5.0 * np.minimum(x, 2 * np.pi - x) ** 2)
+
+
 def zero_phase(x):
     return 0.0 * x
 
@@ -75,6 +81,12 @@ def test_hj_short_time_taylor(baseline_mathieu):
 def test_hj_rejects_cfl_violation(kp_table):
     with pytest.raises(CFLViolation):
         hj_solve(kp_table, 2, HARMONIC, neg_cos, 0.1, 64, dt=1.0)
+
+
+@pytest.mark.parametrize("nx", [0, -1])
+def test_hj_rejects_no_points(baseline_mathieu, nx):
+    with pytest.raises(ValueError, match="nx"):
+        hj_solve(baseline_mathieu, 1, NONE, zero_phase, 0.1, nx)
 
 
 def test_hj_non_finite_phase_raises_its_own_error(baseline_mathieu):
@@ -246,17 +258,72 @@ def test_pipeline_continues_past_unsupported_trigger(kp_table):
     assert abs(traj.times[-1] - 0.3) < 1e-12  # ... but integration completes
 
 
-def test_pipeline_halts_at_caustic_inside_amplitude(baseline_mathieu):
-    # the wkb_mathieu problem with its amplitude moved onto the seam x = 0,
-    # where the periodized harmonic force triggers the caustic detector
-    def on_seam(x):
-        return np.exp(-5.0 * np.minimum(x, 2 * np.pi - x) ** 2)
-    with pytest.raises(CausticReached) as info:
-        wkb_pipeline(baseline_mathieu, 1, HARMONIC, on_seam, zero_phase,
-                     1.0, 256)
-    rep = info.value.report
-    assert rep.detected and rep.x_c == 0.0
-    assert abs(rep.t_c - 0.2569) < 1e-4
+def test_pipeline_halts_at_caustic_inside_amplitude(baseline_mathieu, kp_table):
+    cases = [
+        # the wkb_mathieu problem with its amplitude on the seam
+        (baseline_mathieu, 1, on_seam, zero_phase, 1.0, 256,
+         0.2568770773833333),
+        # a long horizon past the trigger, with the amplitude everywhere
+        (kp_table, 2, np.ones_like, lambda x: -2.0 * np.cos(x), 1.5, 512,
+         0.6043006477187617),
+    ]
+    for tab, band, f, phi0, t_end, nx, t_c in cases:
+        with pytest.raises(CausticReached) as info:
+            wkb_pipeline(tab, band, HARMONIC, f, phi0, t_end, nx)
+        rep = info.value.report
+        assert rep.detected and rep.x_c == 0.0
+        assert abs(rep.t_c - t_c) < 1e-12
+        # the report covers every step of the horizon, not only those to t_c
+        dt = min(wkb_mod._cfl_step(tab, band, nx)[2],
+                 np.sqrt(tab.grid.epsilon) / 8)
+        assert len(rep.trigger_history) == np.ceil(t_end / dt - 1e-12) + 1
+
+
+@pytest.mark.parametrize("f,later,halts", [(gauss, on_seam, False),
+                                           (on_seam, gauss, True)],
+                         ids=["reaches-site-later", "leaves-site-later"])
+def test_pipeline_reads_the_amplitude_at_the_trigger_step(
+        baseline_mathieu, monkeypatch, f, later, halts):
+    """The support test reads the amplitude at the step where the detector
+    first fires (t_c = 0.2569 at x = 0 on the wkb_mathieu problem), not at
+    t_end: the amplitude of every later step is swapped for another one."""
+    transport = wkb_mod.transport_solve
+
+    def swapped(bands, m, U, phase, a0):
+        amp = transport(bands, m, U, phase, a0)
+        amp.a[np.searchsorted(phase.times, 0.2569) + 1:] = later(phase.x)
+        return amp
+
+    monkeypatch.setattr(wkb_mod, "transport_solve", swapped)
+    args = (baseline_mathieu, 1, HARMONIC, f, zero_phase, 1.0, 256)
+    if halts:
+        with pytest.raises(CausticReached):
+            wkb_pipeline(*args)
+    else:
+        assert wkb_pipeline(*args)[2].detected
+
+
+def test_one_pass_pipeline_matches_separate_solves(baseline_mathieu,
+                                                   berry_per_node, monkeypatch):
+    """On the wkb_mathieu problem the seam trigger fires outside the
+    amplitude: the pipeline's phase is hj_solve's with no detector, bitwise,
+    its report keeps the first trigger, and its amplitude is transport_solve's
+    with the per-node Berry term."""
+    tab = baseline_mathieu
+    traj, amp, rep = wkb_pipeline(tab, 1, HARMONIC, gauss, zero_phase, 1.0, 256)
+    assert rep.detected and rep.t_c == 0.2568770773833333 and rep.x_c == 0.0
+    assert len(rep.trigger_history) == len(traj.times) == 47
+    above = np.flatnonzero(rep.trigger_history > rep.threshold)
+    assert traj.times[above[0] - 1] < rep.t_c <= traj.times[above[0]]
+    dt = min(wkb_mod._cfl_step(tab, 1, 256)[2], np.sqrt(tab.grid.epsilon) / 8)
+    ref, ref_rep = hj_solve(tab, 1, HARMONIC, zero_phase, 1.0, 256, dt=dt,
+                            caustic_factor=np.inf)
+    assert not ref_rep.detected
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.phi, ref.phi) and np.array_equal(traj.p, ref.p)
+    monkeypatch.setattr(wkb_mod, "berry_connection", berry_per_node)
+    want = transport_solve(tab, 1, HARMONIC, ref, gauss)
+    assert np.max(np.abs(amp.a - want.a)) <= 1e-13
 
 
 def test_wkb_compare_samples_at_snapshot_times(baseline_mathieu):
@@ -319,8 +386,8 @@ def test_zero_berry_term_does_not_improve(baseline_mathieu, monkeypatch):
                           baseline_mathieu.grid, 0.3, 128, 300, n_samples=4)
         return cmp.sup_band_l2
     with_beta = run()
-    monkeypatch.setattr(wkb_mod, "_berry_interpolator",
-                        lambda bands, m: (lambda k: 0.0))
+    monkeypatch.setattr(wkb_mod, "berry_connection",
+                        lambda bands, m: np.zeros(bands.grid.L))
     without_beta = run()
     # for this real, even lattice the geometric term is ~0, so dropping it
     # must not make the comparison better (it cannot strictly worsen it)
