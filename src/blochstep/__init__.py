@@ -3,6 +3,7 @@ semiclassical Schrodinger equation with a periodic lattice potential."""
 
 from .bands import (
     BandTable,
+    ChiInterpolator,
     assemble_hk,
     berry_connection,
     eval_band,
@@ -40,7 +41,6 @@ from .steppers import (
 from .wkb import (
     AmplitudeTrajectory,
     CausticReport,
-    ChiInterpolator,
     PhaseTrajectory,
     WkbComparison,
     bicharacteristics,

@@ -1,4 +1,5 @@
-"""Truncated Bloch eigenproblem: assembly, solve, gauge fixing, and band queries.
+"""Truncated Bloch eigenproblem: assembly, solve, gauge fixing, band queries,
+and off-node Bloch eigenvectors (ChiInterpolator).
 
 The shifted Hamiltonian acts on the 2*Lambda lowest Fourier modes of the
 periodic eigenfunction part; its matrix entry (i, j) (1-based) is
@@ -13,6 +14,7 @@ import functools
 import hashlib
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import (
     BandIndexOutOfRange,
     EigensolverFailure,
     IoFailure,
+    NonFinite,
     TruncationTooSmall,
 )
 from .grid import SimulationGrid, read_file, write_file
@@ -153,16 +156,6 @@ def _band_solve(parts, Lambda: int, ks, m: int):
     return band_gap(vals, m - 1 - lo), vecs[m - 1 - lo]
 
 
-def _band_vectors(parts, Lambda: int, ks, m: int) -> np.ndarray:
-    """_band_solve's vectors; BandGapTooSmall when band m is within
-    GAP_FLOOR of a neighbour at some k."""
-    gap, vecs = _band_solve(parts, Lambda, ks, m)
-    j = int(np.argmin(gap))
-    if gap[j] <= GAP_FLOOR:
-        raise BandGapTooSmall(f"band {m} gap {gap[j]:g} at k = {ks[j]:g}")
-    return vecs
-
-
 def _chebyshev_vectors(parts, Lambda: int, m: int):
     """(ks, interpolant): the k solved, in order, and band m's eigenvector as
     a function of 1-D k in [-1/2, 1/2], or None when the band has none.
@@ -213,6 +206,122 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray,
     return (c @ values) / c.sum(axis=1)[:, None]
 
 
+def _unit_conj(ov):
+    """Phase conj(ov)/|ov| aligning a vector to a reference; 1 where |ov| <= 1e-12."""
+    a = np.abs(ov)
+    return np.divide(np.conj(ov), a, out=np.ones_like(ov), where=a > 1e-12)
+
+
+class ChiInterpolator:
+    """Off-node Bloch eigenvector evaluation, gauge-matched to a band table.
+
+    The band's eigenvector is interpolated in k from node solves made once,
+    here (_chebyshev_vectors); a band with no interpolant has each distinct
+    folded k of a call solved at that exact k by _band_solve, and raises
+    BandGapTooSmall where band m is within GAP_FLOOR of a neighbour.  Each
+    vector is normalised and its phase aligned by maximal real overlap with
+    the linear interpolation of the two bracketing table vectors.
+    """
+
+    def __init__(self, bands: BandTable, m: int):
+        bands.check_band(m)
+        self.bands = bands
+        self.m = m
+        self._parts = _hamiltonian_parts(bands.potential, bands.Lambda)
+        solved, self._interpolant = _chebyshev_vectors(
+            self._parts, bands.Lambda, m)
+        # k of every eigensolve, the interpolant's nodes first:
+        # perfbench/workloads.py:320 and :385 read len(_cache) as the solve
+        # count until ROADMAP item 1's recorder
+        self._cache = array("d", solved.tolist())
+        # keys evaluated at once: a block's (keys, 2*Lambda) rows stay at
+        # 128 KB, and its (keys, nodes) interpolation weights, at most 129
+        # nodes, at 264 KB for Lambda = 32
+        self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
+        # points evaluated at once: a block's (2*Lambda, points) coefficient
+        # table stays at 128 KB
+        self._rows_per_block = max(1, 2 ** 13 // (2 * bands.Lambda))
+        # table vectors at node indices 0..L+1, which bracket every folded k,
+        # each paired with its successor aligned to it so that a blend never
+        # cancels (the wrapped node carries the band's gauge holonomy)
+        nodes, ov = _node_overlaps(bands, m)
+        self._pairs = nodes[:-1], nodes[1:] * _unit_conj(ov)[:, None]
+        # gauge holonomy of the band across one zone: the smooth continuation
+        # obeys chi(y, k+1) = h * exp(-i y) * chi(y, k), with h the phase that
+        # aligns the wrapped node L to node L-1 (+-1, the Zak phase, for a
+        # lattice potential with reflection symmetry; any unit phase without)
+        self.holonomy = complex(_unit_conj(ov[-2]))
+
+    def _solve(self, kf: np.ndarray) -> np.ndarray:
+        """Gauge-aligned coefficient rows at the folded kf."""
+        pos = (kf + 0.5) * self.bands.grid.L  # fractional node index
+        node = np.floor(pos).astype(int)
+        w = (pos - node)[:, None]
+        ref = (1 - w) * self._pairs[0][node] + w * self._pairs[1][node]
+        if self._interpolant is None:
+            gap, vecs = _band_solve(self._parts, self.bands.Lambda, kf, self.m)
+            j = int(np.argmin(gap))
+            if gap[j] <= GAP_FLOOR:
+                raise BandGapTooSmall(
+                    f"band {self.m} gap {gap[j]:g} at k = {kf[j]:g}")
+            self._cache.extend(kf.tolist())
+        else:
+            vecs = self._interpolant(kf)
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        ov = np.einsum("ij,ij->i", ref.conj(), vecs)
+        return vecs * _unit_conj(ov)[:, None]
+
+    def _rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows at the distinct folded k of 1-D k, each evaluated once, and
+        each point's row index."""
+        if not np.all(np.isfinite(k)):
+            raise NonFinite("non-finite quasi-momentum")
+        kf, inv = np.unique(fold_k(k), return_inverse=True)
+        rows = np.empty((kf.size, 2 * self.bands.Lambda), dtype=complex)
+        for b in range(0, kf.size, n := self._keys_per_block):
+            rows[b:b + n] = self._solve(kf[b:b + n])
+        return rows, inv
+
+    def coeffs(self, k: float) -> np.ndarray:
+        """Unit-norm Fourier coefficients, lam in [-Lambda, Lambda), of chi_m
+        at the folded k, with no slot move for its zone shift: coeffs(2.3)
+        is the k = 0.3 vector."""
+        return self._rows(np.array([float(k)]))[0][0]
+
+    def chi_values(self, k, y) -> np.ndarray:
+        """chi_m(y_i, k_i) elementwise for matching arrays k and y.
+
+        k may lie outside the first zone: the cell function obeys
+        chi(y, k + 1) = exp(-i y) chi(y, k), so the evaluation folds k and
+        restores the zone-shift phase.  Without it the two-scale assembly
+        a(x) chi(x/eps, k(x)) exp(i phi/eps) would be discontinuous wherever
+        the phase gradient crosses a zone edge.
+
+        With s the zone shift of k and c_j = chi-hat(j - Lambda, k), the sum
+        sum_lam chi-hat(lam) exp(i (lam - s) y) is exp(-i (Lambda + s) y)
+        times the polynomial sum_j c_j z^j in z = exp(i y), summed by
+        Horner's rule: two complex exponentials per point rather than
+        2*Lambda.
+        """
+        kv, yv = np.ravel(k).astype(float), np.ravel(y).astype(float)
+        if not np.all(np.isfinite(yv)):
+            raise NonFinite("non-finite cell coordinate")
+        rows, inv = self._rows(kv)
+        shift = np.rint(kv - fold_k(kv))
+        z = np.exp(1j * yv)
+        out = np.exp(-1j * (self.bands.Lambda + shift) * yv)
+        out *= self.holonomy ** shift
+        for b in range(0, kv.size, self._rows_per_block):
+            blk = slice(b, b + self._rows_per_block)
+            c, zb = rows.T[:, inv[blk]], z[blk]  # c: (2*Lambda, points)
+            acc = c[-1].copy()
+            for j in range(c.shape[0] - 2, -1, -1):
+                acc *= zb
+                acc += c[j]
+            out[blk] *= acc
+        return out.reshape(np.shape(k) or (1,))
+
+
 @dataclass
 class BandTable:
     """Energies and gauge-aligned eigenvector coefficients per (band, k-node).
@@ -232,11 +341,6 @@ class BandTable:
     energies: np.ndarray  # (M, L)
     vectors: np.ndarray   # (M, L, 2*Lambda) float64 or complex128
     potential: PeriodicPotential
-    gauge_tag: str = "parallel-transport, anchor: largest coefficient real positive"
-
-    @property
-    def k_nodes(self) -> np.ndarray:
-        return self.grid.k_nodes
 
     def check_band(self, m: int) -> None:
         if not 1 <= m <= self.M:
@@ -398,6 +502,13 @@ def _neighbor_vector(table: BandTable, m: int, l) -> np.ndarray:
         v, np.clip(src, 0, v.shape[-1] - 1), axis=-1), 0)
 
 
+def _node_overlaps(table: BandTable, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, ov): band m's vectors at node indices 0..L+1, wrapped by
+    _neighbor_vector, and their overlaps ov[l] = <v_l, v_{l+1}>, l = 0..L."""
+    nodes = _neighbor_vector(table, m, np.arange(table.grid.L + 2))
+    return nodes, np.einsum("ij,ij->i", nodes[:-1].conj(), nodes[1:])
+
+
 def band_gap(energies: np.ndarray, i: int) -> np.ndarray:
     """Distance of row i of energies (bands first) to its nearest neighboring row."""
     near = [j for j in (i - 1, i + 1) if 0 <= j < len(energies)]
@@ -423,10 +534,8 @@ def berry_connection(table: BandTable, m: int) -> np.ndarray:
     if gap.min() <= GAP_FLOOR:
         raise BandGapTooSmall(
             f"band {m} nearly degenerate at node {int(np.argmin(gap))}")
-    L = table.grid.L
-    rows = _neighbor_vector(table, m, np.arange(L + 1))
-    ahead = np.abs(np.vecdot(rows[:-1], rows[1:]))  # |<v_l, v_{l+1}>|
-    return (ahead - np.roll(ahead, 1)) * (L / 2.0)
+    ahead = np.abs(_node_overlaps(table, m)[1][:-1])  # |<v_l, v_{l+1}>|
+    return (ahead - np.roll(ahead, 1)) * (table.grid.L / 2.0)
 
 
 def save_band_cache(table: BandTable, path) -> None:

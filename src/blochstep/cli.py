@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -40,15 +41,18 @@ def _add_problem_flags(p: argparse.ArgumentParser, external_default="none",
     p.add_argument("--out", default=out_default)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a step or point count: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return n
+def _count(low: int):
+    """argparse type of a step, point or snapshot count: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer >= {low}")
+        return n
+    return parse
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -56,21 +60,19 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _lattice_setup(args):
-    """The grid, the lattice and the Fourier truncation of its bands."""
+def _setup(args):
+    """(out, grid, lattice, Lambda of its bands, U or None): the specs parse
+    before the output directory is made, and the solves come after it."""
     grid = build_grid(args.eps, args.R)
     Lambda = max(args.Lambda, args.R // 2 + 1, args.M)
-    return grid, lattice_from_spec(args.lattice, max(2 * Lambda, 64)), Lambda
-
-
-def _band_setup(args):
-    grid, lattice, Lambda = _lattice_setup(args)
-    return grid, lattice, solve_bands(lattice, grid, Lambda, args.M)
+    lattice = lattice_from_spec(args.lattice, max(2 * Lambda, 64))
+    U = external_from_spec(args.external) if "external" in args else None
+    return output_dir(args.out), grid, lattice, Lambda, U
 
 
 def cmd_bands(args) -> int:
-    out = output_dir(args.out)
-    grid, _, table = _band_setup(args)
+    out, grid, lattice, Lambda, _ = _setup(args)
+    table = solve_bands(lattice, grid, Lambda, args.M)
     cache = out / "bands.bin"
     save_band_cache(table, cache)
     header = "k," + ",".join(f"E_{m}" for m in range(1, args.M + 1))
@@ -83,12 +85,10 @@ def cmd_bands(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    out = output_dir(args.out)
-    grid, lattice, Lambda = _lattice_setup(args)
+    out, grid, lattice, Lambda, U = _setup(args)
     # TS samples the lattice and needs no band table
     table = (solve_bands(lattice, grid, Lambda, args.M)
              if args.scheme == "bd" else None)
-    U = external_from_spec(args.external)
     psi0 = sample_gaussian(grid)
     cfg = StepperConfig(args.scheme, args.order, args.T / args.steps,
                         bands=table, lattice=lattice, external=U)
@@ -112,9 +112,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = output_dir(args.out)
-    grid, lattice, table = _band_setup(args)
-    U = external_from_spec(args.external)
+    out, grid, lattice, Lambda, U = _setup(args)
+    table = solve_bands(lattice, grid, Lambda, args.M)
     psi0 = sample_gaussian(grid)
     bd_cfg = StepperConfig("bd", "strang", args.T / args.bd_steps,
                            bands=table, external=U)
@@ -144,9 +143,8 @@ _PHI0 = {"zero": lambda x: 0.0 * x, "neg-cos": lambda x: -np.cos(x)}
 
 
 def cmd_wkb(args) -> int:
-    out = output_dir(args.out)
-    grid, _, table = _band_setup(args)
-    U = external_from_spec(args.external)
+    out, grid, lattice, Lambda, U = _setup(args)
+    table = solve_bands(lattice, grid, Lambda, args.M)
     phi0 = _PHI0[args.phi0]
     files = []
     if args.compare:
@@ -218,15 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("lie", "strang"), default="strang")
     _add_problem_flags(p)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--steps", type=_positive_int, default=100)
-    p.add_argument("--snapshot-every", type=int, default=0)
+    p.add_argument("--steps", type=_count(1), default=100)
+    p.add_argument("--snapshot-every", type=_count(0), default=0,
+                   help="steps between snapshots; 0 keeps the final field only")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("compare", help="BD vs TS errors against a fine reference")
     _add_problem_flags(p, external_default="harmonic")
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--bd-steps", type=_positive_int, default=100)
-    p.add_argument("--ts-steps", type=_positive_int, default=1000)
+    p.add_argument("--bd-steps", type=_count(1), default=100)
+    p.add_argument("--ts-steps", type=_count(1), default=1000)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("wkb", help="asymptotic phase/amplitude evolution")
@@ -234,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi0", choices=tuple(_PHI0), default="zero")
     _add_problem_flags(p, external_default="harmonic")
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--nx", type=_positive_int, default=256)
-    p.add_argument("--steps", type=_positive_int, default=1000,
+    p.add_argument("--nx", type=_count(1), default=256)
+    p.add_argument("--steps", type=_count(1), default=1000,
                    help="BD steps when --compare is set")
     p.add_argument("--compare", action="store_true",
                    help="run the full solver alongside and emit differences")
@@ -262,11 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  Input the package rejects, a BlochStepError or a
     ValueError, ends it with one line on stderr and status 2, argparse's own
-    status for bad input."""
+    status for bad input; an --out directory this run made is removed if
+    empty, as checks such as solve_bands' on M come after it is made."""
     args = build_parser().parse_args(argv)
+    out = Path(args.out) if getattr(args, "out", "") else None
+    fresh = out is not None and not out.exists()
     try:
         return args.func(args)
     except (BlochStepError, ValueError) as exc:
+        if fresh and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()
         print(f"blochstep {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

@@ -60,9 +60,11 @@ class ExperimentConfig:
         if self.dt_list and not all(
                 a > b for a, b in zip(self.dt_list, self.dt_list[1:])):
             raise ValueError("dt list must be strictly decreasing")
-        if not all(h > 0 for h in (self.dt, *self.dt_list)):
-            raise ValueError(f"steps must be > 0: dt = {self.dt}, "
+        if not all(0 < h < np.inf for h in (self.dt, *self.dt_list)):
+            raise ValueError(f"steps must be > 0 and finite: dt = {self.dt}, "
                              f"dt list = {self.dt_list}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T = {self.T} must be finite and > 0")
 
 
 @dataclass
@@ -322,7 +324,7 @@ def selftest(verbose: bool = True) -> bool:
         twisted = type(tab)(grid=tab.grid, M=tab.M, Lambda=tab.Lambda,
                             energies=tab.energies,
                             vectors=tab.vectors * phases[:, :, None],
-                            potential=tab.potential, gauge_tag="random")
+                            potential=tab.potential)
         out = step(psi, StepperConfig("bd", "strang", 0.01, bands=twisted))
         assert np.max(np.abs(out.values - ref.values)) < 1e-12
 

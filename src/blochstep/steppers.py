@@ -223,8 +223,8 @@ class StepperConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.splitting_order not in ("lie", "strang"):
             raise ValueError(f"unknown splitting order {self.splitting_order!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt = {self.dt} must be finite and > 0")
         if self.scheme == "bd" and self.bands is None:
             raise ValueError("BD scheme needs a band table")
         if self.scheme == "ts" and self.lattice is None:
@@ -284,9 +284,10 @@ def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
     """Apply N steps of size T/N, recording mass (and band masses on request).
     Between steps the field stays in the propagator's basis: physical samples
     are formed only for snapshots, the final field and TS band masses.  A
-    step whose mass is not finite raises NonFinite naming the step."""
-    if N < 1 or T <= 0:
-        raise ValueError("need N >= 1 and T > 0")
+    step whose mass is not finite raises NonFinite naming the step; ValueError
+    unless N >= 1 and T is finite and > 0."""
+    if N < 1 or not 0 < T < np.inf:
+        raise ValueError(f"need N >= 1 and a finite T > 0 (N = {N}, T = {T})")
     cfg = replace(config, dt=T / N)
     grid = psi0.grid
     if not np.all(np.isfinite(psi0.values)):

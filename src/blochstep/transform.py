@@ -119,22 +119,11 @@ class BlochTransform:
         """Window Gram matrices G_l[m', m] = sum_r conj(chi_{m'lr}) chi_{mlr},
         shape (L, M, M), so that forward(backward(C))_l = G_l C_l up to
         FFT round-off.  G differs from I where the bands leak out of the
-        R-mode window.  A real chi gives the real G = chi chi^T, one
-        matmul; a complex chi is built from its real and imaginary views,
-        so that no conjugated copy of it is made."""
-        L, M, _ = self.chi.shape
-        a = self.chi.real
-        at = a.transpose(0, 2, 1)
-        if not np.iscomplexobj(self.chi):
-            return a @ at
-        b = self.chi.imag
-        bt = b.transpose(0, 2, 1)
-        G = np.empty((L, M, M), dtype=complex)
-        np.matmul(a, at, out=G.real)
-        G.real += b @ bt
-        np.matmul(a, bt, out=G.imag)
-        G.imag -= b @ at
-        return G
+        R-mode window.  A real chi gives the real G = chi chi^T."""
+        chi_t = self.chi.transpose(0, 2, 1)
+        if np.iscomplexobj(self.chi):
+            return np.conj(self.chi) @ chi_t
+        return self.chi @ chi_t
 
     def band_norms(self, C: np.ndarray) -> np.ndarray:
         """Discrete L2 norm of each single-band part of backward(C), (M,),
@@ -193,12 +182,8 @@ def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:
     return BlochCoeffs(bands, C.T)
 
 
-def band_reconstruct(coeffs: BlochCoeffs, bands: BandTable | None = None) -> CellField:
+def band_reconstruct(coeffs: BlochCoeffs) -> CellField:
     """Sum of band contributions; normalized so reconstruct(project(.)) is the
     identity on fields spanned by the first M bands."""
-    if bands is None:
-        bands = coeffs.bands
-    elif bands is not coeffs.bands and (
-            bands.M != coeffs.bands.M or bands.grid.L != coeffs.bands.grid.L):
-        raise ShapeMismatch("coefficients tied to an incompatible band table")
+    bands = coeffs.bands
     return CellField(bands.grid, BlochTransform(bands)._expand(coeffs.values.T))

@@ -11,7 +11,6 @@ a periodic spectral antiderivative plus the evolving cell average.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,10 +18,7 @@ import numpy as np
 
 from .bands import (
     BandTable,
-    _band_vectors,
-    _chebyshev_vectors,
-    _hamiltonian_parts,
-    _neighbor_vector,
+    ChiInterpolator,
     _trig_interpolant,
     berry_connection,
     eval_band_deriv,
@@ -124,6 +120,15 @@ def _spectral_derivative(f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * kappa * np.fft.fft(f)).real
 
 
+def _steps(t_end: float, dt: float) -> tuple[int, float]:
+    """(n, t_end / n): the fewest equal steps of at most dt that reach t_end;
+    ValueError unless t_end and dt are finite and > 0."""
+    if not (0 < t_end < np.inf and 0 < dt < np.inf):
+        raise ValueError(f"t_end = {t_end} and dt = {dt} must be finite and > 0")
+    n = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    return n, t_end / n
+
+
 def _cfl_step(bands: BandTable, m: int, nx: int) -> tuple[float, float, float]:
     """(vmax, speed, dt): vmax = max |dE_m/dk| over 4L + 1 points of the
     zone, floored at 1e-6; the frozen relaxation speed 1.1 vmax; and the
@@ -148,7 +153,8 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     samples across the domain, capped by the solver grid) so that the onset
     time is stable under solver-grid refinement: at a forming discontinuity
     the raw grid-scale slope doubles with every refinement and would
-    otherwise push the detection time toward zero.
+    otherwise push the detection time toward zero.  ValueError unless
+    t_end, and dt when given, are finite and > 0.
     """
     bands.check_band(m)
     if nx < 1:
@@ -168,8 +174,7 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     elif dt > 0.5 * dx / vmax:
         raise CFLViolation(f"dt = {dt} exceeds 0.5*dx/max|dE/dk| = "
                            f"{0.5 * dx / vmax:g}")
-    nsteps = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    dt = t_end / nsteps
+    nsteps, dt = _steps(t_end, dt)
 
     energy = _trig_interpolant(bands, m, 0)
 
@@ -278,118 +283,6 @@ def transport_solve(bands: BandTable, m: int, U: ExternalPotential,
                                a=np.array(out))
 
 
-def _unit_conj(ov):
-    """Phase conj(ov)/|ov| aligning a vector to a reference; 1 where |ov| <= 1e-12."""
-    a = np.abs(ov)
-    return np.divide(np.conj(ov), a, out=np.ones_like(ov), where=a > 1e-12)
-
-
-class ChiInterpolator:
-    """Off-node Bloch eigenvector evaluation, gauge-matched to a band table.
-
-    The band's eigenvector is interpolated in k from node solves made once,
-    here (bands._chebyshev_vectors); a band with no interpolant has each
-    distinct folded k of a call solved at that exact k, by bands._band_vectors.
-    Each vector is normalised and its phase aligned by maximal real overlap
-    with the linear interpolation of the two bracketing table vectors.
-    """
-
-    def __init__(self, bands: BandTable, m: int):
-        bands.check_band(m)
-        self.bands = bands
-        self.m = m
-        self._parts = _hamiltonian_parts(bands.potential, bands.Lambda)
-        solved, self._interpolant = _chebyshev_vectors(
-            self._parts, bands.Lambda, m)
-        # k of every eigensolve, the interpolant's nodes first:
-        # perfbench/workloads.py:320 and :385 read len(_cache) as the solve
-        # count until ROADMAP item 1's recorder
-        self._cache = array("d", solved.tolist())
-        # keys evaluated at once: a block's (keys, 2*Lambda) rows stay at
-        # 128 KB, and its (keys, nodes) interpolation weights, at most 129
-        # nodes, at 264 KB for Lambda = 32
-        self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
-        # points evaluated at once: a block's (2*Lambda, points) coefficient
-        # table stays at 128 KB
-        self._rows_per_block = max(1, 2 ** 13 // (2 * bands.Lambda))
-        # table vectors at node indices 0..L+1, which bracket every folded k,
-        # each paired with its successor aligned to it so that a blend never
-        # cancels (the wrapped node carries the band's gauge holonomy)
-        nodes = _neighbor_vector(bands, m, np.arange(bands.grid.L + 2))
-        ov = np.einsum("ij,ij->i", nodes[:-1].conj(), nodes[1:])
-        self._pairs = nodes[:-1], nodes[1:] * _unit_conj(ov)[:, None]
-        # gauge holonomy of the band across one zone: the smooth continuation
-        # obeys chi(y, k+1) = h * exp(-i y) * chi(y, k), with h the phase that
-        # aligns the wrapped node L to node L-1 (+-1, the Zak phase, for a
-        # lattice potential with reflection symmetry; any unit phase without)
-        self.holonomy = complex(_unit_conj(ov[-2]))
-
-    def _solve(self, kf: np.ndarray) -> np.ndarray:
-        """Gauge-aligned coefficient rows at the folded kf."""
-        pos = (kf + 0.5) * self.bands.grid.L  # fractional node index
-        node = np.floor(pos).astype(int)
-        w = (pos - node)[:, None]
-        ref = (1 - w) * self._pairs[0][node] + w * self._pairs[1][node]
-        if self._interpolant is None:
-            vecs = _band_vectors(self._parts, self.bands.Lambda, kf, self.m)
-            self._cache.extend(kf.tolist())
-        else:
-            vecs = self._interpolant(kf)
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        ov = np.einsum("ij,ij->i", ref.conj(), vecs)
-        return vecs * _unit_conj(ov)[:, None]
-
-    def _rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows at the distinct folded k of 1-D k, each evaluated once, and
-        each point's row index."""
-        if not np.all(np.isfinite(k)):
-            raise NonFinite("non-finite quasi-momentum")
-        kf, inv = np.unique(fold_k(k), return_inverse=True)
-        rows = np.empty((kf.size, 2 * self.bands.Lambda), dtype=complex)
-        for b in range(0, kf.size, n := self._keys_per_block):
-            rows[b:b + n] = self._solve(kf[b:b + n])
-        return rows, inv
-
-    def coeffs(self, k: float) -> np.ndarray:
-        """Unit-norm Fourier coefficients, lam in [-Lambda, Lambda), of chi_m
-        at the folded k, with no slot move for its zone shift: coeffs(2.3)
-        is the k = 0.3 vector."""
-        return self._rows(np.array([float(k)]))[0][0]
-
-    def chi_values(self, k, y) -> np.ndarray:
-        """chi_m(y_i, k_i) elementwise for matching arrays k and y.
-
-        k may lie outside the first zone: the cell function obeys
-        chi(y, k + 1) = exp(-i y) chi(y, k), so the evaluation folds k and
-        restores the zone-shift phase.  Without it the two-scale assembly
-        a(x) chi(x/eps, k(x)) exp(i phi/eps) would be discontinuous wherever
-        the phase gradient crosses a zone edge.
-
-        With s the zone shift of k and c_j = chi-hat(j - Lambda, k), the sum
-        sum_lam chi-hat(lam) exp(i (lam - s) y) is exp(-i (Lambda + s) y)
-        times the polynomial sum_j c_j z^j in z = exp(i y), summed by
-        Horner's rule: two complex exponentials per point rather than
-        2*Lambda.
-        """
-        kv, yv = np.ravel(k).astype(float), np.ravel(y).astype(float)
-        if not np.all(np.isfinite(yv)):
-            raise NonFinite("non-finite cell coordinate")
-        rows, inv = self._rows(kv)
-        shift = np.rint(kv - fold_k(kv))
-        z = np.exp(1j * yv)
-        out = np.exp(-1j * (self.bands.Lambda + shift) * yv)
-        out *= self.holonomy ** shift
-        for b in range(0, kv.size, self._rows_per_block):
-            blk = slice(b, b + self._rows_per_block)
-            c, zb = rows.T[:, inv[blk]], z[blk]  # c: (2*Lambda, points)
-            acc = c[-1].copy()
-            for j in range(c.shape[0] - 2, -1, -1):
-                acc *= zb
-                acc += c[j]
-            out[blk] *= acc
-        return out.reshape(np.shape(k) or (1,))
-
-
 def _macro_spline(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Periodic cubic spline through f at x_i = 2*pi*i/n, as a function of x.
 
@@ -463,7 +356,8 @@ def reconstruct_sc(phase: PhaseTrajectory, amp: AmplitudeTrajectory,
 def bicharacteristics(bands: BandTable, m: int, U: ExternalPotential,
                       x0: float, xi0: float, t_end: float,
                       dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 integration of the classical flow (X, Xi); returns (t, X, Xi)."""
+    """RK4 integration of the classical flow (X, Xi); returns (t, X, Xi).
+    ValueError unless t_end and dt are finite and > 0."""
     bands.check_band(m)
     U.derivative(np.atleast_1d(x0))  # NonSmoothForce for a step potential
 
@@ -475,8 +369,7 @@ def bicharacteristics(bands: BandTable, m: int, U: ExternalPotential,
     def vel(Xi):
         return float(velocity(float(fold_k(Xi))))
 
-    n = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n
+    n, dt = _steps(t_end, dt)
     ts = np.empty(n + 1)
     Xs = np.empty(n + 1)
     Xis = np.empty(n + 1)

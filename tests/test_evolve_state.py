@@ -19,6 +19,7 @@ from blochstep import (
     discrete_norms,
     evolve,
     external_from_spec,
+    from_samples,
     kronig_penney,
     mathieu,
     solve_bands,
@@ -79,9 +80,18 @@ def _oracle_evolve(psi0, config, T, N, snapshot_every=0,
 
 # ---- cases ----
 
+def _asymmetric(Lambda):
+    """A real lattice potential without reflection symmetry: complex V-hat,
+    so its band table and Gram matrices are complex."""
+    y = 2 * np.pi * np.arange(8 * Lambda) / (8 * Lambda)
+    return from_samples(np.sin(y) + 0.3 * np.cos(2 * y) + 0.2 * np.sin(3 * y),
+                        Lambda)
+
+
 @lru_cache(maxsize=None)
 def _table(lattice, L):
-    return solve_bands(LATTICES[lattice](R), build_grid(1.0 / L, R), R, M)
+    V = {**LATTICES, "asymmetric": _asymmetric}[lattice](R)
+    return solve_bands(V, build_grid(1.0 / L, R), R, M)
 
 
 def _config(scheme, order, lattice, L, dt=T, external=HARMONIC):
@@ -188,7 +198,7 @@ def test_non_finite_injected_at_step_k_raises_at_step_k(scheme, order, lattice,
     assert len(steps) == k
 
 
-@pytest.mark.parametrize("lattice", sorted(LATTICES))
+@pytest.mark.parametrize("lattice", sorted(LATTICES) + ["asymmetric"])
 @pytest.mark.parametrize("L", [1, 3, 7, 8, 32])
 def test_gram_matrix_is_the_transform_round_trip(lattice, L):
     tab = _table(lattice, L)
@@ -196,6 +206,7 @@ def test_gram_matrix_is_the_transform_round_trip(lattice, L):
     rng = np.random.default_rng(L)
     C = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
     G = tr.gram()
+    assert np.iscomplexobj(G) == (lattice == "asymmetric")
     GC = np.matmul(G, C.T[:, :, None])[:, :, 0].T
     assert _gap(tr.forward(tr.backward(C.T)).T, GC) <= TOL
     # the Kronig-Penney bands leak out of the R-mode window, so a loop that

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochstep import WaveField, build_grid, sample_gaussian
+from blochstep import (
+    StepperConfig,
+    WaveField,
+    build_grid,
+    evolve,
+    sample_gaussian,
+)
 from blochstep.errors import IoFailure, ShapeMismatch
 from blochstep.harness import (
     ErrorReport,
@@ -127,6 +133,9 @@ def test_cli_bands_rejects_m_below_one(tmp_path, capsys):
         "blochstep bands: ValueError: M must be >= 1\n"
 
 
+_SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
+
+
 @pytest.mark.parametrize("argv,error", [
     (["bands", "--M", "0"], "ValueError: M must be >= 1"),
     (["evolve", "--eps", "0.3"], "NonIntegerCellCount: "),
@@ -137,18 +146,26 @@ def test_cli_bands_rejects_m_below_one(tmp_path, capsys):
     (["bands", "--eps", "0"], "NonIntegerCellCount: "),
     (["bands", "--eps", "nan"], "NonIntegerCellCount: "),
     (["convergence", "--dt", "0"], "ValueError: steps must be > 0"),
+    (["wkb", "--t-end", "-1"] + _SMALL, "ValueError: t_end = -1.0 and dt = "),
+    (["wkb", "--t-end", "inf"] + _SMALL, "ValueError: t_end = inf and dt = "),
+    (["evolve", "--T", "nan"] + _SMALL,
+     "ValueError: dt = nan must be finite and > 0"),
+    (["convergence", "--T", "-1"], "ValueError: T = -1.0 must be finite and > 0"),
 ], ids=["bands", "evolve", "compare", "wkb", "convergence", "bands-eps-0",
-        "bands-eps-nan", "convergence-dt-0"])
+        "bands-eps-nan", "convergence-dt-0", "wkb-t-end-negative",
+        "wkb-t-end-inf", "evolve-T-nan", "convergence-T-negative"])
 def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
                                                      monkeypatch, argv, error):
     """Each subcommand ends rejected input with one line on stderr, naming
-    the subcommand and the error, and status 2, with no traceback."""
+    the subcommand and the error, and status 2, with no traceback, and
+    leaves no --out directory behind."""
     from blochstep.cli import main
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"blochstep {argv[0]}: {error}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -159,16 +176,19 @@ def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
     ["wkb", "--nx", "0"],
     ["wkb", "--nx", "-2"],
     ["evolve", "--steps", "1.5"],
+    ["evolve", "--snapshot-every", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_counts_below_one_through_argparse(tmp_path, capsys, argv):
-    """A step or point count below 1 is refused while the flags are parsed,
-    with argparse's usage line and status 2, before anything divides by it."""
+    """A step or point count below 1, or a snapshot interval below 0, is
+    refused while the flags are parsed, with argparse's usage line and
+    status 2, before anything divides by it."""
     from blochstep.cli import main
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(tmp_path / "out")])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "is not an integer >= 1" in err and "Traceback" not in err
+    low = 0 if "--snapshot-every" in argv else 1
+    assert f"is not an integer >= {low}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -181,7 +201,6 @@ def test_cli_evolve_names_final_field_after_end_time(tmp_path):
                                                           "psi_t1.csv"]
 
 
-_SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
 _COMPARE = ["compare", "--T", "0.02", "--bd-steps", "2", "--ts-steps", "2"]
 _WKB = ["wkb", "--nx", "32", "--t-end", "0.02"]
 
@@ -286,7 +305,7 @@ def test_config_rejects_nondecreasing_dt_list():
 
 
 @pytest.mark.parametrize("steps", [
-    {"dt": 0.0}, {"dt": -0.01}, {"dt": float("nan")},
+    {"dt": 0.0}, {"dt": -0.01}, {"dt": float("nan")}, {"dt": float("inf")},
     {"scenario": "temporal", "dt_list": (0.1, -1.0)},
     {"scenario": "temporal", "dt_list": (0.1, 0.0)},
 ])
@@ -295,6 +314,18 @@ def test_config_rejects_non_positive_steps(steps):
     # a silent one-step study
     with pytest.raises(ValueError, match="steps must be > 0"):
         ExperimentConfig(**steps)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_times_must_be_finite_and_positive(mathieu_table, bad):
+    # a NaN dt passed "dt <= 0", and a NaN or infinite T ran into NonFinite
+    with pytest.raises(ValueError, match="T = .* must be finite and > 0"):
+        ExperimentConfig(T=bad)
+    with pytest.raises(ValueError, match="dt = .* must be finite and > 0"):
+        StepperConfig("bd", "strang", bad, bands=mathieu_table)
+    cfg = StepperConfig("bd", "strang", 0.01, bands=mathieu_table)
+    with pytest.raises(ValueError, match="finite T > 0"):
+        evolve(sample_gaussian(mathieu_table.grid), cfg, bad, 2)
 
 
 def test_config_rejects_unknown_scheme(tmp_path):

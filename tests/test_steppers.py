@@ -183,7 +183,7 @@ def test_gauge_invariance_of_bd_step(seed):
     twisted = type(tab)(grid=grid, M=4, Lambda=16,
                         energies=tab.energies,
                         vectors=tab.vectors * phases[:, :, None],
-                        potential=tab.potential, gauge_tag="random")
+                        potential=tab.potential)
     out = step(psi, StepperConfig("bd", "strang", 0.02, bands=twisted,
                                   external=HARMONIC))
     assert np.max(np.abs(out.values - ref.values)) < 1e-12

@@ -89,6 +89,24 @@ def test_hj_rejects_no_points(baseline_mathieu, nx):
         hj_solve(baseline_mathieu, 1, NONE, zero_phase, 0.1, nx)
 
 
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, np.inf, np.nan])
+def test_hj_and_bicharacteristics_reject_bad_horizons(baseline_mathieu, t_end):
+    # a negative t_end used to take one backward step past the CFL check,
+    # and an infinite one to end in OverflowError
+    with pytest.raises(ValueError, match=r"^t_end = \S+ and dt = "):
+        hj_solve(baseline_mathieu, 1, NONE, zero_phase, t_end, 16)
+    with pytest.raises(ValueError, match=r"^t_end = \S+ and dt = "):
+        bicharacteristics(baseline_mathieu, 1, NONE, 1.0, 0.1, t_end, 1e-3)
+
+
+@pytest.mark.parametrize("dt", [-1e-3, 0.0, np.nan])
+def test_hj_and_bicharacteristics_reject_bad_steps(baseline_mathieu, dt):
+    with pytest.raises(ValueError, match=rf"and dt = {dt} must be finite"):
+        hj_solve(baseline_mathieu, 1, NONE, zero_phase, 0.1, 16, dt=dt)
+    with pytest.raises(ValueError, match=rf"and dt = {dt} must be finite"):
+        bicharacteristics(baseline_mathieu, 1, NONE, 1.0, 0.1, 0.1, dt)
+
+
 def test_hj_non_finite_phase_raises_its_own_error(baseline_mathieu):
     # a NaN phase gradient gives NaN band energies, not an exception from
     # the interpolant, so hj_solve reports the blow-up itself
