@@ -285,9 +285,10 @@ def evolve(psi0: WaveField, config: StepperConfig, T: float, N: int,
     Between steps the field stays in the propagator's basis: physical samples
     are formed only for snapshots, the final field and TS band masses.  A
     step whose mass is not finite raises NonFinite naming the step; ValueError
-    unless N >= 1 and T is finite and > 0."""
-    if N < 1 or not 0 < T < np.inf:
-        raise ValueError(f"need N >= 1 and a finite T > 0 (N = {N}, T = {T})")
+    unless N >= 1, T is finite and > 0 and snapshot_every >= 0."""
+    if N < 1 or not 0 < T < np.inf or snapshot_every < 0:
+        raise ValueError(f"need N >= 1, a finite T > 0 and snapshot_every >= 0 "
+                         f"(N = {N}, T = {T}, snapshot_every = {snapshot_every})")
     cfg = replace(config, dt=T / N)
     grid = psi0.grid
     if not np.all(np.isfinite(psi0.values)):

@@ -198,6 +198,13 @@ def test_non_finite_injected_at_step_k_raises_at_step_k(scheme, order, lattice,
     assert len(steps) == k
 
 
+def test_evolve_refuses_a_negative_snapshot_interval():
+    # -1 used to take a snapshot after every step, as 1 does
+    cfg = _config("bd", "strang", "mathieu", 3)
+    with pytest.raises(ValueError, match="snapshot_every >= 0"):
+        evolve(_random_field(cfg.bands.grid, 0), cfg, T, 2, snapshot_every=-1)
+
+
 @pytest.mark.parametrize("lattice", sorted(LATTICES) + ["asymmetric"])
 @pytest.mark.parametrize("L", [1, 3, 7, 8, 32])
 def test_gram_matrix_is_the_transform_round_trip(lattice, L):

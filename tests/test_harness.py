@@ -305,9 +305,10 @@ def test_config_rejects_nondecreasing_dt_list():
 
 
 @pytest.mark.parametrize("steps", [
-    {"dt": 0.0}, {"dt": -0.01}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"dt": 0.0}, {"dt": -0.01}, {"dt": float("nan")},
     {"scenario": "temporal", "dt_list": (0.1, -1.0)},
     {"scenario": "temporal", "dt_list": (0.1, 0.0)},
+    {"dt": float("inf")},
 ])
 def test_config_rejects_non_positive_steps(steps):
     # dt = 0 used to end in ZeroDivisionError, and a dt list of 0.1, -1 in
