@@ -434,22 +434,24 @@ def _trig_interpolant(table: BandTable, m: int, deriv: int):
     coefficient, which enters symmetrized as a_{L/2} cos(pi*L*s) so that the
     interpolant is real.  A k-derivative multiplies a_j by 2*pi*i*j, which
     gives the Nyquist term's exact -pi*L*a_{L/2} sin(pi*L*s).  The
-    polynomial is split into B blocks of B coefficients, B ~ sqrt(L/2):
-    z^0..z^{B-1} and (z^B)^0..(z^B)^{B-1} come from cumulative products, so
-    a point costs about 2*sqrt(L/2) multiplications rather than L complex
-    exponentials.
+    polynomial is split into B blocks of B coefficients, B ~ sqrt(L/2): a
+    (B, 2, points) table holds z^j and (z^B)^j in row j, filled by doubling
+    (rows h+1..2h are rows 1..h times row h), so a point costs about
+    2*sqrt(L/2) multiplications in about log2(B) vectorized products rather
+    than L complex exponentials.
     """
     table.check_band(m)
     L = table.grid.L
-    a = np.fft.rfft(table.energies[m - 1]) / L
+    a = np.fft.rfft(table.energies[m - 1], norm="forward")
     a[1:(L + 1) // 2] *= 2.0
-    if deriv:
-        a *= (2j * np.pi * np.arange(a.size)) ** deriv
+    for _ in range(deriv):
+        a *= 2j * np.pi * np.arange(a.size)
     B = math.isqrt(a.size - 1) + 1
     blocks = np.zeros(B * B, dtype=complex)
     blocks[:a.size] = a
-    blocks = blocks.reshape(B, B).T  # blocks[r, q] = a_{qB + r}
+    blocks = blocks.reshape(B, B)  # blocks[q, r] = a_{qB + r}
     rows = max(1, _TRIG_BLOCK // (2 * B))
+    freq = np.array([[2j * np.pi], [2j * np.pi * B]])
 
     def interpolant(k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -457,13 +459,16 @@ def _trig_interpolant(table: BandTable, m: int, deriv: int):
         out = np.empty(s.shape)
         for b in range(0, s.size, rows):
             sb = s[b:b + rows]
-            # rows z^0..z^{B-1} of each point, then (z^B)^0..(z^B)^{B-1}
-            powers = np.repeat(np.exp(2j * np.pi * np.outer((1, B), sb)).reshape(
-                -1, 1), B, axis=1)
-            powers[:, 0] = 1.0
-            np.cumprod(powers, axis=1, out=powers)
-            out[b:b + rows] = np.einsum("pq,pq->p", powers[:sb.size] @ blocks,
-                                        powers[sb.size:]).real
+            powers = np.empty((B, 2, sb.size), dtype=complex)
+            powers[0] = 1.0
+            if B > 1:
+                np.exp(freq * sb, out=powers[1])
+            h = 1
+            while h + 1 < B:  # rows h+1..top are rows 1..top-h times row h
+                top = min(2 * h, B - 1)
+                np.multiply(powers[1:top - h + 1], powers[h], powers[h + 1:top + 1])
+                h = top
+            out[b:b + rows] = (blocks @ powers[:, 0] * powers[:, 1]).sum(axis=0).real
         return out.reshape(k.shape)
 
     return interpolant

@@ -61,8 +61,11 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def _setup(args):
-    """(out, grid, lattice, Lambda of its bands, U or None): the specs parse
-    before the output directory is made, and the solves come after it."""
+    """(out, grid, lattice, Lambda of its bands, U or None): the specs parse,
+    and --T is checked, before the output directory is made; the solves come
+    after it."""
+    if "T" in args and not 0 < args.T < np.inf:
+        raise ValueError(f"T = {args.T} must be finite and > 0")
     grid = build_grid(args.eps, args.R)
     Lambda = max(args.Lambda, args.R // 2 + 1, args.M)
     lattice = lattice_from_spec(args.lattice, max(2 * Lambda, 64))
@@ -261,16 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  Input the package rejects, a BlochStepError or a
     ValueError, ends it with one line on stderr and status 2, argparse's own
-    status for bad input; an --out directory this run made is removed if
-    empty, as checks such as solve_bands' on M come after it is made."""
+    status for bad input; the directories this run made for --out, its
+    missing parents included, are removed deepest first while each is empty,
+    as checks such as solve_bands' on M come after they are made."""
     args = build_parser().parse_args(argv)
     out = Path(args.out) if getattr(args, "out", "") else None
-    fresh = out is not None and not out.exists()
+    fresh = [] if out is None else [
+        d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         return args.func(args)
     except (BlochStepError, ValueError) as exc:
-        if fresh and out.is_dir() and not any(out.iterdir()):
-            out.rmdir()
+        for d in fresh:
+            if not d.is_dir() or any(d.iterdir()):
+                break
+            d.rmdir()
         print(f"blochstep {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

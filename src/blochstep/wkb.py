@@ -177,19 +177,18 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     nsteps, dt = _steps(t_end, dt)
 
     energy = _trig_interpolant(bands, m, 0)
-
-    def energy_of(pv):
-        return energy(fold_k(pv))
+    left, right = np.roll(np.arange(nx), 1), np.roll(np.arange(nx), -1)
 
     def rhs(pv):
-        s = _minmod(pv - np.roll(pv, 1), np.roll(pv, -1) - pv)
+        """(dp/dt, d(phibar)/dt) at pv, from one band-energy pass over the
+        interface values and pv."""
+        s = _minmod(pv - pv[left], pv[right] - pv)
         pl = pv + 0.5 * s
-        pr = np.roll(pv - 0.5 * s, -1)
-        flux = 0.5 * (energy_of(pl) + energy_of(pr)) - 0.5 * speed * (pr - pl)
-        return -(flux - np.roll(flux, 1)) / dx - Ux
-
-    def phibar_rate(pv):
-        return -float(np.mean(energy_of(pv) + Uvals))
+        pr = (pv - 0.5 * s)[right]
+        e = energy(fold_k(np.concatenate([pl, pr, pv])))
+        flux = 0.5 * (e[:nx] + e[nx:2 * nx]) - 0.5 * speed * (pr - pl)
+        return (-(flux - flux[left]) / dx - Ux,
+                -float(np.mean(e[2 * nx:] + Uvals)))
 
     npr = min(CAUSTIC_PROBE_POINTS, nx)
     x_probe = TWO_PI * np.arange(npr) / npr
@@ -218,11 +217,9 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     x_c = None
     t = 0.0
     for _ in range(nsteps):
-        k1 = rhs(p)
-        g1 = phibar_rate(p)
+        k1, g1 = rhs(p)
         pmid = p + dt * k1
-        k2 = rhs(pmid)
-        g2 = phibar_rate(pmid)
+        k2, g2 = rhs(pmid)
         p = p + 0.5 * dt * (k1 + k2)
         phibar = phibar + 0.5 * dt * (g1 + g2)
         t += dt

@@ -121,6 +121,31 @@ def test_kronig_penney_eigenvalues_converge_at_third_order():
     assert errors[-1] < 5e-7
 
 
+def _ts_cell_energies(R, k):
+    """Eigenvalues of TS's band problem at k: the R-point cell
+    y_j = 2 pi j / R with the Kronig-Penney profile sampled pointwise, as
+    TSPropagator samples the lattice but on one cell, so that no jump sample
+    moves by round-off, and the spectral kinetic term (1/2)(xi + k)^2 on the
+    DFT frequencies xi."""
+    y = 2 * np.pi * np.arange(R) / R
+    xi = np.fft.fftfreq(R, d=1.0 / R)
+    kinetic = np.fft.ifft(0.5 * (xi[:, None] + k) ** 2
+                          * np.fft.fft(np.eye(R), axis=0), axis=0)
+    return np.linalg.eigvalsh(kinetic + np.diag(kronig_penney(2).sample(y)))
+
+
+def test_ts_band_error_on_kronig_penney_is_first_order():
+    """TS's lattice error on Kronig-Penney: band 2 of the sampled cell
+    problem against the exact energies at three k falls as R^-1, the order
+    pointwise samples of a jump give (measured 5.43e-2 and 2.73e-2 at
+    R = 32 and 64, far above the Galerkin table's 3.6e-6 at Lambda = 32)."""
+    ks = (0.1, 0.3, 0.37)
+    exact = {k: _kp_exact_energies(k)[1] for k in ks}
+    errors = [max(abs(_ts_cell_energies(R, k)[1] - exact[k]) for k in ks)
+              for R in (32, 64)]
+    assert 1.6 <= errors[0] / errors[1] <= 2.5
+
+
 def test_band_table_invariants(mathieu_table):
     tab = mathieu_table
     # ordering, unit coefficient norm, eigen-residual

@@ -149,11 +149,14 @@ _SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
     (["wkb", "--t-end", "-1"] + _SMALL, "ValueError: t_end = -1.0 and dt = "),
     (["wkb", "--t-end", "inf"] + _SMALL, "ValueError: t_end = inf and dt = "),
     (["evolve", "--T", "nan"] + _SMALL,
-     "ValueError: dt = nan must be finite and > 0"),
+     "ValueError: T = nan must be finite and > 0"),
     (["convergence", "--T", "-1"], "ValueError: T = -1.0 must be finite and > 0"),
+    (["compare", "--T", "nan"] + _SMALL,
+     "ValueError: T = nan must be finite and > 0"),
 ], ids=["bands", "evolve", "compare", "wkb", "convergence", "bands-eps-0",
         "bands-eps-nan", "convergence-dt-0", "wkb-t-end-negative",
-        "wkb-t-end-inf", "evolve-T-nan", "convergence-T-negative"])
+        "wkb-t-end-inf", "evolve-T-nan", "convergence-T-negative",
+        "compare-T-nan"])
 def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
                                                      monkeypatch, argv, error):
     """Each subcommand ends rejected input with one line on stderr, naming
@@ -166,6 +169,20 @@ def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
     assert captured.err.startswith(f"blochstep {argv[0]}: {error}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refusal_removes_the_out_parents_it_made(tmp_path, capsys,
+                                                    monkeypatch):
+    """A refused run removes every directory it made for --out, deepest
+    first, and keeps a parent that was there before it."""
+    from blochstep.cli import main
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept").mkdir()
+    for out in ("a/b/c", "kept/d/e"):
+        assert main(["bands", "--M", "0", "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "blochstep bands: ValueError: M must be >= 1\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
 
 
 @pytest.mark.parametrize("argv", [

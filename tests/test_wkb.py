@@ -116,6 +116,94 @@ def test_hj_non_finite_phase_raises_its_own_error(baseline_mathieu):
         hj_solve(baseline_mathieu, 1, NONE, nan_phase, 0.1, 64)
 
 
+def _hj_rolled(bands, m, U, phi0, t_end, nx, dt, caustic_factor=50.0):
+    """The earlier march of hj_solve, kept as an oracle: three band-energy
+    passes per RK stage (left and right interface values, then p for the
+    mean phase) and np.roll neighbours.  (times, phi, p, history, t_c, x_c)."""
+    x = 2 * np.pi * np.arange(nx) / nx
+    dx = 2 * np.pi / nx
+    phi = np.asarray(phi0(x), dtype=float)
+    p = wkb_mod._spectral_derivative(phi)
+    phibar = float(phi.mean())
+    Ux, Uvals = U.derivative(x), U(x)
+    speed = wkb_mod._cfl_step(bands, m, nx)[1]
+    nsteps, dt = wkb_mod._steps(t_end, dt)
+
+    def energy_of(pv):
+        return eval_band(bands, m, wkb_mod.fold_k(pv))
+
+    def rhs(pv):
+        s = wkb_mod._minmod(pv - np.roll(pv, 1), np.roll(pv, -1) - pv)
+        pl = pv + 0.5 * s
+        pr = np.roll(pv - 0.5 * s, -1)
+        flux = 0.5 * (energy_of(pl) + energy_of(pr)) - 0.5 * speed * (pr - pl)
+        return -(flux - np.roll(flux, 1)) / dx - Ux
+
+    def phibar_rate(pv):
+        return -float(np.mean(energy_of(pv) + Uvals))
+
+    npr = min(wkb_mod.CAUSTIC_PROBE_POINTS, nx)
+    x_probe = 2 * np.pi * np.arange(npr) / npr
+
+    def curvature(pv):
+        sub = np.interp(x_probe, np.append(x, 2 * np.pi), np.append(pv, pv[0]))
+        slopes = np.abs(np.roll(sub, -1) - np.roll(sub, 1)) / (4 * np.pi / npr)
+        i = int(np.argmax(slopes))
+        return float(slopes[i]), float(x_probe[i])
+
+    history = [curvature(p)[0]]
+    threshold = caustic_factor * max(history[0], 1.0)
+    times, ps, phis = [0.0], [p], [phi]
+    t, t_c, x_c = 0.0, None, None
+    for _ in range(nsteps):
+        k1, g1 = rhs(p), phibar_rate(p)
+        pmid = p + dt * k1
+        k2, g2 = rhs(pmid), phibar_rate(pmid)
+        p = p + 0.5 * dt * (k1 + k2)
+        phibar = phibar + 0.5 * dt * (g1 + g2)
+        t += dt
+        curv, x_trigger = curvature(p)
+        history.append(curv)
+        times.append(t)
+        ps.append(p)
+        phis.append(phibar + p.mean() * (x - np.pi)
+                    + wkb_mod._periodic_antiderivative(p))
+        if curv > threshold and t_c is None:
+            prev = history[-2]
+            t_c = t - dt + ((threshold - prev) / (curv - prev)
+                            if curv > prev else 1.0) * dt
+            x_c = x_trigger
+    return (np.array(times), np.array(phis), np.array(ps), np.array(history),
+            t_c, x_c)
+
+
+@pytest.mark.parametrize("case", [
+    "mathieu-seam", "kp-caustic", "kp-long-horizon"])
+def test_hj_matches_the_rolled_three_pass_march(baseline_mathieu, kp_table,
+                                                case):
+    """hj_solve's single band-energy pass per stage, on [p_left; p_right; p]
+    with index-array neighbours, gives the earlier march's phase, gradient,
+    trigger history and onset: the wkb_mathieu problem (Lambda = 32,
+    eps = 1/32), the Kronig-Penney caustic and its long horizon past the
+    trigger."""
+    tab, band, phi0, t_end, nx = {
+        "mathieu-seam": (baseline_mathieu, 1, zero_phase, 1.0, 256),
+        "kp-caustic": (kp_table, 2, neg_cos, 0.4, 1024),
+        "kp-long-horizon": (kp_table, 2, lambda x: -2.0 * np.cos(x), 1.5, 512),
+    }[case]
+    dt = min(wkb_mod._cfl_step(tab, band, nx)[2], np.sqrt(tab.grid.epsilon) / 8)
+    traj, rep = hj_solve(tab, band, HARMONIC, phi0, t_end, nx, dt=dt)
+    times, phi, p, history, t_c, x_c = _hj_rolled(tab, band, HARMONIC, phi0,
+                                                  t_end, nx, dt)
+    assert rep.detected and t_c is not None
+    assert np.array_equal(traj.times, times)
+    for got, want in ((traj.phi, phi), (traj.p, p),
+                      (rep.trigger_history, history)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    assert abs(rep.t_c - t_c) <= 1e-13 and rep.x_c == x_c
+
+
 def _scipy_periodic_spline(f):
     """scipy's periodic CubicSpline through f at 2*pi*i/n, real and imaginary
     parts splined separately."""
