@@ -180,8 +180,8 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     left, right = np.roll(np.arange(nx), 1), np.roll(np.arange(nx), -1)
 
     def rhs(pv):
-        """(dp/dt, d(phibar)/dt) at pv, from one band-energy pass over the
-        interface values and pv."""
+        # (dp/dt, d(phibar)/dt) at pv from one band-energy pass over the
+        # left and right interface values and pv
         s = _minmod(pv - pv[left], pv[right] - pv)
         pl = pv + 0.5 * s
         pr = (pv - 0.5 * s)[right]
