@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import struct
 from array import array
 from dataclasses import dataclass
@@ -28,10 +27,11 @@ from .errors import (
     EigensolverFailure,
     IoFailure,
     NonFinite,
+    ShapeMismatch,
     TruncationTooSmall,
 )
 from .grid import SimulationGrid, read_file, write_file
-from .potential import PeriodicPotential
+from .potential import _BLOCK, TWO_PI, PeriodicPotential, _fourier_sum, _powers
 
 _CACHE_MAGIC = b"BDBT"
 
@@ -234,13 +234,8 @@ class ChiInterpolator:
         # perfbench/workloads.py:320 and :385 read len(_cache) as the solve
         # count until ROADMAP item 1's recorder
         self._cache = array("d", solved.tolist())
-        # keys evaluated at once: a block's (keys, 2*Lambda) rows stay at
-        # 128 KB, and its (keys, nodes) interpolation weights, at most 129
-        # nodes, at 264 KB for Lambda = 32
-        self._keys_per_block = max(1, 2 ** 14 // (2 * bands.Lambda))
-        # points evaluated at once: a block's (2*Lambda, points) coefficient
-        # table stays at 128 KB
-        self._rows_per_block = max(1, 2 ** 13 // (2 * bands.Lambda))
+        # keys or points evaluated at once: _BLOCK entries of rows or powers
+        self._block = max(1, _BLOCK // (2 * bands.Lambda))
         # table vectors at node indices 0..L+1, which bracket every folded k,
         # each paired with its successor aligned to it so that a blend never
         # cancels (the wrapped node carries the band's gauge holonomy)
@@ -278,7 +273,7 @@ class ChiInterpolator:
             raise NonFinite("non-finite quasi-momentum")
         kf, inv = np.unique(fold_k(k), return_inverse=True)
         rows = np.empty((kf.size, 2 * self.bands.Lambda), dtype=complex)
-        for b in range(0, kf.size, n := self._keys_per_block):
+        for b in range(0, kf.size, n := self._block):
             rows[b:b + n] = self._solve(kf[b:b + n])
         return rows, inv
 
@@ -289,7 +284,8 @@ class ChiInterpolator:
         return self._rows(np.array([float(k)]))[0][0]
 
     def chi_values(self, k, y) -> np.ndarray:
-        """chi_m(y_i, k_i) elementwise for matching arrays k and y.
+        """chi_m(y_i, k_i) elementwise for k and y broadcast against each
+        other; shapes that do not broadcast raise ShapeMismatch.
 
         k may lie outside the first zone: the cell function obeys
         chi(y, k + 1) = exp(-i y) chi(y, k), so the evaluation folds k and
@@ -299,27 +295,26 @@ class ChiInterpolator:
 
         With s the zone shift of k and c_j = chi-hat(j - Lambda, k), the sum
         sum_lam chi-hat(lam) exp(i (lam - s) y) is exp(-i (Lambda + s) y)
-        times the polynomial sum_j c_j z^j in z = exp(i y), summed by
-        Horner's rule: two complex exponentials per point rather than
-        2*Lambda.
+        times the polynomial sum_j c_j z^j in z = exp(i y), contracted with
+        one _powers table per block of points: two complex exponentials per
+        point rather than 2*Lambda.
         """
-        kv, yv = np.ravel(k).astype(float), np.ravel(y).astype(float)
+        try:
+            k, y = np.broadcast_arrays(k, y)
+        except ValueError:
+            raise ShapeMismatch(f"k of shape {np.shape(k)} and y of shape "
+                                f"{np.shape(y)} do not broadcast") from None
+        kv, yv = k.astype(float).ravel(), y.astype(float).ravel()
         if not np.all(np.isfinite(yv)):
             raise NonFinite("non-finite cell coordinate")
         rows, inv = self._rows(kv)
         shift = np.rint(kv - fold_k(kv))
-        z = np.exp(1j * yv)
         out = np.exp(-1j * (self.bands.Lambda + shift) * yv)
         out *= self.holonomy ** shift
-        for b in range(0, kv.size, self._rows_per_block):
-            blk = slice(b, b + self._rows_per_block)
-            c, zb = rows.T[:, inv[blk]], z[blk]  # c: (2*Lambda, points)
-            acc = c[-1].copy()
-            for j in range(c.shape[0] - 2, -1, -1):
-                acc *= zb
-                acc += c[j]
-            out[blk] *= acc
-        return out.reshape(np.shape(k) or (1,))
+        for b in range(0, kv.size, n := self._block):
+            powers = _powers(1j * yv[b:b + n], rows.shape[1])
+            out[b:b + n] *= np.einsum("jp,jp->p", rows.T[:, inv[b:b + n]], powers)
+        return out.reshape(k.shape or (1,))
 
 
 @dataclass
@@ -419,26 +414,15 @@ def fold_k(k) -> np.ndarray:
     return np.mod(np.asarray(k, dtype=float) + 0.5, 1.0) - 0.5
 
 
-# power-table entries _trig_interpolant forms at once: 256 KB of complex128
-_TRIG_BLOCK = 2 ** 14
-
-
 def _trig_interpolant(table: BandTable, m: int, deriv: int):
     """deriv-th k-derivative of the period-1 trigonometric interpolant of E_m,
-    as a function of k; its coefficients are formed once, here.
-
-    Collocates the stored values at the k-nodes.  With s = k + 1/2 (the
-    phase relative to the first node k_1 = -1/2) and z = exp(2*pi*i*s) on
-    the unit circle, the interpolant is Re sum_{j <= L/2} a_j z^j: a_j is
-    twice the j-th DFT coefficient, except a_0 and, for even L, the Nyquist
-    coefficient, which enters symmetrized as a_{L/2} cos(pi*L*s) so that the
-    interpolant is real.  A k-derivative multiplies a_j by 2*pi*i*j, which
-    gives the Nyquist term's exact -pi*L*a_{L/2} sin(pi*L*s).  The
-    polynomial is split into B blocks of B coefficients, B ~ sqrt(L/2): a
-    (B, 2, points) table holds z^j and (z^B)^j in row j, filled by doubling
-    (rows h+1..2h are rows 1..h times row h), so a point costs about
-    2*sqrt(L/2) multiplications in about log2(B) vectorized products rather
-    than L complex exponentials.
+    as a function of k: Re sum_{j <= L/2} a_j exp(2*pi*i*j*s), s = k + 1/2
+    (the phase relative to the first node, k = -1/2), by _fourier_sum, with
+    a_j formed once, here, from the k-node values.  a_j is twice the j-th
+    DFT coefficient, except a_0 and, for even L, the Nyquist coefficient,
+    which enters as a_{L/2} cos(pi*L*s) so that the interpolant is real.  A
+    k-derivative multiplies a_j by 2*pi*i*j, which gives the Nyquist term's
+    exact derivative.
     """
     table.check_band(m)
     L = table.grid.L
@@ -446,32 +430,7 @@ def _trig_interpolant(table: BandTable, m: int, deriv: int):
     a[1:(L + 1) // 2] *= 2.0
     for _ in range(deriv):
         a *= 2j * np.pi * np.arange(a.size)
-    B = math.isqrt(a.size - 1) + 1
-    blocks = np.zeros(B * B, dtype=complex)
-    blocks[:a.size] = a
-    blocks = blocks.reshape(B, B)  # blocks[q, r] = a_{qB + r}
-    rows = max(1, _TRIG_BLOCK // (2 * B))
-    freq = np.array([[2j * np.pi], [2j * np.pi * B]])
-
-    def interpolant(k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        s = (k + 0.5).reshape(-1)
-        out = np.empty(s.shape)
-        for b in range(0, s.size, rows):
-            sb = s[b:b + rows]
-            powers = np.empty((B, 2, sb.size), dtype=complex)
-            powers[0] = 1.0
-            if B > 1:
-                np.exp(freq * sb, out=powers[1])
-            h = 1
-            while h + 1 < B:  # rows h+1..top are rows 1..top-h times row h
-                top = min(2 * h, B - 1)
-                np.multiply(powers[1:top - h + 1], powers[h], powers[h + 1:top + 1])
-                h = top
-            out[b:b + rows] = (blocks @ powers[:, 0] * powers[:, 1]).sum(axis=0).real
-        return out.reshape(k.shape)
-
-    return interpolant
+    return _fourier_sum(a, TWO_PI, 0.5)
 
 
 def eval_band(table: BandTable, m: int, k) -> np.ndarray:

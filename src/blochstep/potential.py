@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -12,6 +13,51 @@ from .errors import InsufficientSamples, IoFailure, NonFinite, NonSmoothForce
 from .grid import read_file
 
 TWO_PI = 2.0 * np.pi
+
+# table entries formed at once, a power table and a block of points alike:
+# 256 KB of complex128
+_BLOCK = 2 ** 14
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """The power table z^0..z^{n-1} of z = exp(x), (n, *x.shape): row 1 is
+    one complex exponential per point, and rows h+1..min(2h, n-1) are rows
+    1.. times row h for h = 1, 2, 4, ..., about log2(n) vectorized products."""
+    p = np.empty((n,) + x.shape, dtype=complex)
+    p[0] = 1.0
+    if n > 1:
+        np.exp(x, out=p[1])
+    h = 1
+    while h + 1 < n:
+        top = min(2 * h, n - 1)
+        np.multiply(p[1:top - h + 1], p[h], p[h + 1:top + 1])
+        h = top
+    return p
+
+
+def _fourier_sum(c: np.ndarray, w: float = 1.0, x0: float = 0.0):
+    """Re sum_j c_j exp(i j w (x + x0)) as a function of x (any shape), by the
+    baby-step/giant-step split of Paterson & Stockmeyer (SIAM J. Comput. 2,
+    1973), laid out once, here: c in B blocks of B, B = ceil(sqrt(n)).  With
+    z = exp(i w (x + x0)), a (B, 2, points) _powers table holds z^r and (z^B)^q,
+    the block sums over r are one matmul, and the sum over q follows.
+    Points go in blocks of _BLOCK table entries."""
+    B = math.isqrt(c.size - 1) + 1
+    blocks = np.zeros(B * B, dtype=complex)
+    blocks[:c.size] = c
+    blocks = blocks.reshape(B, B)  # blocks[q, r] = c_{qB + r}
+    freq = np.array([[1j * w], [1j * w * B]])
+    rows = max(1, _BLOCK // (2 * B))
+
+    def evaluate(x) -> np.ndarray:
+        flat = (np.asarray(x, dtype=float) + x0).reshape(-1)
+        out = np.empty(flat.shape)
+        for b in range(0, flat.size, rows):
+            p = _powers(freq * flat[b:b + rows], B)
+            out[b:b + rows] = (blocks @ p[:, 0] * p[:, 1]).sum(axis=0).real
+        return out.reshape(np.shape(x))
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -52,11 +98,13 @@ class PeriodicPotential:
         return out
 
     def series(self, y) -> np.ndarray:
-        """Evaluate the truncated Fourier series at y (real output)."""
-        lam = np.arange(1 - 2 * self.Lambda, 2 * self.Lambda)
-        y = np.asarray(y, dtype=float)
-        vals = np.tensordot(np.exp(1j * np.multiply.outer(y, lam)), self.coeffs, axes=1)
-        return vals.real
+        """The truncated Fourier series at y, real part, by _fourier_sum:
+        Re sum_{lam >= 0} c_lam exp(i lam y), c_0 = V-hat(0) and c_lam =
+        V-hat(lam) + conj(V-hat(-lam)) (2 V-hat(lam) on a Hermitian table)."""
+        mid = 2 * self.Lambda - 1
+        c = self.coeffs[mid:] + self.coeffs[mid::-1].conj()
+        c[0] = self.coeffs[mid]
+        return _fourier_sum(c)(y)
 
     def sample(self, y) -> np.ndarray:
         """Pointwise values, preferring the exact profile over the series."""
@@ -71,15 +119,11 @@ class PeriodicPotential:
         return int.from_bytes(digest[:8], "little")
 
 
-def _coeff_array(Lambda: int) -> np.ndarray:
-    return np.zeros(4 * Lambda - 1, dtype=complex)
-
-
 def mathieu(Lambda: int) -> PeriodicPotential:
     """V(y) = cos(y): the only nonzero coefficients are V(+-1) = 1/2."""
     if Lambda < 2:
         raise ValueError("Lambda must be >= 2")
-    c = _coeff_array(Lambda)
+    c = np.zeros(4 * Lambda - 1, dtype=complex)
     mid = 2 * Lambda - 1
     c[mid + 1] = 0.5
     c[mid - 1] = 0.5
@@ -99,7 +143,7 @@ def kronig_penney(Lambda: int) -> PeriodicPotential:
     """
     if Lambda < 2:
         raise ValueError("Lambda must be >= 2")
-    c = _coeff_array(Lambda)
+    c = np.zeros(4 * Lambda - 1, dtype=complex)
     mid = 2 * Lambda - 1
     c[mid] = 0.5
     for lam in range(1, 2 * Lambda, 2):
@@ -118,16 +162,11 @@ def from_samples(samples, Lambda: int) -> PeriodicPotential:
     if samples.ndim != 1 or samples.size < 4 * Lambda:
         raise InsufficientSamples(
             f"need >= {4 * Lambda} real samples, got {samples.shape}")
-    n = samples.size
-    fhat = np.fft.fft(samples) / n
-    c = _coeff_array(Lambda)
-    mid = 2 * Lambda - 1
-    for lam in range(0, 2 * Lambda):
-        pos = fhat[lam % n]
-        neg = fhat[(-lam) % n]
-        c[mid + lam] = 0.5 * (pos + np.conj(neg))
-        c[mid - lam] = np.conj(c[mid + lam])
-    return PeriodicPotential(Lambda, c, name="sampled")
+    fhat = np.fft.fft(samples) / samples.size
+    lam = np.arange(2 * Lambda)  # below samples.size / 2
+    pos = 0.5 * (fhat[lam] + np.conj(fhat[-lam]))  # V(lam), lam >= 0
+    return PeriodicPotential(Lambda, np.concatenate(
+        [np.conj(pos[::-1]), pos[1:]]), name="sampled")
 
 
 @dataclass(frozen=True)

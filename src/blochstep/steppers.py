@@ -13,8 +13,8 @@ import scipy.fft
 from .bands import BandTable
 from .errors import NonFinite
 from .grid import SimulationGrid, WaveField
-from .potential import EXTERNAL_NONE, ExternalPotential, PeriodicPotential
-from .transform import TWO_PI, BlochTransform
+from .potential import EXTERNAL_NONE, TWO_PI, ExternalPotential, PeriodicPotential
+from .transform import BlochTransform
 
 
 @dataclass

@@ -18,8 +18,7 @@ import scipy.fft
 from .bands import BandTable
 from .errors import ShapeMismatch, TruncationMismatch
 from .grid import CellField, WaveField
-
-TWO_PI = 2.0 * np.pi
+from .potential import TWO_PI
 
 
 def _cell_sign(L: int) -> np.ndarray:

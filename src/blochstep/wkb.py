@@ -30,11 +30,10 @@ from .errors import (
     NonFinite,
 )
 from .grid import SimulationGrid, WaveField, discrete_norms, field_difference
-from .potential import ExternalPotential
+from .potential import TWO_PI, ExternalPotential
 from .steppers import StepperConfig, evolve
 from .transform import BlochTransform
 
-TWO_PI = 2.0 * np.pi
 HJ_CFL = 0.45  # Courant number of the relaxed Hamilton-Jacobi scheme
 CAUSTIC_PROBE_POINTS = 200  # samples of the caustic detector's slope probe
 # a caustic trigger halts wkb_pipeline only where the amplitude exceeds this

@@ -34,7 +34,12 @@ from blochstep.bands import (
     load_band_cache,
     save_band_cache,
 )
-from blochstep.errors import BandGapTooSmall, EigensolverFailure, NonFinite
+from blochstep.errors import (
+    BandGapTooSmall,
+    EigensolverFailure,
+    NonFinite,
+    ShapeMismatch,
+)
 
 TOL = 1e-12
 
@@ -576,6 +581,27 @@ def test_chi_values_non_finite_is_typed(mathieu_table, k, y):
         chi.chi_values(np.array([0.2, k]), np.array([0.5, y]))
 
 
+@pytest.mark.parametrize("k,y", [
+    (0.1, np.linspace(0.0, 1.0, 5)),
+    (np.linspace(-1.2, 1.7, 5), 0.4),
+    (np.linspace(-1.2, 1.7, 6).reshape(2, 3),
+     np.linspace(0.0, 6.0, 6).reshape(2, 3)),
+    (np.array([[0.3], [-0.6]]), np.linspace(0.0, 6.0, 3)),
+], ids=["scalar-k", "scalar-y", "2x3-with-2x3", "2x1-with-3"])
+def test_chi_values_broadcast_k_against_y(mathieu_table, k, y):
+    chi, oracle = ChiInterpolator(mathieu_table, 2), _OracleChi(mathieu_table, 2)
+    kb, yb = np.broadcast_arrays(k, y)
+    got = chi.chi_values(k, y)
+    assert got.shape == kb.shape
+    assert np.max(np.abs(got - oracle.chi_values(kb, yb))) <= TOL
+
+
+def test_chi_values_shapes_that_do_not_broadcast_are_typed(mathieu_table):
+    chi = ChiInterpolator(mathieu_table, 1)
+    with pytest.raises(ShapeMismatch, match=r"\(2,\).*\(5,\)"):
+        chi.chi_values(np.array([0.1, 0.2]), np.linspace(0.0, 1.0, 5))
+
+
 def test_chi_coeffs_non_finite_is_typed(mathieu_table):
     with pytest.raises(NonFinite):
         ChiInterpolator(mathieu_table, 1).coeffs(np.nan)
@@ -840,7 +866,7 @@ def test_kp_chi_at_lambda_64_matches_refined_oracle():
 
 def test_chi_values_match_oracle_at_workload_scale():
     """1024 points of the eps = 1/32 grid, y = x/eps mod 2*pi, with k over
-    several zones: eight blocks of Horner sums at Lambda = 32."""
+    several zones: four blocks of power-table contractions at Lambda = 32."""
     grid = build_grid(1.0 / 32, 32)
     table = solve_bands(mathieu(32), grid, 32, 8)
     x = grid.x_nodes.reshape(-1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from blochstep import (
     solve_bands,
 )
 from blochstep.errors import InsufficientSamples, IoFailure, NonFinite
-from blochstep.potential import ExternalPotential
+from blochstep.potential import ExternalPotential, _powers
 
 
 def _series(V, y):
@@ -140,3 +142,76 @@ def test_series_real_at_random_points(seed):
     for V in (mathieu(6), kronig_penney(6)):
         vals = _series(V, y)
         assert np.max(np.abs(vals.imag)) < 1e-10
+
+
+def _tensordot_series(V, y, chunk=2048):
+    """The earlier series: the whole (points, 4*Lambda - 1) table of complex
+    exponentials contracted with the coefficients, here formed chunk points
+    at a time."""
+    lam = np.arange(1 - 2 * V.Lambda, 2 * V.Lambda)
+    flat = np.asarray(y, dtype=float).reshape(-1)
+    out = np.concatenate([
+        np.tensordot(np.exp(1j * np.multiply.outer(flat[b:b + chunk], lam)),
+                     V.coeffs, axes=1).real
+        for b in range(0, max(flat.size, 1), chunk)])
+    return out.reshape(np.shape(y))
+
+
+def _smooth_asymmetric(Lambda):
+    """A sampled lattice without reflection symmetry whose coefficients decay
+    geometrically: complex V-hat at every lam."""
+    y = 2 * np.pi * np.arange(4 * Lambda) / (4 * Lambda)
+    return from_samples(np.exp(np.sin(y)) + 0.5 * np.cos(2 * y + 0.4), Lambda)
+
+
+SERIES_LATTICES = {"mathieu": mathieu, "kronig_penney": kronig_penney,
+                   "sampled": _smooth_asymmetric}
+
+
+@pytest.mark.parametrize("Lambda", [2, 5, 64])
+@pytest.mark.parametrize("lattice", SERIES_LATTICES)
+def test_series_matches_tensordot_oracle(lattice, Lambda):
+    V = SERIES_LATTICES[lattice](Lambda)
+    rng = np.random.default_rng(Lambda)
+    for y in (rng.uniform(0, 2 * np.pi, 4096), np.linspace(0, 2 * np.pi, 30,
+              endpoint=False).reshape(2, 3, 5), np.float64(1.3), 0.0, []):
+        got, want = V.series(y), _tensordot_series(V, y)
+        assert got.shape == want.shape and got.dtype == float
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("lattice", SERIES_LATTICES)
+def test_series_matches_tensordot_oracle_at_ts_sample_points(lattice):
+    # TS samples V at y = x/eps: up to 6434 at eps = 1/1024, R = 32, where
+    # both sums carry the round-off of their arguments (lam*y in the oracle,
+    # B*y in the block sum)
+    grid = build_grid(1.0 / 1024, 32)
+    y = grid.x_nodes / grid.epsilon
+    V = SERIES_LATTICES[lattice](64)
+    assert np.max(np.abs(V.series(y) - _tensordot_series(V, y))) <= 1e-10
+
+
+def test_series_memory_at_ts_scale():
+    # the oracle's (points, 255) table peaked at 255 MB on this grid
+    grid = build_grid(1.0 / 1024, 32)
+    y = grid.x_nodes / grid.epsilon
+    V = from_samples(np.random.default_rng(7).standard_normal(256), 64)
+    tracemalloc.start()
+    try:
+        V.series(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 17, 64, 129])
+def test_powers_match_direct_exponentials(n):
+    # the doubling fill against one exponential per power, on a (2, points)
+    # argument as the block sum passes it; both sides round j*theta, or its
+    # product, at about 3e-16 per power
+    theta = np.random.default_rng(n).uniform(-np.pi, np.pi, (2, 7))
+    got = _powers(1j * theta, n)
+    want = np.exp(1j * np.multiply.outer(np.arange(n), theta))
+    assert got.shape == (n, 2, 7)
+    assert np.max(np.abs(got - want)) <= 1e-15 * n
