@@ -50,12 +50,13 @@ def _fourier_sum(c: np.ndarray, w: float = 1.0, x0: float = 0.0):
     rows = max(1, _BLOCK // (2 * B))
 
     def evaluate(x) -> np.ndarray:
-        flat = (np.asarray(x, dtype=float) + x0).reshape(-1)
-        out = np.empty(flat.shape)
+        x = np.asarray(x, dtype=float)
+        flat = (x + x0).reshape(-1)
+        out = np.empty(flat.size)
         for b in range(0, flat.size, rows):
             p = _powers(freq * flat[b:b + rows], B)
             out[b:b + rows] = (blocks @ p[:, 0] * p[:, 1]).sum(axis=0).real
-        return out.reshape(np.shape(x))
+        return out.reshape(x.shape)
 
     return evaluate
 
