@@ -170,7 +170,7 @@ def _chebyshev_vectors(parts, Lambda: int, m: int):
     first grid whose last n/4 Chebyshev coefficients (one DCT-I) are at most
     1e-13 of the largest is taken; there is none when no grid is, or when
     band m comes within GAP_FLOOR of a neighbour at a node.  The interpolant
-    is _barycentric, and its vectors are not normalised."""
+    is _barycentric, whose vectors carry a real factor per k."""
     solved, vecs = [], None
     for n in (16, 32, 64, 128):
         nodes = 0.5 * np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
@@ -192,9 +192,11 @@ def _chebyshev_vectors(parts, Lambda: int, m: int):
 def _barycentric(nodes: np.ndarray, values: np.ndarray,
                  k: np.ndarray) -> np.ndarray:
     """The polynomial through values (n + 1, ...) at the Chebyshev points
-    nodes = cos(pi j / n) / 2, j = 0..n, at each k of 1-D k, by the
-    barycentric formula with weights (-1)^j, halved at both ends (Berrut &
-    Trefethen, SIAM Rev. 46, 2004); a k on a node gets that node's row."""
+    nodes = cos(pi j / n) / 2, j = 0..n, at each k of 1-D k, times the
+    nonzero real sum_j c_j(k) of the barycentric formula with weights
+    c_j = (-1)^j / (k - nodes_j), halved at both ends (Berrut & Trefethen,
+    SIAM Rev. 46, 2004): its numerator, whose value is linear in values.  A
+    k on a node gets that node's row."""
     weights = np.resize([1.0, -1.0], len(nodes))
     weights[[0, -1]] *= 0.5
     d = k[:, None] - nodes
@@ -203,7 +205,7 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray,
         c = weights / d
     on = hit.any(axis=1)
     c[on] = hit[on]
-    return (c @ values) / c.sum(axis=1)[:, None]
+    return c @ values
 
 
 def _unit_conj(ov):
@@ -220,7 +222,8 @@ class ChiInterpolator:
     folded k of a call solved at that exact k by _band_solve, and raises
     BandGapTooSmall where band m is within GAP_FLOOR of a neighbour.  Each
     vector is normalised and its phase aligned by maximal real overlap with
-    the linear interpolation of the two bracketing table vectors.
+    the linear interpolation of the two bracketing table vectors; both go
+    into one complex factor per key, applied to that key's Fourier sum.
     """
 
     def __init__(self, bands: BandTable, m: int):
@@ -247,8 +250,10 @@ class ChiInterpolator:
         # lattice potential with reflection symmetry; any unit phase without)
         self.holonomy = complex(_unit_conj(ov[-2]))
 
-    def _solve(self, kf: np.ndarray) -> np.ndarray:
-        """Gauge-aligned coefficient rows at the folded kf."""
+    def _solve(self, kf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, scale): coefficient rows at the folded kf, unnormalised
+        and unaligned, and the factor per key that makes each row unit-norm
+        and gauge-aligned."""
         pos = (kf + 0.5) * self.bands.grid.L  # fractional node index
         node = np.floor(pos).astype(int)
         w = (pos - node)[:, None]
@@ -262,26 +267,27 @@ class ChiInterpolator:
             self._cache.extend(kf.tolist())
         else:
             vecs = self._interpolant(kf)
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        ov = np.einsum("ij,ij->i", ref.conj(), vecs)
-        return vecs * _unit_conj(ov)[:, None]
+        norm = np.sqrt(np.vecdot(vecs, vecs).real)
+        return vecs, _unit_conj(np.vecdot(ref, vecs) / norm) / norm
 
-    def _rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows at the distinct folded k of 1-D k, each evaluated once, and
-        each point's row index."""
+    def _rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, scale, inv): _solve's rows and factors at the distinct
+        folded k of 1-D k, each evaluated once, and each point's index."""
         if not np.all(np.isfinite(k)):
             raise NonFinite("non-finite quasi-momentum")
         kf, inv = np.unique(fold_k(k), return_inverse=True)
         rows = np.empty((kf.size, 2 * self.bands.Lambda), dtype=complex)
+        scale = np.empty(kf.size, dtype=complex)
         for b in range(0, kf.size, n := self._block):
-            rows[b:b + n] = self._solve(kf[b:b + n])
-        return rows, inv
+            rows[b:b + n], scale[b:b + n] = self._solve(kf[b:b + n])
+        return rows, scale, inv
 
     def coeffs(self, k: float) -> np.ndarray:
         """Unit-norm Fourier coefficients, lam in [-Lambda, Lambda), of chi_m
         at the folded k, with no slot move for its zone shift: coeffs(2.3)
         is the k = 0.3 vector."""
-        return self._rows(np.array([float(k)]))[0][0]
+        rows, scale, _ = self._rows(np.array([float(k)]))
+        return rows[0] * scale[0]
 
     def chi_values(self, k, y) -> np.ndarray:
         """chi_m(y_i, k_i) elementwise for k and y broadcast against each
@@ -297,7 +303,8 @@ class ChiInterpolator:
         sum_lam chi-hat(lam) exp(i (lam - s) y) is exp(-i (Lambda + s) y)
         times the polynomial sum_j c_j z^j in z = exp(i y), contracted with
         one _powers table per block of points: two complex exponentials per
-        point rather than 2*Lambda.
+        point rather than 2*Lambda.  The sum is linear in the row, so each
+        key's normalisation and gauge phase multiply its sum, not its row.
         """
         try:
             k, y = np.broadcast_arrays(k, y)
@@ -307,10 +314,10 @@ class ChiInterpolator:
         kv, yv = k.astype(float).ravel(), y.astype(float).ravel()
         if not np.all(np.isfinite(yv)):
             raise NonFinite("non-finite cell coordinate")
-        rows, inv = self._rows(kv)
+        rows, scale, inv = self._rows(kv)
         shift = np.rint(kv - fold_k(kv))
         out = np.exp(-1j * (self.bands.Lambda + shift) * yv)
-        out *= self.holonomy ** shift
+        out *= self.holonomy ** shift * scale[inv]
         for b in range(0, kv.size, n := self._block):
             powers = _powers(1j * yv[b:b + n], rows.shape[1])
             out[b:b + n] *= np.einsum("jp,jp->p", rows.T[:, inv[b:b + n]], powers)

@@ -65,6 +65,16 @@ class ExperimentConfig:
                              f"dt list = {self.dt_list}")
         if not 0 < self.T < np.inf:
             raise ValueError(f"T = {self.T} must be finite and > 0")
+        if self.scenario == "spatial" and self.R < 4:
+            raise ValueError(f"R = {self.R} gives no level of a spatial "
+                             f"study, whose levels are R = 4, 8, ... <= R")
+        # the reference runs the finest step over REFERENCE_TEMPORAL_FACTOR
+        finest = min(self.dt_list if self.scenario == "temporal"
+                     and self.dt_list else (self.dt,))
+        steps = self.T / finest * REFERENCE_TEMPORAL_FACTOR
+        if not steps <= 2 ** 53:
+            raise ValueError(f"T / dt = {steps:g} reference steps is not a "
+                             f"representable step count")
 
 
 @dataclass

@@ -21,12 +21,19 @@ _BLOCK = 2 ** 14
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
     """The power table z^0..z^{n-1} of z = exp(x), (n, *x.shape): row 1 is
-    one complex exponential per point, and rows h+1..min(2h, n-1) are rows
-    1.. times row h for h = 1, 2, 4, ..., about log2(n) vectorized products."""
+    one complex exponential per point, and the rest _fill_powers."""
     p = np.empty((n,) + x.shape, dtype=complex)
-    p[0] = 1.0
     if n > 1:
         np.exp(x, out=p[1])
+    return _fill_powers(p)
+
+
+def _fill_powers(p: np.ndarray) -> np.ndarray:
+    """p, in place, as the power table of its row 1: row 0 is 1, and rows
+    h+1..min(2h, n-1) are rows 1.. times row h for h = 1, 2, 4, ..., about
+    log2(n) vectorized products."""
+    n = len(p)
+    p[0] = 1.0
     h = 1
     while h + 1 < n:
         top = min(2 * h, n - 1)
@@ -39,14 +46,15 @@ def _fourier_sum(c: np.ndarray, w: float = 1.0, x0: float = 0.0):
     """Re sum_j c_j exp(i j w (x + x0)) as a function of x (any shape), by the
     baby-step/giant-step split of Paterson & Stockmeyer (SIAM J. Comput. 2,
     1973), laid out once, here: c in B blocks of B, B = ceil(sqrt(n)).  With
-    z = exp(i w (x + x0)), a (B, 2, points) _powers table holds z^r and (z^B)^q,
-    the block sums over r are one matmul, and the sum over q follows.
+    z = exp(i w (x + x0)), a _powers table holds z^0..z^B, the block sums over
+    r are one matmul, and the giant steps (z^B)^q fill a second table from
+    its z^B, so that every power rounds only products of z: one complex
+    exponential per point, and no rounding of B w (x + x0) at large x.
     Points go in blocks of _BLOCK table entries."""
     B = math.isqrt(c.size - 1) + 1
     blocks = np.zeros(B * B, dtype=complex)
     blocks[:c.size] = c
     blocks = blocks.reshape(B, B)  # blocks[q, r] = c_{qB + r}
-    freq = np.array([[1j * w], [1j * w * B]])
     rows = max(1, _BLOCK // (2 * B))
 
     def evaluate(x) -> np.ndarray:
@@ -54,8 +62,11 @@ def _fourier_sum(c: np.ndarray, w: float = 1.0, x0: float = 0.0):
         flat = (x + x0).reshape(-1)
         out = np.empty(flat.size)
         for b in range(0, flat.size, rows):
-            p = _powers(freq * flat[b:b + rows], B)
-            out[b:b + rows] = (blocks @ p[:, 0] * p[:, 1]).sum(axis=0).real
+            baby = _powers(1j * w * flat[b:b + rows], B + 1)
+            giant = np.empty_like(baby[:B])
+            giant[1:2] = baby[B]
+            out[b:b + rows] = (blocks @ baby[:B]
+                               * _fill_powers(giant)).sum(axis=0).real
         return out.reshape(x.shape)
 
     return evaluate

@@ -33,31 +33,32 @@ class _Splitting:
     """Lie: flow(dt), then the phase; Strang: flow(dt/2), phase, flow(dt/2).
 
     A solve enters once (`enter`), steps with `advance` and forms samples
-    only where it needs them (`leave`).  A step is one backward transform,
-    the phase multiply and, for Strang, one forward transform: the state
-    between Strang steps stays in the basis.  Adjacent Strang half-flows are
-    not merged, because for BD projecting onto M bands does not commute with
-    the phase multiply.  The transform pair between them is replaced by
-    `_round_trip`, equal to forward(backward(.)) up to round-off and applied
-    in the basis: the window Gram matrix for BD, the identity for TS.  A Lie
-    step ends on the phase, so its boundary state is physical samples.
-    Inside a Strang step it runs `_synthesis` and `_analysis`, the backward
-    and forward transforms without BD's cell sign (-1)^l: the two exact +-1
-    factors cancel across the pointwise phase multiply."""
+    only where it needs them (`leave`).  A step is one synthesis, the phase
+    multiply and, for Strang, one analysis: the state between Strang steps
+    stays in the basis.  Adjacent Strang half-flows are not merged, because
+    for BD projecting onto M bands does not commute with the phase multiply.
+    The transform pair between them is replaced by `_round_trip`, equal to
+    forward(backward(.)) up to round-off and applied in the basis: the window
+    Gram matrix for BD, the identity for TS.  A Lie step ends on the phase,
+    so its boundary state is physical samples.
+
+    `_synthesis` and `_analysis` are the backward and forward transforms
+    without BD's cell sign (-1)^l, whose two exact +-1 factors cancel across
+    the pointwise phase multiply (a BD Lie phase table carries the one it
+    needs), and without BD's constants 1/(2*pi) and 2*pi/R, which the flow
+    tables carry: `pre_flow` is applied before the synthesis and `post_flow`
+    after the analysis."""
 
     def enter(self, values: np.ndarray) -> _State:
         return _State(values=values)
 
     def advance(self, state: _State) -> _State:
-        coeffs = self.project(state) * self.flow
-        if not self.strang:
-            out = self._backward(coeffs)
-            out *= self.phase
-            return _State(values=out)
-        out = self._synthesis(coeffs)
+        out = self._synthesis(self.project(state) * self.pre_flow)
         out *= self.phase
+        if not self.strang:
+            return _State(values=out)
         coeffs = self._analysis(out)
-        coeffs *= self.flow
+        coeffs *= self.post_flow
         return _State(coeffs=coeffs)
 
     def leave(self, state: _State) -> np.ndarray:
@@ -105,18 +106,33 @@ class BDPropagator(_Splitting):
         self.strang = order == "strang"
         self.transform = tr = BlochTransform(bands)
         flow_dt = dt / 2 if self.strang else dt
-        self.flow = np.exp(-1j * np.ascontiguousarray(bands.energies.T)
-                           * (flow_dt / eps))
+        flow = np.exp(-1j * np.ascontiguousarray(bands.energies.T)
+                      * (flow_dt / eps))
+        self.pre_flow = flow / TWO_PI
+        self.post_flow = flow * (TWO_PI / self.grid.R)
         self.phase = np.exp(-1j * external(bands.grid.x_nodes) * (dt / eps))
+        if not self.strang:
+            self.phase *= tr.sign  # a Lie step ends on physical samples
         # only a Strang state is held in the basis
         self.gram = tr.gram() if self.strang else None
+        self._round_trip = (self._complex_round_trip
+                            if np.iscomplexobj(self.gram) else
+                            self._real_round_trip)
         self.mass_scale = 1.0 / (TWO_PI * self.grid.L ** 2)
         self._forward, self._backward = tr.forward, tr.backward
-        self._analysis, self._synthesis = tr.analyse, tr.synthesise
 
-    def _round_trip(self, C):
-        if np.iscomplexobj(self.gram):
-            return np.matmul(self.gram, C[:, :, None])[:, :, 0]
+    def _synthesis(self, C):
+        return scipy.fft.ifft(self.transform._expand(C), axis=0,
+                              overwrite_x=True)
+
+    def _analysis(self, cells):
+        return self.transform._contract(
+            scipy.fft.fft(cells, axis=0, overwrite_x=True))
+
+    def _complex_round_trip(self, C):
+        return np.matmul(self.gram, C[:, :, None])[:, :, 0]
+
+    def _real_round_trip(self, C):
         # G @ C would upcast a real G to complex every step; it acts on the
         # (L, M, 2) float view of C instead
         L, M = C.shape
@@ -175,14 +191,15 @@ class TSPropagator(_Splitting):
         self.strang = order == "strang"
         kappa = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on [0, 2*pi]
         flow_dt = dt / 2 if self.strang else dt
-        self.flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
+        flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
         self.twiddle = self.untwiddle = None
         if n >= FOUR_STEP_MIN_POINTS:
-            self.flow = np.ascontiguousarray(self.flow.reshape(R, L).T)
+            flow = np.ascontiguousarray(flow.reshape(R, L).T)
             self.twiddle = _four_step_twiddle(L, R)
             # kept: conjugating per call makes a length-LR temporary every step
             self.untwiddle = np.conj(self.twiddle)
         vtot = lattice.sample(grid.x_nodes / eps) + external(grid.x_nodes)
+        self.pre_flow = self.post_flow = flow
         self.phase = np.exp(-1j * vtot * (dt / eps))
         self.mass_scale = grid.dx / n
 

@@ -77,29 +77,37 @@ class BlochTransform:
             self.weights += np.einsum("lmr,lmr->lm", b, b)
 
     def _contract(self, X: np.ndarray) -> np.ndarray:
-        """C (L, M) of the (L, R) cell field X; may overwrite X."""
-        if X.shape != self.shape:
-            raise ShapeMismatch("band table grid does not match the field grid")
+        """The unscaled (L, M) contraction sum_r conj(W[l, m, r]) X[l, r] of
+        the (L, R) cell field X; may overwrite X."""
         # conj(W . conj(X)) = conj(W) . X, without a conjugated copy of W
         np.conjugate(X, out=X)
         C = np.matmul(self.waves, X[:, :, None])[:, :, 0]
         np.conjugate(C, out=C)
-        C *= TWO_PI / self.shape[1]
         return C
 
     def _expand(self, C: np.ndarray) -> np.ndarray:
-        """The (L, R) cell field sum_m C_{l,m} W[l, m, r] / (2*pi), C (L, M)."""
-        # unit-coefficient-norm eigenvectors carry ||chi||^2_{L2(C)} = 2*pi,
-        # which the projection constant 2*pi/R does not divide out
-        return np.matmul((C / TWO_PI)[:, None, :], self.waves)[:, 0, :]
+        """The unscaled (L, R) cell field sum_m C_{l,m} W[l, m, r], C (L, M).
+        Unit-coefficient-norm eigenvectors carry ||chi||^2_{L2(C)} = 2*pi,
+        which the projection constant 2*pi/R does not divide out: the cell
+        field of C is _expand(C / (2*pi))."""
+        return np.matmul(C[:, None, :], self.waves)[:, 0, :]
+
+    def _project(self, X: np.ndarray) -> np.ndarray:
+        """C (L, M) of the (L, R) cell field X, (2*pi/R) _contract(X); may
+        overwrite X."""
+        if X.shape != self.shape:
+            raise ShapeMismatch("band table grid does not match the field grid")
+        C = self._contract(X)
+        C *= TWO_PI / self.shape[1]
+        return C
 
     def analyse(self, cells: np.ndarray) -> np.ndarray:
         """(L, M) coefficients of the cell field; may overwrite it."""
-        return self._contract(scipy.fft.fft(cells, axis=0, overwrite_x=True))
+        return self._project(scipy.fft.fft(cells, axis=0, overwrite_x=True))
 
     def synthesise(self, C: np.ndarray) -> np.ndarray:
         """The cell field of the (L, M) coefficients."""
-        return scipy.fft.ifft(self._expand(C), axis=0, overwrite_x=True)
+        return scipy.fft.ifft(self._expand(C / TWO_PI), axis=0, overwrite_x=True)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients C, shape (L, M), of the (L, R) physical samples."""
@@ -130,7 +138,8 @@ class BlochTransform:
         transform and the length-R window transform, band m has squared norm
         sum_l |C_{l,m}|^2 ||chi_win,{m,l}||^2 / (2*pi*L^2)."""
         L = self.shape[0]
-        return np.sqrt(np.sum(np.abs(C) ** 2 * self.weights, axis=0)
+        # |C|^2 as the real part of conj(C) C: no square root per entry
+        return np.sqrt(np.einsum("lm,lm->m", (C.conj() * C).real, self.weights)
                        / (TWO_PI * L * L))
 
     def masses(self, values: np.ndarray) -> np.ndarray:
@@ -177,7 +186,7 @@ def cell_inverse(tilde: CellField) -> WaveField:
 
 def band_project(tilde: CellField, bands: BandTable) -> BlochCoeffs:
     """Bloch coefficients C_{m,l} = (2*pi/R) sum over the windowed Fourier modes."""
-    C = BlochTransform(bands)._contract(tilde.values.copy())
+    C = BlochTransform(bands)._project(tilde.values.copy())
     return BlochCoeffs(bands, C.T)
 
 
@@ -185,4 +194,5 @@ def band_reconstruct(coeffs: BlochCoeffs) -> CellField:
     """Sum of band contributions; normalized so reconstruct(project(.)) is the
     identity on fields spanned by the first M bands."""
     bands = coeffs.bands
-    return CellField(bands.grid, BlochTransform(bands)._expand(coeffs.values.T))
+    return CellField(bands.grid, BlochTransform(bands)._expand(
+        coeffs.values.T / TWO_PI))

@@ -11,6 +11,7 @@ a periodic spectral antiderivative plus the evolving cell average.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -113,10 +114,21 @@ def _periodic_antiderivative(p: np.ndarray) -> np.ndarray:
     return out - out.mean()
 
 
+@functools.lru_cache(maxsize=8)
+def _size_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i*kappa, divisor) of an n-point periodic grid, built once per size
+    and read-only: the integer wavenumbers times i, and _macro_spline's
+    circulant divisor (2 cos - 2) / (4 + 2 cos) at 2*pi*j/n."""
+    c = np.cos(TWO_PI * np.arange(n) / n)
+    factors = (1j * np.fft.fftfreq(n, d=1.0 / n),
+               (2.0 * c - 2.0) / (4.0 + 2.0 * c))
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def _spectral_derivative(f: np.ndarray) -> np.ndarray:
-    n = f.size
-    kappa = np.fft.fftfreq(n, d=1.0 / n)
-    return np.fft.ifft(1j * kappa * np.fft.fft(f)).real
+    return np.fft.ifft(_size_factors(f.size)[0] * np.fft.fft(f)).real
 
 
 def _steps(t_end: float, dt: float) -> tuple[int, float]:
@@ -289,8 +301,7 @@ def _macro_spline(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     A complex f is splined in one pass; a real f gives real values.
     """
     n = f.size
-    c = np.cos(TWO_PI * np.arange(n) / n)
-    g = np.fft.ifft(np.fft.fft(f) * ((2.0 * c - 2.0) / (4.0 + 2.0 * c)))
+    g = np.fft.ifft(np.fft.fft(f) * _size_factors(n)[1])
     g = g if np.iscomplexobj(f) else g.real  # h^2 M / 6
     fp, gp = np.append(f, f[:1]), np.append(g, g[:1])
 

@@ -158,13 +158,14 @@ class _OracleChi:
 
 def _spy_solves(chi):
     """The list that collects, in order, the gauge-aligned row blocks that
-    chi solves."""
+    chi solves: each row times its key's factor."""
     blocks = []
     real = chi._solve
 
     def spied(kf):
-        blocks.append(real(kf))
-        return blocks[-1]
+        rows, scale = real(kf)
+        blocks.append(rows * scale[:, None])
+        return rows, scale
     chi._solve = spied
     return blocks
 
@@ -913,3 +914,32 @@ def test_interpolator_keeps_no_vectors(baseline_mathieu, monkeypatch):
         assert held <= 64 * 4 * 256
         assert len(chi._cache) == sum(solved)
         assert sum(solved) == (nodes if m == 1 else nodes + 4 * 256)
+
+
+def test_per_key_factor_on_the_complex_table():
+    """chi_values multiplies each key's Fourier sum by one complex factor,
+    its row's 1/norm times its gauge phase, in place of normalising and
+    rotating the rows.  On the asymmetric (complex) table it matches the
+    per-point oracle at the interpolant's Chebyshev nodes, at the table's
+    k-nodes and across the zone edge, for two interpolated bands and for a
+    band with no interpolant, whose keys are each solved; coeffs stays the
+    unit-norm, gauge-aligned row."""
+    table, _ = _tables("asymmetric", 32, 16, 8)
+    cheb = ChiInterpolator(table, 1)._interpolant.args[0]
+    edge = np.array([-0.5, 0.5, -0.5 + 1e-9, 0.5 - 1e-9, 0.5 + 1e-9, 1.5,
+                     -1.5 - 1e-9])
+    k = np.concatenate([cheb, table.grid.k_nodes, table.grid.k_nodes + 2.0,
+                        edge])
+    y = np.random.default_rng(5).uniform(0.0, 2 * np.pi, k.size)
+    for m in (1, 2, 5):
+        chi, oracle = ChiInterpolator(table, m), _OracleChi(table, m)
+        assert (chi._interpolant is None) == (m == 5)
+        blocks = _spy_solves(chi)
+        before = len(chi._cache)
+        got = chi.chi_values(k, y)
+        assert np.max(np.abs(got - oracle.chi_values(k, y))) <= TOL
+        _check_solves(chi, blocks, oracle, k, before)
+        for key in (cheb[3], table.grid.k_nodes[7], 0.5, 1.5 - 1e-9):
+            row = chi.coeffs(key)
+            assert abs(np.linalg.norm(row) - 1.0) <= 1e-15
+            assert np.max(np.abs(row - oracle.coeffs(key))) <= TOL

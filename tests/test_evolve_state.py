@@ -26,6 +26,7 @@ from blochstep import (
     step,
 )
 from blochstep.errors import NonFinite
+from blochstep.steppers import FOUR_STEP_MIN_POINTS
 
 TOL = 1e-12
 R = 16
@@ -37,15 +38,35 @@ LATTICES = {"mathieu": mathieu, "kp": kronig_penney}
 
 # ---- oracle: the per-step loop from physical samples to physical samples ----
 
-def _oracle_step(prop, values):
-    """One Lie or Strang step with the propagator's tables and transform pair
-    (Bloch projection and reconstruction for BD, the flat or four-step FFT
+def _oracle_tables(cfg, grid):
+    """(flow, phase): the plain flow of a Lie step or a Strang half-step on
+    the spectrum of the propagator's forward transform (the (L, M) Bloch
+    coefficients for BD, the flat length-LR FFT for TS), and the phase."""
+    eps = grid.epsilon
+    h = cfg.dt / 2 if cfg.splitting_order == "strang" else cfg.dt
+    V = cfg.external(grid.x_nodes)
+    if cfg.scheme == "bd":
+        flow = np.exp(-1j * cfg.bands.energies.T * (h / eps))
+    else:
+        n = grid.n_points
+        assert n < FOUR_STEP_MIN_POINTS
+        kappa = np.fft.fftfreq(n, d=1.0 / n)
+        flow = np.exp(-0.5j * eps * kappa ** 2 * h)
+        V = cfg.lattice.sample(grid.x_nodes / eps) + V
+    return flow, np.exp(-1j * V * (cfg.dt / eps))
+
+
+def _oracle_step(cfg, prop, values):
+    """One Lie or Strang step with the plain tables and the propagator's
+    transform pair (Bloch projection and reconstruction for BD, the flat FFT
     pair for TS), each flow a full transform pair."""
+    flow_table, phase = _oracle_tables(cfg, prop.grid)
+
     def flow(v):
-        return prop._backward(prop._forward(v) * prop.flow)
+        return prop._backward(prop._forward(v) * flow_table)
 
     out = flow(values)
-    out *= prop.phase
+    out *= phase
     return flow(out) if prop.strang else out
 
 
@@ -64,7 +85,7 @@ def _oracle_evolve(psi0, config, T, N, snapshot_every=0,
     times = [0.0]
     snapshots = [psi.copy()] if snapshot_every else []
     for n in range(1, N + 1):
-        psi = WaveField(psi.grid, _oracle_step(prop, psi.values))
+        psi = WaveField(psi.grid, _oracle_step(cfg, prop, psi.values))
         if not np.all(np.isfinite(psi.values)):
             raise NonFinite(f"non-finite field after step {n}")
         masses.append(discrete_norms(psi)[0])
@@ -144,11 +165,18 @@ def test_evolve_matches_per_step_loop(scheme, order, lattice, L, N, every,
 @pytest.mark.parametrize("scheme,order,lattice", SCHEMES)
 @pytest.mark.parametrize("L", [1, 3, 8, 32])
 def test_step_is_bitwise_the_per_step_loop(scheme, order, lattice, L):
+    """step and a one-step evolve are bitwise the same, and TS is bitwise the
+    per-step loop.  BD's flow tables carry its transform's constants 1/(2*pi)
+    and 2*pi/R, which the loop applies in the transforms, so the two round
+    differently and agree to TOL."""
     cfg = _config(scheme, order, lattice, L, dt=0.01)
     psi = _random_field(_table(lattice, L).grid, L)
-    want = _oracle_step(cfg.propagator(psi.grid), psi.values)
-    assert np.array_equal(step(psi, cfg).values, want)
-    assert np.array_equal(evolve(psi, cfg, 0.01, 1).final.values, want)
+    want = _oracle_step(cfg, cfg.propagator(psi.grid), psi.values)
+    got = step(psi, cfg).values
+    if scheme == "ts":
+        assert np.array_equal(got, want)
+    assert _gap(got, want) <= TOL
+    assert np.array_equal(evolve(psi, cfg, 0.01, 1).final.values, got)
 
 
 def _nan_linear(x):
@@ -224,9 +252,9 @@ def test_gram_matrix_is_the_transform_round_trip(lattice, L):
 def test_bd_evolve_matches_oracle_at_the_benchmark_size():
     """L = 1024, R = 32, M = 8 on the Kronig-Penney lattice, Strang, band
     masses tracked: the state held in (L, M) coefficients, with the cell
-    sign pair dropped inside each step, against the per-step loop.  One step
-    is bitwise that loop; later steps replace a transform pair by the Gram
-    product, which agrees to round-off."""
+    sign pair dropped inside each step and the transform's constants carried
+    by the flow tables, against the per-step loop.  Later steps also replace
+    a transform pair by the Gram product; all of it agrees to round-off."""
     grid = build_grid(1.0 / 1024, 32)
     table = solve_bands(kronig_penney(32), grid, 32, 8)
     cfg = StepperConfig("bd", "strang", 0.01, bands=table, external=HARMONIC)
@@ -235,8 +263,6 @@ def test_bd_evolve_matches_oracle_at_the_benchmark_size():
         traj = evolve(psi0, cfg, 0.01 * N, N, track_band_masses=True)
         final, _, _, masses, bmass = _oracle_evolve(
             psi0, cfg, 0.01 * N, N, track_band_masses=True)
-        if N == 1:
-            assert np.array_equal(traj.final.values, final.values)
         assert _gap(traj.final.values, final.values) <= TOL
         assert _gap(traj.mass_history, masses) <= TOL
         assert traj.band_mass_history.shape == (N + 1, 8)

@@ -153,10 +153,14 @@ _SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
     (["convergence", "--T", "-1"], "ValueError: T = -1.0 must be finite and > 0"),
     (["compare", "--T", "nan"] + _SMALL,
      "ValueError: T = nan must be finite and > 0"),
+    (["convergence", "--eps", "0.25", "--Lambda", "8", "--R", "2"],
+     "ValueError: R = 2 gives no level of a spatial study"),
+    (["convergence", "--eps", "0.25", "--Lambda", "8", "--R", "8", "--T",
+      "1e308"], "ValueError: T / dt = inf reference steps is not a"),
 ], ids=["bands", "evolve", "compare", "wkb", "convergence", "bands-eps-0",
         "bands-eps-nan", "convergence-dt-0", "wkb-t-end-negative",
         "wkb-t-end-inf", "evolve-T-nan", "convergence-T-negative",
-        "compare-T-nan"])
+        "compare-T-nan", "convergence-R-2", "convergence-T-overflow"])
 def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
                                                      monkeypatch, argv, error):
     """Each subcommand ends rejected input with one line on stderr, naming
@@ -332,6 +336,22 @@ def test_config_rejects_non_positive_steps(steps):
     # a silent one-step study
     with pytest.raises(ValueError, match="steps must be > 0"):
         ExperimentConfig(**steps)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"R": 3}, "R = 3 gives no level"),
+    ({"R": -4}, "R = -4 gives no level"),
+    ({"T": 1e308}, r"T / dt = inf reference steps"),
+    ({"T": 1e300}, r"T / dt = 1e\+303 reference steps"),
+    ({"scenario": "temporal", "dt_list": (0.1, 1e-300)},
+     r"T / dt = 1e\+300 reference steps"),
+])
+def test_config_refuses_a_study_it_cannot_run(kwargs, message):
+    # R < 4 used to end in an IndexError on the empty level list, and a T/dt
+    # that overflows in an OverflowError from the reference's step count
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kwargs)
+    ExperimentConfig(R=4, T=1e10)  # one level, 1e13 reference steps
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])

@@ -20,7 +20,10 @@ from blochstep import (
     StepperConfig,
     TSPropagator,
     WaveField,
+    BlochCoeffs,
     band_masses,
+    band_project,
+    band_reconstruct,
     bd_periodic_flow,
     build_grid,
     cell_forward,
@@ -28,6 +31,7 @@ from blochstep import (
     discrete_norms,
     evolve,
     external_from_spec,
+    from_samples,
     kronig_penney,
     mathieu,
     sample_gaussian,
@@ -108,10 +112,19 @@ def _oracle_ts_step(psi, lattice, U, dt, order):
 LATTICES = {"mathieu": mathieu, "kp": kronig_penney}
 
 
+def _asymmetric(Lambda):
+    """A real lattice potential without reflection symmetry: complex V-hat,
+    so its band table, Bloch waves and Gram matrices are complex."""
+    y = 2 * np.pi * np.arange(8 * Lambda) / (8 * Lambda)
+    return from_samples(np.sin(y) + 0.3 * np.cos(2 * y) + 0.2 * np.sin(3 * y),
+                        Lambda)
+
+
 @lru_cache(maxsize=None)
 def _table(lattice, L, R):
     grid = build_grid(1.0 / L, R)
-    return solve_bands(LATTICES[lattice](R), grid, R, 4)
+    V = {**LATTICES, "asymmetric": _asymmetric}[lattice](R)
+    return solve_bands(V, grid, R, 4)
 
 
 def _random_field(grid, rng):
@@ -163,6 +176,75 @@ def test_bd_propagator_matches_oracle(case, order, dt):
     assert np.max(np.abs(flow.values - _oracle_flow(psi, tab, dt, eps).values)) <= TOL
 
 
+@pytest.mark.parametrize("lattice", ["mathieu", "kp", "asymmetric"])
+@pytest.mark.parametrize("order", ["lie", "strang"])
+@pytest.mark.parametrize("L", [1, 8, 32])
+def test_folded_bd_evolve_matches_two_stage_oracle(lattice, order, L):
+    """BD's flow tables carry the transform's constants, 1/(2*pi) before the
+    synthesis and 2*pi/R after the analysis, and its Gram product is picked
+    once: evolve with band masses tracked, on real and complex tables,
+    against the two-stage oracle stepped from samples to samples, each band
+    mass being the norm of that band's oracle reconstruction."""
+    tab = _table(lattice, L, 16)
+    psi = _random_field(tab.grid, np.random.default_rng(L))
+    N = 4
+    T = 0.03 * N
+    cfg = StepperConfig("bd", order, T / N, bands=tab, external=HARMONIC)
+    traj = evolve(psi, cfg, T, N, track_band_masses=True)
+    ref = psi
+    for n in range(N + 1):
+        if n:
+            ref = _oracle_bd_step(ref, tab, HARMONIC, T / N, order)
+        C = _oracle_project(ref, tab)
+        for m in range(tab.M):
+            single = np.zeros_like(C)
+            single[m] = C[m]
+            want = discrete_norms(_oracle_reconstruct(single, tab))[0]
+            assert abs(traj.band_mass_history[n, m] - want) <= TOL
+        assert abs(traj.mass_history[n] - discrete_norms(ref)[0]) <= TOL
+    assert np.max(np.abs(traj.final.values - ref.values)) <= TOL
+
+
+# ---- the earlier BlochTransform arithmetic, with its constants applied in
+# the contraction and the expansion ----
+
+def _earlier_contract(tr, X):
+    C = np.conj(np.matmul(tr.waves, np.conj(X)[:, :, None])[:, :, 0])
+    C *= TWO_PI / tr.shape[1]
+    return C
+
+
+def _earlier_expand(tr, C):
+    return np.matmul((C / TWO_PI)[:, None, :], tr.waves)[:, 0, :]
+
+
+@pytest.mark.parametrize("lattice", ["mathieu", "kp", "asymmetric"])
+@pytest.mark.parametrize("L", [1, 3, 32])
+def test_transform_methods_return_what_they_did(lattice, L):
+    """Every public BlochTransform method against the earlier arithmetic to
+    TOL, and band_project and band_reconstruct bitwise."""
+    tab = _table(lattice, L, 16)
+    tr = BlochTransform(tab)
+    rng = np.random.default_rng(L)
+    psi = _random_field(tab.grid, rng).values
+    C = rng.standard_normal((L, 4)) + 1j * rng.standard_normal((L, 4))
+    forward = _earlier_contract(tr, scipy.fft.fft(psi * tr.sign, axis=0))
+    cells = scipy.fft.ifft(_earlier_expand(tr, C), axis=0)
+    norms = np.sqrt(np.sum(np.abs(C) ** 2 * tr.weights, axis=0)
+                    / (TWO_PI * L * L))
+    assert np.max(np.abs(tr.forward(psi) - forward)) <= TOL
+    assert np.max(np.abs(tr.analyse(psi * tr.sign) - forward)) <= TOL
+    assert np.max(np.abs(tr.synthesise(C) - cells)) <= TOL
+    assert np.max(np.abs(tr.backward(C) - cells * tr.sign)) <= TOL
+    assert np.max(np.abs(tr.band_norms(C) - norms)) <= TOL
+    assert np.max(np.abs(tr.masses(psi) - tr.band_norms(forward))) <= TOL
+    tilde = cell_forward(WaveField(tab.grid, psi))
+    got = band_project(tilde, tab).values
+    assert np.array_equal(got, _earlier_contract(tr, tilde.values).T)
+    got = band_reconstruct(BlochCoeffs(tab, C.T)).values
+    assert np.array_equal(got, _earlier_expand(tr, C))
+
+
 @settings(max_examples=30, deadline=None)
 @given(cases, st.sampled_from(["lie", "strang"]), st.sampled_from([0.003, -0.003]))
 def test_ts_propagator_matches_oracle(case, order, dt):
@@ -208,11 +290,12 @@ def test_ts_propagator_picks_the_transform_by_size(L, R):
     kappa = np.fft.fftfreq(n, d=1.0 / n)
     flow = np.exp(-0.5j * grid.epsilon * kappa ** 2 * 0.01)
     if n >= FOUR_STEP_MIN_POINTS:
-        assert S.shape == prop.flow.shape == (L, R)
-        S, got_flow = S.T.reshape(-1), prop.flow.T.reshape(-1)
+        assert S.shape == prop.pre_flow.shape == (L, R)
+        S, got_flow = S.T.reshape(-1), prop.pre_flow.T.reshape(-1)
     else:
-        assert S.shape == prop.flow.shape == (n,)
-        got_flow = prop.flow
+        assert S.shape == prop.pre_flow.shape == (n,)
+        got_flow = prop.pre_flow
+    assert prop.post_flow is prop.pre_flow
     assert np.max(np.abs(S - flat)) <= 1e-13 * np.max(np.abs(flat))
     assert np.max(np.abs(got_flow - flow)) <= 1e-15
 
