@@ -120,14 +120,7 @@ class BDPropagator(_Splitting):
                             self._real_round_trip)
         self.mass_scale = 1.0 / (TWO_PI * self.grid.L ** 2)
         self._forward, self._backward = tr.forward, tr.backward
-
-    def _synthesis(self, C):
-        return scipy.fft.ifft(self.transform._expand(C), axis=0,
-                              overwrite_x=True)
-
-    def _analysis(self, cells):
-        return self.transform._contract(
-            scipy.fft.fft(cells, axis=0, overwrite_x=True))
+        self._analysis, self._synthesis = tr._analysis, tr._synthesis
 
     def _complex_round_trip(self, C):
         return np.matmul(self.gram, C[:, :, None])[:, :, 0]

@@ -60,7 +60,9 @@ class BlochTransform:
     X is at k_l) and contracts each row against the stored Bloch waves,
     C_{l,m} = (2*pi/R) sum_r conj(W[l, m, r]) X[l, r]; `backward` is the
     reverse.  The same formula holds for every L, odd or even.  `analyse`
-    and `synthesise` are the same pair on the cell field (-1)^l psi_{l,r}.
+    and `synthesise` are the same pair on the cell field (-1)^l psi_{l,r},
+    and `_analysis` and `_synthesis` that pair without its constants 2*pi/R
+    and 1/(2*pi), which BD's flow tables carry instead.
     Coefficients, Parseval weights and Gram matrices are all (L, M) per
     k-row, the contraction's own layout.  A real band table gives real
     weights and Gram matrices formed in real arithmetic."""
@@ -101,13 +103,21 @@ class BlochTransform:
         C *= TWO_PI / self.shape[1]
         return C
 
+    def _analysis(self, cells: np.ndarray) -> np.ndarray:
+        """analyse without its constant 2*pi/R; may overwrite cells."""
+        return self._contract(scipy.fft.fft(cells, axis=0, overwrite_x=True))
+
+    def _synthesis(self, C: np.ndarray) -> np.ndarray:
+        """synthesise without its constant 1/(2*pi)."""
+        return scipy.fft.ifft(self._expand(C), axis=0, overwrite_x=True)
+
     def analyse(self, cells: np.ndarray) -> np.ndarray:
         """(L, M) coefficients of the cell field; may overwrite it."""
         return self._project(scipy.fft.fft(cells, axis=0, overwrite_x=True))
 
     def synthesise(self, C: np.ndarray) -> np.ndarray:
         """The cell field of the (L, M) coefficients."""
-        return scipy.fft.ifft(self._expand(C / TWO_PI), axis=0, overwrite_x=True)
+        return self._synthesis(C / TWO_PI)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients C, shape (L, M), of the (L, R) physical samples."""
