@@ -202,12 +202,13 @@ def test_non_finite_at_the_same_step(scheme, order, lattice, where):
 
 
 @pytest.mark.parametrize("scheme,order,lattice", SCHEMES)
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
 def test_non_finite_injected_at_step_k_raises_at_step_k(scheme, order, lattice,
                                                         bad, monkeypatch):
-    """A NaN or an infinity put into the state that step k returns, in its
-    samples (Lie) or its coefficients (Strang), makes that step's mass
-    non-finite, and evolve raises NonFinite naming step k."""
+    """A NaN, an infinity or a finite 1e200, whose square overflows, put into
+    the state that step k returns, in its samples (Lie) or its coefficients
+    (Strang), makes that step's mass non-finite, and evolve raises
+    NonFinite naming step k."""
     k = 3
     cfg = _config(scheme, order, lattice, 8)
     psi0 = _random_field(_table(lattice, 8).grid, 5)
