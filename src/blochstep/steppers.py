@@ -45,9 +45,9 @@ class _Splitting:
     `_synthesis` and `_analysis` are the backward and forward transforms
     without BD's cell sign (-1)^l, whose two exact +-1 factors cancel across
     the pointwise phase multiply (a BD Lie phase table carries the one it
-    needs), and without BD's constants 1/(2*pi) and 2*pi/R, which the flow
-    tables carry: `pre_flow` is applied before the synthesis and `post_flow`
-    after the analysis."""
+    needs), and without BD's transform constants, which the flow tables
+    carry (`BlochTransform.folded_pair`): `pre_flow` is applied before the
+    synthesis and `post_flow` after the analysis."""
 
     def enter(self, values: np.ndarray) -> _State:
         return _State(values=values)
@@ -108,8 +108,8 @@ class BDPropagator(_Splitting):
         flow_dt = dt / 2 if self.strang else dt
         flow = np.exp(-1j * np.ascontiguousarray(bands.energies.T)
                       * (flow_dt / eps))
-        self.pre_flow = flow / TWO_PI
-        self.post_flow = flow * (TWO_PI / self.grid.R)
+        (self.pre_flow, self._synthesis, self._analysis,
+         self.post_flow) = tr.folded_pair(flow)
         self.phase = np.exp(-1j * external(bands.grid.x_nodes) * (dt / eps))
         if not self.strang:
             self.phase *= tr.sign  # a Lie step ends on physical samples
@@ -120,7 +120,6 @@ class BDPropagator(_Splitting):
                             self._real_round_trip)
         self.mass_scale = 1.0 / (TWO_PI * self.grid.L ** 2)
         self._forward, self._backward = tr.forward, tr.backward
-        self._analysis, self._synthesis = tr._analysis, tr._synthesis
 
     def _complex_round_trip(self, C):
         return np.matmul(self.gram, C[:, :, None])[:, :, 0]

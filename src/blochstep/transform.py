@@ -61,8 +61,8 @@ class BlochTransform:
     C_{l,m} = (2*pi/R) sum_r conj(W[l, m, r]) X[l, r]; `backward` is the
     reverse.  The same formula holds for every L, odd or even.  `analyse`
     and `synthesise` are the same pair on the cell field (-1)^l psi_{l,r},
-    and `_analysis` and `_synthesis` that pair without its constants 2*pi/R
-    and 1/(2*pi), which BD's flow tables carry instead.
+    and `folded_pair` gives that pair without its constants 2*pi/R and
+    1/(2*pi), with a flow table for each side that carries them instead.
     Coefficients, Parseval weights and Gram matrices are all (L, M) per
     k-row, the contraction's own layout.  A real band table gives real
     weights and Gram matrices formed in real arithmetic."""
@@ -110,6 +110,16 @@ class BlochTransform:
     def _synthesis(self, C: np.ndarray) -> np.ndarray:
         """synthesise without its constant 1/(2*pi)."""
         return scipy.fft.ifft(self._expand(C), axis=0, overwrite_x=True)
+
+    def folded_pair(self, flow: np.ndarray) -> tuple:
+        """(pre_flow, synthesis, analysis, post_flow) for an (L, M) flow
+        table: synthesis(C * pre_flow) is synthesise(C * flow) and
+        analysis(cells) * post_flow is analyse(cells) * flow, up to
+        round-off.  The pair is `_synthesis` and `_analysis`, and the
+        tables flow/(2*pi) and flow*2*pi/R carry its constants, so a step
+        that multiplies by a flow table pays no pass for them."""
+        return (flow / TWO_PI, self._synthesis, self._analysis,
+                flow * (TWO_PI / self.shape[1]))
 
     def analyse(self, cells: np.ndarray) -> np.ndarray:
         """(L, M) coefficients of the cell field; may overwrite it."""

@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from blochstep import (
     step,
 )
 from blochstep.errors import NonFinite
+from blochstep.potential import TWO_PI
 from blochstep.steppers import FOUR_STEP_MIN_POINTS
 
 TOL = 1e-12
@@ -68,6 +70,39 @@ def _oracle_step(cfg, prop, values):
     out = flow(values)
     out *= phase
     return flow(out) if prop.strang else out
+
+
+def _unscaled_contract(tr, X):
+    return np.conj(np.matmul(tr.waves, np.conj(X)[:, :, None])[:, :, 0])
+
+
+def _unscaled_expand(tr, C):
+    return np.matmul(C[:, None, :], tr.waves)[:, 0, :]
+
+
+def _folded_bd_step(cfg, values):
+    """One BD step from physical samples to physical samples, written out
+    with the arithmetic of a step whose flow tables carry the transform's
+    constants: the samples' coefficients (2*pi/R) contract(FFT((-1)^l psi))
+    times flow/(2*pi), an unscaled expansion and inverse cell FFT, the
+    phase (times the cell sign for Lie) and, for Strang, an unscaled
+    contraction of the cell FFT times flow*2*pi/R, then the backward
+    transform (-1)^l IFFT(expand(C/(2*pi)))."""
+    tr = BlochTransform(cfg.bands)
+    flow, phase = _oracle_tables(cfg, cfg.bands.grid)
+    flow = np.ascontiguousarray(flow)
+    C = _unscaled_contract(tr, scipy.fft.fft(values * tr.sign, axis=0))
+    C *= TWO_PI / tr.shape[1]
+    out = scipy.fft.ifft(_unscaled_expand(tr, C * (flow / TWO_PI)), axis=0)
+    if cfg.splitting_order == "lie":
+        out *= phase * tr.sign
+        return out
+    out *= phase
+    C = _unscaled_contract(tr, scipy.fft.fft(out, axis=0))
+    C *= flow * (TWO_PI / tr.shape[1])
+    out = scipy.fft.ifft(_unscaled_expand(tr, C / TWO_PI), axis=0)
+    out *= tr.sign
+    return out
 
 
 def _oracle_evolve(psi0, config, T, N, snapshot_every=0,
@@ -165,18 +200,18 @@ def test_evolve_matches_per_step_loop(scheme, order, lattice, L, N, every,
 @pytest.mark.parametrize("scheme,order,lattice", SCHEMES)
 @pytest.mark.parametrize("L", [1, 3, 8, 32])
 def test_step_is_bitwise_the_per_step_loop(scheme, order, lattice, L):
-    """step and a one-step evolve are bitwise the same, and TS is bitwise the
-    per-step loop.  BD's flow tables carry its transform's constants 1/(2*pi)
-    and 2*pi/R, which the loop applies in the transforms, so the two round
-    differently and agree to TOL."""
+    """step and a one-step evolve are bitwise the per-step loop written with
+    the step's own arithmetic: for TS the loop's, for BD the folded step,
+    whose flow tables carry the transform's constants 1/(2*pi) and 2*pi/R.
+    BD also agrees to TOL with the loop, which applies those constants in
+    the transforms."""
     cfg = _config(scheme, order, lattice, L, dt=0.01)
     psi = _random_field(_table(lattice, L).grid, L)
-    want = _oracle_step(cfg, cfg.propagator(psi.grid), psi.values)
-    got = step(psi, cfg).values
-    if scheme == "ts":
-        assert np.array_equal(got, want)
-    assert _gap(got, want) <= TOL
-    assert np.array_equal(evolve(psi, cfg, 0.01, 1).final.values, got)
+    loop = _oracle_step(cfg, cfg.propagator(psi.grid), psi.values)
+    want = _folded_bd_step(cfg, psi.values) if scheme == "bd" else loop
+    assert np.array_equal(step(psi, cfg).values, want)
+    assert np.array_equal(evolve(psi, cfg, 0.01, 1).final.values, want)
+    assert _gap(want, loop) <= TOL
 
 
 def _nan_linear(x):
@@ -254,8 +289,9 @@ def test_bd_evolve_matches_oracle_at_the_benchmark_size():
     """L = 1024, R = 32, M = 8 on the Kronig-Penney lattice, Strang, band
     masses tracked: the state held in (L, M) coefficients, with the cell
     sign pair dropped inside each step and the transform's constants carried
-    by the flow tables, against the per-step loop.  Later steps also replace
-    a transform pair by the Gram product; all of it agrees to round-off."""
+    by the flow tables, against the per-step loop.  One step is bitwise the
+    folded step written out here; later steps also replace a transform pair
+    by the Gram product, and all of it agrees with the loop to round-off."""
     grid = build_grid(1.0 / 1024, 32)
     table = solve_bands(kronig_penney(32), grid, 32, 8)
     cfg = StepperConfig("bd", "strang", 0.01, bands=table, external=HARMONIC)
@@ -264,6 +300,9 @@ def test_bd_evolve_matches_oracle_at_the_benchmark_size():
         traj = evolve(psi0, cfg, 0.01 * N, N, track_band_masses=True)
         final, _, _, masses, bmass = _oracle_evolve(
             psi0, cfg, 0.01 * N, N, track_band_masses=True)
+        if N == 1:
+            assert np.array_equal(traj.final.values,
+                                  _folded_bd_step(cfg, psi0.values))
         assert _gap(traj.final.values, final.values) <= TOL
         assert _gap(traj.mass_history, masses) <= TOL
         assert traj.band_mass_history.shape == (N + 1, 8)
