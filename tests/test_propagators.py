@@ -222,7 +222,8 @@ def _earlier_expand(tr, C):
 @pytest.mark.parametrize("L", [1, 3, 32])
 def test_transform_methods_return_what_they_did(lattice, L):
     """Every public BlochTransform method against the earlier arithmetic to
-    TOL, and band_project and band_reconstruct bitwise."""
+    TOL, folded_pair's tables and unscaled pair against the scaled pair with
+    the plain flow, and band_project and band_reconstruct bitwise."""
     tab = _table(lattice, L, 16)
     tr = BlochTransform(tab)
     rng = np.random.default_rng(L)
@@ -238,6 +239,12 @@ def test_transform_methods_return_what_they_did(lattice, L):
     assert np.max(np.abs(tr.backward(C) - cells * tr.sign)) <= TOL
     assert np.max(np.abs(tr.band_norms(C) - norms)) <= TOL
     assert np.max(np.abs(tr.masses(psi) - tr.band_norms(forward))) <= TOL
+    flow = np.exp(1j * rng.uniform(0.0, TWO_PI, C.shape))
+    pre_flow, synthesis, analysis, post_flow = tr.folded_pair(flow)
+    assert np.max(np.abs(synthesis(C * pre_flow)
+                         - tr.synthesise(C * flow))) <= TOL
+    assert np.max(np.abs(analysis(psi * tr.sign) * post_flow
+                         - tr.analyse(psi * tr.sign) * flow)) <= TOL
     tilde = cell_forward(WaveField(tab.grid, psi))
     got = band_project(tilde, tab).values
     assert np.array_equal(got, _earlier_contract(tr, tilde.values).T)
