@@ -43,7 +43,6 @@ from .wkb import (
     CausticReport,
     PhaseTrajectory,
     WkbComparison,
-    bicharacteristics,
     build_wkb_initial,
     hj_solve,
     reconstruct_sc,

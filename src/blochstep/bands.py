@@ -282,13 +282,6 @@ class ChiInterpolator:
             rows[b:b + n], scale[b:b + n] = self._solve(kf[b:b + n])
         return rows, scale, inv
 
-    def coeffs(self, k: float) -> np.ndarray:
-        """Unit-norm Fourier coefficients, lam in [-Lambda, Lambda), of chi_m
-        at the folded k, with no slot move for its zone shift: coeffs(2.3)
-        is the k = 0.3 vector."""
-        rows, scale, _ = self._rows(np.array([float(k)]))
-        return rows[0] * scale[0]
-
     def chi_values(self, k, y) -> np.ndarray:
         """chi_m(y_i, k_i) elementwise for k and y broadcast against each
         other; shapes that do not broadcast raise ShapeMismatch.

@@ -1,5 +1,5 @@
 """Command-line entry point: band tables, time evolution, scheme comparison,
-asymptotic (WKB) runs, convergence studies, and the library self-test."""
+asymptotic (WKB) runs and convergence studies."""
 
 from __future__ import annotations
 
@@ -199,10 +199,6 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    return 0 if harness.selftest() else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blochstep",
@@ -255,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated decreasing steps (temporal)")
     p.add_argument("--T", type=float, default=0.1)
     p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("selftest", help="fast invariant sweep of all modules")
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 

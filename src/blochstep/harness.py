@@ -1,6 +1,6 @@
 """Experiment orchestration: convergence studies, scheme comparisons,
-deterministic report emission (CSV / markdown / SVG), config parsing,
-and a fast self-test of the library invariants."""
+deterministic report emission (CSV / markdown / SVG), run manifests and
+config parsing."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .grid import (
     output_dir,
     read_file,
     sample_gaussian,
-    write_file,
     write_lines,
 )
 from .potential import external_from_spec, lattice_from_spec
@@ -291,89 +290,3 @@ def parse_config_file(path) -> ExperimentConfig:
             raise IoFailure(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
-
-def selftest(verbose: bool = True) -> bool:
-    """Small-size invariant sweep across the library; returns overall pass."""
-    from .bands import eval_band
-    from .potential import mathieu
-    from .steppers import step
-    from .transform import BlochTransform
-
-    rng = np.random.default_rng(0)
-    checks = []
-
-    def check(module, name, fn):
-        tic = time.perf_counter()
-        try:
-            fn()
-            ok, msg = True, ""
-        except Exception as exc:  # noqa: BLE001 - report, do not crash
-            ok, msg = False, f"{type(exc).__name__}: {exc}"
-        checks.append((module, name, ok, msg, time.perf_counter() - tic))
-
-    def table():
-        return solve_bands(mathieu(16), build_grid(1.0 / 8, 16), 16, 4)
-
-    def random_coeffs():
-        return rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-
-    def gram_round_trip():
-        tr, C = BlochTransform(table()), random_coeffs()
-        GC = np.matmul(tr.gram(), C[:, :, None])[:, :, 0]
-        assert np.max(np.abs(tr.forward(tr.backward(C)) - GC)) < 1e-12
-
-    def projection_identity():
-        tr, C = BlochTransform(table()), random_coeffs()
-        assert np.max(np.abs(tr.forward(tr.backward(C)) - C)) < 1e-10
-
-    def gauge_invariance():
-        tab = table()
-        psi = sample_gaussian(tab.grid)
-        ref = step(psi, StepperConfig("bd", "strang", 0.01, bands=tab))
-        phases = np.exp(2j * np.pi * rng.random((4, 8)))
-        twisted = type(tab)(grid=tab.grid, M=tab.M, Lambda=tab.Lambda,
-                            energies=tab.energies,
-                            vectors=tab.vectors * phases[:, :, None],
-                            potential=tab.potential)
-        out = step(psi, StepperConfig("bd", "strang", 0.01, bands=twisted))
-        assert np.max(np.abs(out.values - ref.values)) < 1e-12
-
-    def cache_integrity():
-        import tempfile
-
-        from .bands import load_band_cache, save_band_cache
-        grid = build_grid(1.0 / 4, 8)
-        tab = solve_bands(mathieu(8), grid, 8, 3)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "bands.bin"
-            save_band_cache(tab, path)
-            data = bytearray(read_file(path))
-            data[len(data) // 2] ^= 0xFF
-            write_file(path, bytes(data))
-            try:
-                load_band_cache(path, grid, tab.potential)
-            except Exception:
-                return
-            raise AssertionError("corrupted cache not detected")
-
-    def band_symmetry():
-        for m in range(1, 5):
-            e = eval_band(table(), m, np.array([0.21, -0.21]))
-            assert abs(e[0] - e[1]) < 1e-9
-
-    check("blochxform", "Gram matrix is the transform round trip",
-          gram_round_trip)
-    check("blochxform", "projection idempotency", projection_identity)
-    check("steppers", "gauge invariance of BD step", gauge_invariance)
-    check("band", "cache corruption detected", cache_integrity)
-    check("band", "E(-k) = E(k) for a real potential", band_symmetry)
-
-    ok = all(c[2] for c in checks)
-    if verbose:
-        for module, name, passed, msg, secs in checks:
-            status = "PASS" if passed else "FAIL"
-            extra = f"  ({msg})" if msg else ""
-            print(f"[{status}] {module}: {name} [{secs:.2f}s]{extra}")
-        print("selftest:", "all invariants hold" if ok
-              else "first failure shown above", f"(seed=0)")
-    return ok

@@ -242,10 +242,14 @@ class StepperConfig:
     def propagator(self, grid: SimulationGrid) -> BDPropagator | TSPropagator:
         """This config's propagator on grid, built once and then reused."""
         if self._cached is None or self._cached[0] != (grid.L, grid.R):
-            prop = (BDPropagator(self.bands, self.external, self.dt,
-                                 self.splitting_order) if self.scheme == "bd"
-                    else TSPropagator(grid, self.lattice, self.external,
-                                      self.dt, self.splitting_order))
+            # a dt whose phases overflow gives NaN tables, and the first
+            # step's mass check raises NonFinite for them
+            with np.errstate(invalid="ignore", over="ignore"):
+                prop = (BDPropagator(self.bands, self.external, self.dt,
+                                     self.splitting_order)
+                        if self.scheme == "bd"
+                        else TSPropagator(grid, self.lattice, self.external,
+                                          self.dt, self.splitting_order))
             object.__setattr__(self, "_cached", ((grid.L, grid.R), prop))
         return self._cached[1]
 

@@ -59,10 +59,10 @@ class BlochTransform:
     takes X = the length-L DFT of (-1)^l psi_{l,r} down the cells (row l of
     X is at k_l) and contracts each row against the stored Bloch waves,
     C_{l,m} = (2*pi/R) sum_r conj(W[l, m, r]) X[l, r]; `backward` is the
-    reverse.  The same formula holds for every L, odd or even.  `analyse`
-    and `synthesise` are the same pair on the cell field (-1)^l psi_{l,r},
-    and `folded_pair` gives that pair without its constants 2*pi/R and
-    1/(2*pi), with a flow table for each side that carries them instead.
+    reverse.  The same formula holds for every L, odd or even.
+    `folded_pair` gives the pair on the cell field (-1)^l psi_{l,r} without
+    its constants 2*pi/R and 1/(2*pi), with a flow table for each side that
+    carries them instead.
     Coefficients, Parseval weights and Gram matrices are all (L, M) per
     k-row, the contraction's own layout.  A real band table gives real
     weights and Gram matrices formed in real arithmetic."""
@@ -104,41 +104,36 @@ class BlochTransform:
         return C
 
     def _analysis(self, cells: np.ndarray) -> np.ndarray:
-        """analyse without its constant 2*pi/R; may overwrite cells."""
+        """(L, M) coefficients of the cell field (-1)^l psi_{l,r} without
+        their constant 2*pi/R; may overwrite cells."""
         return self._contract(scipy.fft.fft(cells, axis=0, overwrite_x=True))
 
     def _synthesis(self, C: np.ndarray) -> np.ndarray:
-        """synthesise without its constant 1/(2*pi)."""
+        """The cell field (-1)^l psi_{l,r} of 2*pi times the (L, M)
+        coefficients C."""
         return scipy.fft.ifft(self._expand(C), axis=0, overwrite_x=True)
 
     def folded_pair(self, flow: np.ndarray) -> tuple:
         """(pre_flow, synthesis, analysis, post_flow) for an (L, M) flow
-        table: synthesis(C * pre_flow) is synthesise(C * flow) and
-        analysis(cells) * post_flow is analyse(cells) * flow, up to
+        table: synthesis(C * pre_flow) * sign is backward(C * flow) and
+        analysis(psi * sign) * post_flow is forward(psi) * flow, up to
         round-off.  The pair is `_synthesis` and `_analysis`, and the
         tables flow/(2*pi) and flow*2*pi/R carry its constants, so a step
         that multiplies by a flow table pays no pass for them."""
         return (flow / TWO_PI, self._synthesis, self._analysis,
                 flow * (TWO_PI / self.shape[1]))
 
-    def analyse(self, cells: np.ndarray) -> np.ndarray:
-        """(L, M) coefficients of the cell field; may overwrite it."""
-        return self._project(scipy.fft.fft(cells, axis=0, overwrite_x=True))
-
-    def synthesise(self, C: np.ndarray) -> np.ndarray:
-        """The cell field of the (L, M) coefficients."""
-        return self._synthesis(C / TWO_PI)
-
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients C, shape (L, M), of the (L, R) physical samples."""
         if values.shape != self.shape:
             raise ShapeMismatch("band table grid does not match the field grid")
-        return self.analyse(values * self.sign)
+        return self._project(scipy.fft.fft(values * self.sign, axis=0,
+                                           overwrite_x=True))
 
     def backward(self, C: np.ndarray) -> np.ndarray:
         """(L, R) samples of sum_m C_{l,m} chi_{m,l}; the inverse of forward
         on fields spanned by the first M bands."""
-        psi = self.synthesise(C)
+        psi = self._synthesis(C / TWO_PI)
         psi *= self.sign
         return psi
 

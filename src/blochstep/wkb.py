@@ -1,6 +1,6 @@
 """Semiclassical WKB pipeline: two-scale initial data, Hamilton-Jacobi phase
 evolution with caustic detection, transport of amplitudes with the geometric
-phase term, bicharacteristics, and reconstruction of the approximate solution.
+phase term, and reconstruction of the approximate solution.
 
 The Hamilton-Jacobi equation is solved on the gradient variable p = d(phi)/dx,
 which obeys the conservation law dp/dt + d/dx[E_m(p) + U] = 0, with a
@@ -358,39 +358,6 @@ def reconstruct_sc(phase: PhaseTrajectory, amp: AmplitudeTrajectory,
     if chi is None:
         chi = ChiInterpolator(bands, m)
     return _two_scale(chi, grid, a, phi, p)
-
-
-def bicharacteristics(bands: BandTable, m: int, U: ExternalPotential,
-                      x0: float, xi0: float, t_end: float,
-                      dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 integration of the classical flow (X, Xi); returns (t, X, Xi).
-    ValueError unless t_end and dt are finite and > 0."""
-    bands.check_band(m)
-    U.derivative(np.atleast_1d(x0))  # NonSmoothForce for a step potential
-
-    def force(X):
-        return -np.asarray(U.derivative(np.atleast_1d(X)))[0]
-
-    velocity = _trig_interpolant(bands, m, 1)
-
-    def vel(Xi):
-        return float(velocity(float(fold_k(Xi))))
-
-    n, dt = _steps(t_end, dt)
-    ts = np.empty(n + 1)
-    Xs = np.empty(n + 1)
-    Xis = np.empty(n + 1)
-    ts[0], Xs[0], Xis[0] = 0.0, x0, xi0
-    X, Xi = x0, xi0
-    for i in range(1, n + 1):
-        k1x, k1xi = vel(Xi), force(X)
-        k2x, k2xi = vel(Xi + 0.5 * dt * k1xi), force(X + 0.5 * dt * k1x)
-        k3x, k3xi = vel(Xi + 0.5 * dt * k2xi), force(X + 0.5 * dt * k2x)
-        k4x, k4xi = vel(Xi + dt * k3xi), force(X + dt * k3x)
-        X += dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        Xi += dt / 6 * (k1xi + 2 * k2xi + 2 * k3xi + k4xi)
-        ts[i], Xs[i], Xis[i] = i * dt, X, Xi
-    return ts, Xs, Xis
 
 
 @dataclass

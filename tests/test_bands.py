@@ -220,7 +220,8 @@ def _unblocked_trig(table, m, k, deriv):
 def test_eval_band_blocks_match_unblocked_oracle(L):
     tab = solve_bands(mathieu(4), build_grid(1.0 / L, 4), 4, 2)
     # 1201 points are four blocks at L = 1024, the last one short; the
-    # 1-point and 0-d calls are those of bicharacteristics and of scalars
+    # 1-point and 0-d calls are those of the tests' bicharacteristics
+    # oracle and of scalars
     ks = [np.linspace(-0.7, 0.6, 1201),
           np.linspace(-2.0, 2.0, 60).reshape(3, 4, 5), np.float64(0.3), -1.2,
           np.array([0.21])]

@@ -22,7 +22,6 @@ from blochstep.harness import (
     observed_orders,
     parse_config_file,
     run_convergence_study,
-    selftest,
     write_manifest,
 )
 
@@ -157,15 +156,21 @@ _SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
      "ValueError: R = 2 gives no level of a spatial study"),
     (["convergence", "--eps", "0.25", "--Lambda", "8", "--R", "8", "--T",
       "1e308"], "ValueError: T / dt = inf reference steps is not a"),
+    (["evolve", "--T", "1e308", "--steps", "1"] + _SMALL,
+     "NonFinite: non-finite field after step 1"),
+    (["compare", "--T", "1e308", "--bd-steps", "1"] + _SMALL,
+     "NonFinite: non-finite field after step 1"),
 ], ids=["bands", "evolve", "compare", "wkb", "convergence", "bands-eps-0",
         "bands-eps-nan", "convergence-dt-0", "wkb-t-end-negative",
         "wkb-t-end-inf", "evolve-T-nan", "convergence-T-negative",
-        "compare-T-nan", "convergence-R-2", "convergence-T-overflow"])
+        "compare-T-nan", "convergence-R-2", "convergence-T-overflow",
+        "evolve-T-overflow", "compare-T-overflow"])
+@pytest.mark.filterwarnings("error")
 def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
                                                      monkeypatch, argv, error):
     """Each subcommand ends rejected input with one line on stderr, naming
-    the subcommand and the error, and status 2, with no traceback, and
-    leaves no --out directory behind."""
+    the subcommand and the error, and status 2, with no traceback and no
+    warning, and leaves no --out directory behind."""
     from blochstep.cli import main
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -445,9 +450,3 @@ def test_every_cli_flag_is_read():
                    and a.dest not in read]
     assert unread == []
 
-
-def test_selftest_passes():
-    import time
-    tic = time.time()
-    assert selftest(verbose=False)
-    assert time.time() - tic < 60

@@ -1,7 +1,8 @@
 """Every name the benchmark or a script imports from the package must stay
 importable: perfbench/*.py and scripts/*.py are not part of the test suite,
 so a deleted or renamed public name would otherwise only show when one of
-them runs."""
+them runs.  Conversely, every name the package exports must have a user
+outside the tests, or a stated reason to stay."""
 
 import ast
 import importlib
@@ -36,3 +37,39 @@ def test_benchmark_import_exists(module, name):
     # `from package import name` also finds a submodule of that name
     assert (hasattr(importlib.import_module(module), name)
             or importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+# Exported names that no module of src/, scripts/ or perfbench/ uses, with
+# the reason each stays.
+UNUSED_EXPORTS = {
+    # the direct Fourier sum of one stored Bloch function: the oracle of the
+    # Bloch-wave table checks in tests/test_transform.py
+    "eval_chi",
+}
+
+
+def _exported_names():
+    tree = ast.parse((ROOT / "src" / "blochstep" / "__init__.py").read_text())
+    return sorted(alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def _used_names():
+    """Names read as a Name or an Attribute anywhere in src/, scripts/ and
+    perfbench/ outside the top-level definition of the same name, and the
+    names scripts/ and perfbench/ import from the package."""
+    package = sorted((ROOT / "src" / "blochstep").glob("*.py"))
+    used = {name for _, name in _package_imports()}
+    for path in [*package, *SOURCES]:
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            used |= {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    return used
+
+
+def test_every_export_has_a_user():
+    used = _used_names()
+    unused = [name for name in _exported_names() if name not in used]
+    assert unused == sorted(UNUSED_EXPORTS)
