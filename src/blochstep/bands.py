@@ -342,6 +342,14 @@ class BandTable:
             raise BandIndexOutOfRange(f"band {m} not in 1..{self.M}")
 
 
+def _band_sizes(Lambda: int, R: int, M: int) -> tuple[int, int]:
+    """(Lambda_eff, n_fourier): the truncation max(Lambda, R/2 + 1, M) that
+    solve_bands accepts for M bands on R points per cell, and the Lambda of
+    a lattice table that stores every V-hat its H(k) reads."""
+    Lambda = max(Lambda, R // 2 + 1, M)
+    return Lambda, max(2 * Lambda, 64)
+
+
 def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
                 M: int) -> BandTable:
     """Solve the truncated eigenproblem at every k-node and fix the gauge.
@@ -506,8 +514,8 @@ def save_band_cache(table: BandTable, path) -> None:
     """Binary cache: magic, u32 L/M/Lambda, f64 epsilon, u64 potential hash,
     u64 payload checksum, then energies (f64) and coefficients (f64 pairs)
     in (m, l, lam) order.  A real table writes +0.0 imaginary halves."""
-    inter = np.stack([table.vectors.real, table.vectors.imag], axis=-1)
-    payload = table.energies.astype("<f8").tobytes() + inter.astype("<f8").tobytes()
+    payload = (table.energies.astype("<f8").tobytes()
+               + table.vectors.astype("<c16").tobytes())
     digest = int.from_bytes(
         hashlib.sha256(payload).digest()[:8], "little")
     header = _CACHE_MAGIC + struct.pack(
@@ -541,10 +549,8 @@ def load_band_cache(path, grid: SimulationGrid,
     energies = np.frombuffer(payload[:M * L * 8],
                              dtype="<f8").reshape(M, L).copy()
     raw = np.frombuffer(payload[M * L * 8:],
-                        dtype="<f8").reshape(M, L, 2 * Lambda, 2)
-    if _is_real(V, Lambda) and not raw[..., 1].any():
-        vectors = raw[..., 0].copy()
-    else:
-        vectors = raw[..., 0] + 1j * raw[..., 1]
+                        dtype="<c16").reshape(M, L, 2 * Lambda)
+    vectors = (raw.real if _is_real(V, Lambda) and not raw.imag.any()
+               else raw).copy()
     return BandTable(grid=grid, M=M, Lambda=Lambda, energies=energies,
                      vectors=vectors, potential=V)

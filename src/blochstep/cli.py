@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .bands import save_band_cache, solve_bands
+from .bands import _band_sizes, save_band_cache, solve_bands
 from .errors import BlochStepError
 from .grid import (
     build_grid,
-    output_dir,
     sample_gaussian,
     save_wavefield_binary,
     save_wavefield_csv,
@@ -61,16 +60,14 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def _setup(args):
-    """(out, grid, lattice, Lambda of its bands, U or None): the specs parse,
-    and --T is checked, before the output directory is made; the solves come
-    after it."""
+    """(out, grid, lattice, Lambda of its bands, U or None); checks --T."""
     if "T" in args and not 0 < args.T < np.inf:
         raise ValueError(f"T = {args.T} must be finite and > 0")
     grid = build_grid(args.eps, args.R)
-    Lambda = max(args.Lambda, args.R // 2 + 1, args.M)
-    lattice = lattice_from_spec(args.lattice, max(2 * Lambda, 64))
+    Lambda, n_fourier = _band_sizes(args.Lambda, args.R, args.M)
+    lattice = lattice_from_spec(args.lattice, n_fourier)
     U = external_from_spec(args.external) if "external" in args else None
-    return output_dir(args.out), grid, lattice, Lambda, U
+    return Path(args.out), grid, lattice, Lambda, U
 
 
 def cmd_bands(args) -> int:
@@ -186,7 +183,7 @@ def cmd_convergence(args) -> int:
             Lambda=args.Lambda, lattice=args.lattice, external=args.external,
             schemes=args.schemes, dt=args.dt, dt_list=args.dt_list,
             T=args.T, out_dir=args.out or "out")
-    out = output_dir(config.out_dir)
+    out = Path(config.out_dir)
     reports = harness.run_convergence_study(config)
     files = []
     for report in reports:
@@ -257,20 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  Input the package rejects, a BlochStepError or a
     ValueError, ends it with one line on stderr and status 2, argparse's own
-    status for bad input; the directories this run made for --out, its
-    missing parents included, are removed deepest first while each is empty,
-    as checks such as solve_bands' on M come after they are made."""
+    status for bad input.  --out is made at the first write, after the
+    solve, so a run refused before it leaves nothing behind."""
     args = build_parser().parse_args(argv)
-    out = Path(args.out) if getattr(args, "out", "") else None
-    fresh = [] if out is None else [
-        d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         return args.func(args)
     except (BlochStepError, ValueError) as exc:
-        for d in fresh:
-            if not d.is_dir() or any(d.iterdir()):
-                break
-            d.rmdir()
         print(f"blochstep {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ It holds L lattice cells of period 2*pi*eps, each resolved with R points,
 so that the x-samples x_{l,r} = eps*(2*pi*(l-1) + y_r) form a uniform grid
 of L*R points.  Quasi-momenta k_l live in the Brillouin zone [-1/2, 1/2).
 
-Every file access of the package goes through output_dir, write_file and
-read_file, which turn any OSError into IoFailure.
+Every file access of the package goes through write_file and read_file,
+which turn any OSError into IoFailure.
 """
 
 from __future__ import annotations
@@ -132,22 +132,16 @@ def field_difference(a: WaveField, b: WaveField) -> WaveField:
     return WaveField(a.grid, a.values - b.values)
 
 
-def output_dir(path) -> Path:
-    """Make the directory path and its parents, as `mkdir -p` does."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return Path(path)
-
-
 def write_file(path, data: bytes) -> Path:
-    """Write data to path, replacing any file there."""
+    """Write data to path, replacing any file there; the missing parent
+    directories are made first, as `mkdir -p` does."""
+    path = Path(path)
     try:
-        Path(path).write_bytes(data)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    return Path(path)
+    return path
 
 
 def read_file(path) -> bytes:
@@ -176,8 +170,7 @@ def save_wavefield_csv(psi: WaveField, path) -> None:
 def save_wavefield_binary(psi: WaveField, path) -> None:
     """Binary dump: 16-byte header (magic, u32 L, u32 R, u32 pad), f64 pairs."""
     header = _WAVEFIELD_MAGIC + struct.pack("<III", psi.grid.L, psi.grid.R, 0)
-    interleaved = np.stack([psi.values.real, psi.values.imag], axis=-1)
-    write_file(path, header + interleaved.astype("<f8").tobytes())
+    write_file(path, header + psi.values.astype("<c16").tobytes())
 
 
 def load_wavefield_binary(path, epsilon: float) -> WaveField:
@@ -189,8 +182,8 @@ def load_wavefield_binary(path, epsilon: float) -> WaveField:
     L, R, _ = struct.unpack("<III", header[4:])
     if len(payload) != 16 * L * R:
         raise IoFailure(f"{path}: {len(payload)} payload bytes for L={L}, R={R}")
-    raw = np.frombuffer(payload, dtype="<f8").reshape(L, R, 2)
     grid = build_grid(epsilon, R)
     if grid.L != L:
         raise ShapeMismatch(f"file has L={L} but 1/epsilon={grid.L}")
-    return WaveField(grid, raw[..., 0] + 1j * raw[..., 1])
+    return WaveField(grid, np.frombuffer(payload, dtype="<c16")
+                     .reshape(L, R).copy())

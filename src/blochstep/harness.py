@@ -12,20 +12,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import solve_bands
+from .bands import _band_sizes, solve_bands
 from .errors import IoFailure, ShapeMismatch
 from .grid import (
     WaveField,
     build_grid,
     discrete_norms,
     field_difference,
-    output_dir,
     read_file,
     sample_gaussian,
     write_lines,
 )
 from .potential import external_from_spec, lattice_from_spec
-from .steppers import StepperConfig, evolve
+from .steppers import StepperConfig, _step_count, evolve
 
 # the BD reference of a study has this many times the finest R, and a step
 # this many times smaller than the finest dt
@@ -62,18 +61,13 @@ class ExperimentConfig:
         if not all(0 < h < np.inf for h in (self.dt, *self.dt_list)):
             raise ValueError(f"steps must be > 0 and finite: dt = {self.dt}, "
                              f"dt list = {self.dt_list}")
-        if not 0 < self.T < np.inf:
-            raise ValueError(f"T = {self.T} must be finite and > 0")
         if self.scenario == "spatial" and self.R < 4:
             raise ValueError(f"R = {self.R} gives no level of a spatial "
                              f"study, whose levels are R = 4, 8, ... <= R")
-        # the reference runs the finest step over REFERENCE_TEMPORAL_FACTOR
+        # checks T and the reference's step count (finest dt / the factor)
         finest = min(self.dt_list if self.scenario == "temporal"
                      and self.dt_list else (self.dt,))
-        steps = self.T / finest * REFERENCE_TEMPORAL_FACTOR
-        if not steps <= 2 ** 53:
-            raise ValueError(f"T / dt = {steps:g} reference steps is not a "
-                             f"representable step count")
+        _step_count(self.T, finest / REFERENCE_TEMPORAL_FACTOR)
 
 
 @dataclass
@@ -118,7 +112,7 @@ def _restrict(psi: WaveField, grid) -> WaveField:
 def _run_once(config: ExperimentConfig, scheme: str, R: int, dt: float,
               lattice, U):
     grid = build_grid(config.epsilon, R)
-    Lambda = max(config.Lambda, R // 2 + 1, config.M)
+    Lambda = _band_sizes(config.Lambda, R, config.M)[0]
     psi0 = sample_gaussian(grid)
     N = max(1, int(round(config.T / dt)))
     tic = time.perf_counter()
@@ -132,9 +126,8 @@ def _run_once(config: ExperimentConfig, scheme: str, R: int, dt: float,
 
 
 def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
-    """One ErrorReport per scheme; levels follow the configured scenario."""
-    n_fourier = max(config.Lambda, REFERENCE_SPATIAL_FACTOR * config.R)
-    lattice = lattice_from_spec(config.lattice, n_fourier)
+    """One ErrorReport per scheme; levels follow the configured scenario.
+    One lattice table serves every level: the reference's, the largest."""
     U = external_from_spec(config.external)
     if config.scenario == "spatial":
         label = "dx/eps"
@@ -144,6 +137,8 @@ def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
         label = "dt"
         runs = [(config.R, dt) for dt in list(config.dt_list) or [config.dt]]
     R_finest, dt_finest = runs[-1]
+    lattice = lattice_from_spec(config.lattice, _band_sizes(
+        config.Lambda, REFERENCE_SPATIAL_FACTOR * R_finest, config.M)[1])
     ref = _run_once(config, "bd", REFERENCE_SPATIAL_FACTOR * R_finest,
                     dt_finest / REFERENCE_TEMPORAL_FACTOR, lattice, U)[0]
     reports = []
@@ -170,7 +165,7 @@ def _fmt(x) -> str:
 
 def emit_report(report: ErrorReport, fmt: str, out_dir) -> Path:
     """Write one report file; byte-deterministic for identical input."""
-    out_dir = output_dir(out_dir)
+    out_dir = Path(out_dir)
     stem = f"{report.scheme}_{report.label.replace('/', '_')}"
     orders = [float("nan")] + list(report.orders)  # no order on the first row
     if fmt == "csv":
@@ -238,7 +233,7 @@ def config_hash(config) -> str:
 def write_manifest(out_dir, config, files) -> Path:
     """manifest.json with the config, its hash and the names of the files
     written; config is an ExperimentConfig or a plain settings mapping."""
-    out_dir = output_dir(out_dir)
+    out_dir = Path(out_dir)
     manifest = {
         "config_hash": config_hash(config),
         "config": _config_dict(config),

@@ -78,19 +78,29 @@ class _Splitting:
         return state.projection
 
     def mass(self, state: _State) -> float:
-        """Discrete L2 norm of the state's samples, as discrete_norms gives
-        it; by Parseval, ||backward(c)||^2 = mass_scale * Re<c, round_trip(c)>.
-        A NaN or infinity in the state, or a squared norm that overflows,
-        gives a non-finite mass."""
-        if state.coeffs is None:
-            values = state.values
-            return float(np.sqrt(self.grid.dx * np.sum(np.abs(values) ** 2)))
-        return float(np.sqrt(self.mass_scale * np.vdot(
-            state.coeffs, self.project(state)).real))
+        """Discrete L2 norm of the state's samples, sqrt(dx <psi, psi>) as
+        discrete_norms gives it, or by Parseval sqrt(mass_scale Re<c,
+        round_trip(c)>) in the basis.  A NaN, an infinity or an overflow
+        gives a non-finite mass, with no warning from vdot."""
+        a, b, scale = ((state.values, state.values, self.grid.dx)
+                       if state.coeffs is None else
+                       (state.coeffs, self.project(state), self.mass_scale))
+        return float(np.sqrt(scale * np.vdot(a, b).real))
 
     def step(self, psi: WaveField) -> WaveField:
         state = self.advance(self.enter(psi.values))
         return WaveField(psi.grid, self.leave(state))
+
+
+def _refuse_lost_phase(dt: float, eps: float, *terms) -> None:
+    """ValueError naming dt unless each table exp(-i E step/eps), given as
+    (E, step), keeps a fractional digit: max|E| step/eps < 2**52 rad, formed
+    in Python floats, where an overflow gives inf with no warning."""
+    phase = max(float(np.abs(E).max()) / float(eps) * float(step)
+                for E, step in terms)
+    if not phase < 2.0 ** 52:
+        raise ValueError(f"dt = {dt:g} gives a phase of {phase:.3g} rad per "
+                         f"step, which keeps no fractional digit")
 
 
 class BDPropagator(_Splitting):
@@ -104,13 +114,15 @@ class BDPropagator(_Splitting):
         eps = bands.grid.epsilon
         self.grid = bands.grid
         self.strang = order == "strang"
-        self.transform = tr = BlochTransform(bands)
         flow_dt = dt / 2 if self.strang else dt
+        U = external(bands.grid.x_nodes)
+        _refuse_lost_phase(dt, eps, (bands.energies, flow_dt), (U, dt))
+        self.transform = tr = BlochTransform(bands)
         flow = np.exp(-1j * np.ascontiguousarray(bands.energies.T)
                       * (flow_dt / eps))
         (self.pre_flow, self._synthesis, self._analysis,
          self.post_flow) = tr.folded_pair(flow)
-        self.phase = np.exp(-1j * external(bands.grid.x_nodes) * (dt / eps))
+        self.phase = np.exp(-1j * U * (dt / eps))
         if not self.strang:
             self.phase *= tr.sign  # a Lie step ends on physical samples
         # only a Strang state is held in the basis
@@ -183,6 +195,9 @@ class TSPropagator(_Splitting):
         self.strang = order == "strang"
         kappa = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on [0, 2*pi]
         flow_dt = dt / 2 if self.strang else dt
+        vtot = lattice.sample(grid.x_nodes / eps) + external(grid.x_nodes)
+        _refuse_lost_phase(dt, eps, (0.5 * (eps * kappa) ** 2, flow_dt),
+                           (vtot, dt))
         flow = np.exp(-0.5j * eps * kappa ** 2 * flow_dt)
         self.twiddle = self.untwiddle = None
         if n >= FOUR_STEP_MIN_POINTS:
@@ -190,7 +205,6 @@ class TSPropagator(_Splitting):
             self.twiddle = _four_step_twiddle(L, R)
             # kept: conjugating per call makes a length-LR temporary every step
             self.untwiddle = np.conj(self.twiddle)
-        vtot = lattice.sample(grid.x_nodes / eps) + external(grid.x_nodes)
         self.pre_flow = self.post_flow = flow
         self.phase = np.exp(-1j * vtot * (dt / eps))
         self.mass_scale = grid.dx / n
@@ -242,14 +256,11 @@ class StepperConfig:
     def propagator(self, grid: SimulationGrid) -> BDPropagator | TSPropagator:
         """This config's propagator on grid, built once and then reused."""
         if self._cached is None or self._cached[0] != (grid.L, grid.R):
-            # a dt whose phases overflow gives NaN tables, and the first
-            # step's mass check raises NonFinite for them
-            with np.errstate(invalid="ignore", over="ignore"):
-                prop = (BDPropagator(self.bands, self.external, self.dt,
-                                     self.splitting_order)
-                        if self.scheme == "bd"
-                        else TSPropagator(grid, self.lattice, self.external,
-                                          self.dt, self.splitting_order))
+            prop = (BDPropagator(self.bands, self.external, self.dt,
+                                 self.splitting_order)
+                    if self.scheme == "bd"
+                    else TSPropagator(grid, self.lattice, self.external,
+                                      self.dt, self.splitting_order))
             object.__setattr__(self, "_cached", ((grid.L, grid.R), prop))
         return self._cached[1]
 
@@ -277,6 +288,20 @@ def external_phase(psi: WaveField, U: ExternalPotential, dt: float,
     """Pointwise unimodular multiply exp(-i U(x) dt / eps); preserves |psi|."""
     phase = np.exp(-1j * U(psi.grid.x_nodes) * (dt / eps))
     return WaveField(psi.grid, psi.values * phase)
+
+
+def _step_count(T: float, dt: float, name: str = "T") -> int:
+    """The fewest equal steps of at most dt that reach T, which the errors
+    call name; ValueError unless T and dt are finite and > 0 and
+    T / dt <= 2**53."""
+    for label, value in ((name, T), ("dt", dt)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{label} = {value} must be finite and > 0")
+    steps = float(T) / float(dt)  # inf on overflow, with no warning
+    if not steps <= 2 ** 53:
+        raise ValueError(f"{name} / dt = {steps:g} steps is not a "
+                         f"representable step count")
+    return max(1, int(np.ceil(steps - 1e-12)))
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .grid import SimulationGrid, WaveField, discrete_norms, field_difference
 from .potential import TWO_PI, ExternalPotential
-from .steppers import StepperConfig, evolve
+from .steppers import StepperConfig, _step_count, evolve
 from .transform import BlochTransform
 
 HJ_CFL = 0.45  # Courant number of the relaxed Hamilton-Jacobi scheme
@@ -131,15 +131,6 @@ def _spectral_derivative(f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(_size_factors(f.size)[0] * np.fft.fft(f)).real
 
 
-def _steps(t_end: float, dt: float) -> tuple[int, float]:
-    """(n, t_end / n): the fewest equal steps of at most dt that reach t_end;
-    ValueError unless t_end and dt are finite and > 0."""
-    if not (0 < t_end < np.inf and 0 < dt < np.inf):
-        raise ValueError(f"t_end = {t_end} and dt = {dt} must be finite and > 0")
-    n = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    return n, t_end / n
-
-
 def _cfl_step(bands: BandTable, m: int, nx: int) -> tuple[float, float, float]:
     """(vmax, speed, dt): vmax = max |dE_m/dk| over 4L + 1 points of the
     zone, floored at 1e-6; the frozen relaxation speed 1.1 vmax; and the
@@ -165,7 +156,7 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     time is stable under solver-grid refinement: at a forming discontinuity
     the raw grid-scale slope doubles with every refinement and would
     otherwise push the detection time toward zero.  ValueError unless
-    t_end, and dt when given, are finite and > 0.
+    t_end, and dt when given, are finite and > 0 with t_end / dt <= 2**53.
     """
     bands.check_band(m)
     if nx < 1:
@@ -185,7 +176,8 @@ def hj_solve(bands: BandTable, m: int, U: ExternalPotential,
     elif dt > 0.5 * dx / vmax:
         raise CFLViolation(f"dt = {dt} exceeds 0.5*dx/max|dE/dk| = "
                            f"{0.5 * dx / vmax:g}")
-    nsteps, dt = _steps(t_end, dt)
+    nsteps = _step_count(t_end, dt, "t_end")
+    dt = t_end / nsteps
 
     energy = _trig_interpolant(bands, m, 0)
     left, right = np.roll(np.arange(nx), 1), np.roll(np.arange(nx), -1)
@@ -321,9 +313,8 @@ def _macro_spline(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def _two_scale(chi: ChiInterpolator, grid: SimulationGrid, a: np.ndarray,
                phi: np.ndarray, p: np.ndarray) -> WaveField:
     """a chi_m(x/eps, p) exp(i phi/eps), from a, phi and p sampled at the
-    grid's nodes in ravel order."""
-    x = grid.x_nodes.reshape(-1)
-    y = np.mod(x / grid.epsilon, TWO_PI)
+    grid's nodes in ravel order, with x/eps in cell l taken as its exact y_r."""
+    y = np.tile(grid.y_nodes, grid.L)
     vals = a * chi.chi_values(p, y) * np.exp(1j * phi / grid.epsilon)
     return WaveField(grid, vals.reshape(grid.L, grid.R))
 

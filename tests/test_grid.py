@@ -1,6 +1,8 @@
 import ast
 import csv
 import io
+import traceback
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochstep import build_grid, discrete_norms, sample_gaussian, WaveField
+from blochstep import (
+    build_grid,
+    discrete_norms,
+    mathieu,
+    sample_gaussian,
+    solve_bands,
+    WaveField,
+)
+from blochstep.bands import load_band_cache, save_band_cache
 from blochstep.errors import (
     IoFailure,
     NonFinite,
@@ -19,15 +29,15 @@ from blochstep.errors import (
 from blochstep.grid import (
     field_difference,
     load_wavefield_binary,
-    output_dir,
     read_file,
     save_wavefield_binary,
     save_wavefield_csv,
     write_file,
 )
+from blochstep.harness import parse_config_file
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "blochstep"
-FILE_HELPERS = {"output_dir", "write_file", "read_file"}
+FILE_HELPERS = {"write_file", "read_file"}
 FILE_CALLS = {"open", "mkdir", "read_bytes", "read_text", "write_bytes",
               "write_text", "loadtxt"}
 
@@ -175,11 +185,12 @@ def test_csv_rows_match_csv_writer(tmp_path, rng):
 def test_file_helpers_raise_io_failure(tmp_path):
     blocker = write_file(tmp_path / "blocker", b"x")
     assert read_file(blocker) == b"x"
-    assert output_dir(tmp_path / "a" / "b").is_dir()
+    # the missing parents are made, as mkdir -p makes them
+    assert read_file(write_file(tmp_path / "a" / "b" / "f", b"y")) == b"y"
     with pytest.raises(IoFailure):
-        output_dir(blocker)
+        write_file(blocker / "f", b"")
     with pytest.raises(IoFailure):
-        output_dir(blocker / "sub")
+        write_file(blocker / "sub" / "f", b"")
     with pytest.raises(IoFailure):
         write_file(tmp_path, b"")
     with pytest.raises(IoFailure):
@@ -215,3 +226,79 @@ def test_file_access_only_through_helpers():
     assert _file_calls((SRC / "grid.py").read_text())
     assert _file_calls("np.loadtxt(p)\nPath(p).mkdir()\nopen(p)") == [
         "loadtxt at line 1", "mkdir at line 2", "open at line 3"]
+
+
+def _damaged(blob: bytes):
+    """Every proper prefix of blob, then blob with each single bit flipped:
+    (byte index of the flip or None, bytes)."""
+    for n in range(len(blob)):
+        yield None, blob[:n]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bit // 8, bytes(flipped)
+
+
+def _damage_outcomes(tmp_path, blob, load) -> Counter:
+    """The outcomes of load(path, i) on every damaged copy of blob, written
+    to path, i being the byte index of the flip (None for a prefix): "load",
+    "IoFailure", or "ValueError in" the function that raised it.  Any other
+    exception propagates."""
+    path = tmp_path / "damaged"
+    counts = Counter()
+    for i, data in _damaged(blob):
+        path.write_bytes(data)
+        try:
+            load(path, i)
+            counts["load"] += 1
+        except IoFailure:
+            counts["IoFailure"] += 1
+        except ValueError as exc:
+            raiser = traceback.extract_tb(exc.__traceback__)[-1].name
+            counts[f"ValueError in {raiser}"] += 1
+    return counts
+
+
+@pytest.mark.filterwarnings("error")
+def test_readers_give_a_load_or_a_typed_error_on_every_damage(tmp_path):
+    """Every truncation and single-bit flip of a band cache, a wavefield and
+    a config file loads or raises a typed error, with no warning: IoFailure
+    for malformed bytes, and ExperimentConfig's ValueError for a well-formed
+    value it refuses.  The wavefield has no checksum, so a flipped payload
+    loads, and it loads exactly the flipped values."""
+    grid = build_grid(0.5, 4)
+    table = solve_bands(mathieu(4), grid, 3, 1)
+    save_band_cache(table, tmp_path / "bands.bin")
+
+    def load_cache(path, i):
+        # only the lowest bits of the header's epsilon pass the checks
+        back = load_band_cache(path, grid, table.potential)
+        assert back.energies.tobytes() == table.energies.tobytes()
+        assert back.vectors.tobytes() == table.vectors.tobytes()
+
+    counts = _damage_outcomes(
+        tmp_path, (tmp_path / "bands.bin").read_bytes(), load_cache)
+    assert set(counts) == {"load", "IoFailure"} and counts["load"] <= 8
+
+    # flipping the top exponent bit of 1.0 gives an infinity, of 1.5 a NaN
+    psi = WaveField(grid, [[1.0, 1j, -1.5j, 0.25], [2.0, -0.0, 1 + 1j, 3.5]])
+    save_wavefield_binary(psi, tmp_path / "field.bin")
+    blob = (tmp_path / "field.bin").read_bytes()
+
+    def load_field(path, i):
+        back = load_wavefield_binary(path, grid.epsilon)
+        # bytes 12..15 are the header's pad word, which is not read
+        flipped = path.read_bytes() if i is not None and i >= 16 else blob
+        assert back.values.tobytes() == flipped[16:]
+
+    counts = _damage_outcomes(tmp_path, blob, load_field)
+    assert set(counts) == {"load", "IoFailure"}
+    assert counts["load"] == 8 * (len(blob) - 12)  # the pad and the payload
+
+    text = ("scenario = temporal\nepsilon = 0.125\nR = 16\nschemes = bd, ts\n"
+            "dt_list = 0.02, 0.01\nT = 0.1\n").encode()
+    counts = _damage_outcomes(tmp_path, text,
+                              lambda path, i: parse_config_file(path))
+    assert {"load", "IoFailure", "ValueError in __post_init__"} <= set(counts)
+    assert set(counts) <= {"load", "IoFailure", "ValueError in __post_init__",
+                           "ValueError in _step_count"}

@@ -2,7 +2,7 @@ import ast
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochstep import (
@@ -145,8 +145,10 @@ _SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
     (["bands", "--eps", "0"], "NonIntegerCellCount: "),
     (["bands", "--eps", "nan"], "NonIntegerCellCount: "),
     (["convergence", "--dt", "0"], "ValueError: steps must be > 0"),
-    (["wkb", "--t-end", "-1"] + _SMALL, "ValueError: t_end = -1.0 and dt = "),
-    (["wkb", "--t-end", "inf"] + _SMALL, "ValueError: t_end = inf and dt = "),
+    (["wkb", "--t-end", "-1"] + _SMALL,
+     "ValueError: t_end = -1.0 must be finite and > 0"),
+    (["wkb", "--t-end", "inf"] + _SMALL,
+     "ValueError: t_end = inf must be finite and > 0"),
     (["evolve", "--T", "nan"] + _SMALL,
      "ValueError: T = nan must be finite and > 0"),
     (["convergence", "--T", "-1"], "ValueError: T = -1.0 must be finite and > 0"),
@@ -155,16 +157,21 @@ _SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
     (["convergence", "--eps", "0.25", "--Lambda", "8", "--R", "2"],
      "ValueError: R = 2 gives no level of a spatial study"),
     (["convergence", "--eps", "0.25", "--Lambda", "8", "--R", "8", "--T",
-      "1e308"], "ValueError: T / dt = inf reference steps is not a"),
+      "1e308"], "ValueError: T / dt = inf steps is not a"),
     (["evolve", "--T", "1e308", "--steps", "1"] + _SMALL,
-     "NonFinite: non-finite field after step 1"),
+     "ValueError: dt = 1e+308 gives a phase of "),
     (["compare", "--T", "1e308", "--bd-steps", "1"] + _SMALL,
-     "NonFinite: non-finite field after step 1"),
+     "ValueError: dt = 1e+308 gives a phase of "),
+    (["evolve", "--T", "1e308"] + _SMALL,
+     "ValueError: dt = 1e+306 gives a phase of "),
+    (["compare", "--T", "1e308"] + _SMALL,
+     "ValueError: dt = 1e+306 gives a phase of "),
 ], ids=["bands", "evolve", "compare", "wkb", "convergence", "bands-eps-0",
         "bands-eps-nan", "convergence-dt-0", "wkb-t-end-negative",
         "wkb-t-end-inf", "evolve-T-nan", "convergence-T-negative",
         "compare-T-nan", "convergence-R-2", "convergence-T-overflow",
-        "evolve-T-overflow", "compare-T-overflow"])
+        "evolve-T-overflow", "compare-T-overflow",
+        "evolve-T-overflow-default-steps", "compare-T-overflow-default-steps"])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
                                                      monkeypatch, argv, error):
@@ -182,8 +189,8 @@ def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
 
 def test_cli_refusal_removes_the_out_parents_it_made(tmp_path, capsys,
                                                     monkeypatch):
-    """A refused run removes every directory it made for --out, deepest
-    first, and keeps a parent that was there before it."""
+    """A refused run makes no directory for --out, nor any of its missing
+    parents, and keeps a parent that was there before it."""
     from blochstep.cli import main
     monkeypatch.chdir(tmp_path)
     (tmp_path / "kept").mkdir()
@@ -346,10 +353,10 @@ def test_config_rejects_non_positive_steps(steps):
 @pytest.mark.parametrize("kwargs, message", [
     ({"R": 3}, "R = 3 gives no level"),
     ({"R": -4}, "R = -4 gives no level"),
-    ({"T": 1e308}, r"T / dt = inf reference steps"),
-    ({"T": 1e300}, r"T / dt = 1e\+303 reference steps"),
+    ({"T": 1e308}, r"T / dt = inf steps"),
+    ({"T": 1e300}, r"T / dt = 1e\+303 steps"),
     ({"scenario": "temporal", "dt_list": (0.1, 1e-300)},
-     r"T / dt = 1e\+300 reference steps"),
+     r"T / dt = 1e\+300 steps"),
 ])
 def test_config_refuses_a_study_it_cannot_run(kwargs, message):
     # R < 4 used to end in an IndexError on the empty level list, and a T/dt
@@ -450,3 +457,96 @@ def test_every_cli_flag_is_read():
                    and a.dest not in read]
     assert unread == []
 
+
+# flag values for the sweep below, (accepted, refused) per flag: tiny grids
+# (1/eps <= 8, R <= 16, Lambda <= 64, nx <= 64) and short accepted runs; a
+# huge value only where it is refused, as an accepted wkb --t-end 1e10
+# would march about 5e11 steps
+_TIMES = (["0.01", "0.02"], ["1e308", "0", "-1", "nan", "inf"])
+_EXTERNALS = (["none", "harmonic", "step", "linear:1"], ["linear:nan", "bogus"])
+_PROBLEM = {"--eps": (["0.25", "0.125"], ["0.3", "0", "-0.25", "nan"]),
+            "--R": (["4", "8", "16"], ["2", "6", "-8"]),
+            "--M": (["1", "2", "40"], ["0", "-1"]),
+            "--Lambda": (["2", "8", "64", "-3"], []),
+            "--lattice": (["mathieu", "kronig_penney"],
+                          ["bogus", "file:missing.txt"])}
+_SWEEP = {
+    "bands": {},
+    "evolve": {"--external": _EXTERNALS, "--scheme": (["bd", "ts"], []),
+               "--order": (["lie", "strang"], []), "--T": _TIMES,
+               "--steps": (["1", "3"], []),
+               "--snapshot-every": (["0", "1"], [])},
+    "compare": {"--external": _EXTERNALS, "--T": _TIMES,
+                "--bd-steps": (["1", "2"], []),
+                "--ts-steps": (["1", "4"], [])},
+    "wkb": {"--external": _EXTERNALS, "--band": (["1", "2"], ["0", "9"]),
+            "--phi0": (["zero", "neg-cos"], []), "--t-end": _TIMES,
+            "--nx": (["8", "64"], []), "--compare": ([False, True], []),
+            "--steps": (["10", "20"], ["7"])},
+    "convergence": {"--external": _EXTERNALS,
+                    "--scenario": (["spatial", "temporal"], []),
+                    "--schemes": (["bd", "ts", "bd,ts"], ["tss"]),
+                    "--dt": (["0.01", "0.005"], ["0", "nan", "-1"]),
+                    "--dt-list": (["", "0.02,0.01"],
+                                  ["0.01,0.02", "0.02,-1"]),
+                    "--T": (["0.02"], ["1e308", "-1", "nan", "0"])},
+}
+# cases the sweep must hold, with the status each must end in
+_PINNED = {
+    # a bare OverflowError from the step count, and its --out left behind
+    ("wkb", "--t-end", "1e308", *_SMALL): 2,
+    # the harness sized its lattice by a rule of its own: TruncationTooSmall
+    ("convergence", "--M", "40", "--Lambda", "8", "--R", "8", "--eps",
+     "0.25", "--T", "0.02"): 0,
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand with every flag of _PROBLEM and _SWEEP drawn, each from
+    its accepted values but for at most one, drawn from its refused ones."""
+    command = draw(st.sampled_from(sorted(_SWEEP)))
+    flags = {**_PROBLEM, **_SWEEP[command]}
+    broken = draw(st.sampled_from(
+        [None] + [f for f, (_, refused) in flags.items() if refused]))
+    argv = [command]
+    for flag, (accepted, refused) in flags.items():
+        value = draw(st.sampled_from(refused if flag == broken else accepted))
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_cli_argv())
+@example(list(_PINNED)[0])
+@example(list(_PINNED)[1])
+def test_cli_sweep_exits_0_or_2_with_one_line(argv):
+    """Any mix of valid and refused flag values ends in status 0, or in
+    status 2 with exactly one stderr line, no traceback, no warning and no
+    --out directory."""
+    import contextlib
+    import io
+    import tempfile
+    import warnings
+    from pathlib import Path
+
+    from blochstep.cli import main
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        out = Path(tmp) / "out"
+        status = main(list(argv) + ["--out", str(out)])
+        made = out.exists()
+    assert [str(w.message) for w in caught] == []
+    assert status == _PINNED.get(tuple(argv), status)
+    assert status in (0, 2)
+    if status == 2:
+        assert err.getvalue().startswith(f"blochstep {argv[0]}: ")
+        assert err.getvalue().count("\n") == 1
+        assert not made
