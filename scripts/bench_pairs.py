@@ -21,7 +21,13 @@ range.  Each `--workload` given runs its own pairs, with the same seeds, one
 workload after the other.  A metric whose checkout median is worse than the
 base median by more than the metric's relative `bound` in BENCHMARK.json is
 flagged, and so is a run, traced or not, that fails, reports
-`correct: false` or counts failed solves.  With `--json PATH` every
+`correct: false` or counts failed solves.  The same summary, with no gain
+verdict and no bound, is printed for each run's raw wall times, which
+run.py writes to `perfbench/out/<workload>-seed<n>-trace0.json` in that
+run's tree: `raw_setup_s` and `raw_solve_s`, the medians of set-up and
+solve before the speed gauge scales them.  They are not gated; they show
+whether a gain in a gauged metric comes from the program or from the gauge.
+With `--json PATH` every
 workload's summary, its traced runs' outcome included, is also written to
 PATH as one JSON object, together with the seeds, the base ref and its
 commit, the checkout's commit and whether its tracked files are clean, and
@@ -41,6 +47,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# raw wall times in run.py's record of an untraced run, not gated
+RAW_TIMES = ("raw_setup_s", "raw_solve_s")
 
 
 def parse_args(argv):
@@ -85,8 +93,8 @@ def clean() -> bool:
 def run_once(tree: Path, workload: str, seed: int, seconds: int,
              trace: int = 0):
     """(result, problem): run.py's final JSON line, with its `env` line
-    added under "env", and a note when the run failed or was not correct
-    (None otherwise)."""
+    added under "env" and the RAW_TIMES of the record it wrote under "raw",
+    and a note when the run failed or was not correct (None otherwise)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -97,6 +105,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int,
         return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
     result = json.loads(lines[-1])
     result["env"] = json.loads(lines[-2])["env"] if len(lines) > 1 else None
+    record = json.loads((tree / "perfbench" / "out" /
+                         f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    result["raw"] = {name: record[name] for name in RAW_TIMES if name in record}
     if not result["correct"] or result["failed"]:
         return result, (f"correct={result['correct']}, "
                         f"{result['failed']}/{result['attempted']} failed")
@@ -108,6 +119,27 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
+
+
+def summarise(base, change, lower):
+    """Both sides' median and quartiles, the pairs the checkout wins (a
+    lower value wins when lower, else a higher) and the gap of the medians,
+    checkout minus base."""
+    (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
+    return {
+        "base": {"median": bmed, "q1": bq1, "q3": bq3, "values": base},
+        "change": {"median": cmed, "q1": cq1, "q3": cq3, "values": change},
+        "wins": sum((c < b) if lower else (c > b)
+                    for b, c in zip(base, change)),
+        "gap": cmed - bmed}
+
+
+def row(name, s, pairs) -> str:
+    """The printed line of a summarise() result s over `pairs` pairs."""
+    base, change = (f"{x['median']:.4g} [{x['q1']:.4g}, {x['q3']:.4g}]"
+                    for x in (s["base"], s["change"]))
+    wins = f"{s['wins']}/{pairs}"
+    return f"{name:<13}{base:>34}{change:>34}{wins:>7}{s['gap']:>+11.3g}"
 
 
 def traced(workload, args, trees):
@@ -129,8 +161,9 @@ def traced(workload, args, trees):
 
 
 def compare(workload, args, trees, metrics):
-    """Run the pairs of one workload and print their summary; returns
-    (summary, problems, envs, complete pairs)."""
+    """Run the pairs of one workload and print their summary, then that of
+    the raw wall times; returns (summary, raw summary, problems, envs,
+    complete pairs)."""
     runs = {"base": [], "change": []}
     problems = []
     for i in range(args.pairs):
@@ -159,32 +192,35 @@ def compare(workload, args, trees, metrics):
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         lower = spec["better"] == "lower"
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
-        bq1, bmed, bq3 = quartiles(base)
-        cq1, cmed, cq3 = quartiles(change)
-        gap = cmed - bmed
-        worse = gap if lower else -gap
-        gain = 10 * wins >= 9 * len(pairs) and -worse > bq3 - bq1
+        s = summarise(base, change, lower)
+        bmed, cmed = s["base"]["median"], s["change"]["median"]
+        worse = s["gap"] if lower else -s["gap"]
+        gain = (10 * s["wins"] >= 9 * len(pairs)
+                and -worse > s["base"]["q3"] - s["base"]["q1"])
         spread = max(abs(c - b) for b, c in zip(base, change))
         out_of_bound = worse > spec["bound"] * abs(bmed)
-        print(f"{name:<13}{f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>34}"
-              f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34}"
-              f"{f'{wins}/{len(pairs)}':>7}{gap:>+11.3g}"
+        print(f"{row(name, s, len(pairs))}"
               f"  {'met' if gain else 'no':<4}  {spread:.3g}")
         if out_of_bound:
             problems.append(f"{workload} {name}: change median {cmed:.4g} is "
                             f"worse than base {bmed:.4g} by more than the "
                             f"bound {spec['bound']} of the base")
         summary[name] = {
-            "unit": spec["unit"], "better": spec["better"],
-            "base": {"median": bmed, "q1": bq1, "q3": bq3, "values": base},
-            "change": {"median": cmed, "q1": cq1, "q3": cq3,
-                       "values": change},
-            "wins": wins, "gap": gap, "gain": gain,
-            "max_pair_difference": spread, "bound": spec["bound"],
-            "out_of_bound": out_of_bound}
+            "unit": spec["unit"], "better": spec["better"], **s,
+            "gain": gain, "max_pair_difference": spread,
+            "bound": spec["bound"], "out_of_bound": out_of_bound}
+    raw = {}
+    for name in RAW_TIMES:
+        if pairs and all(name in r["raw"] for pair in pairs for r in pair):
+            raw[name] = {"unit": "s", "better": "lower", "gated": False,
+                         **summarise([b["raw"][name] for b, _ in pairs],
+                                     [c["raw"][name] for _, c in pairs],
+                                     True)}
+            if len(raw) == 1:
+                print("raw wall time, before the speed gauge (not gated):")
+            print(row(name, raw[name], len(pairs)))
     envs = [r["env"] for r in runs["change"] if r and r["env"]]
-    return summary, problems, envs, len(pairs)
+    return summary, raw, problems, envs, len(pairs)
 
 
 def main(argv=None) -> int:
@@ -196,14 +232,14 @@ def main(argv=None) -> int:
         unpack(args.base, trees["base"])
         for workload in args.workload:
             trace, trace_flagged = traced(workload, args, trees)
-            summary, flagged, env, complete = compare(workload, args, trees,
-                                                      metrics)
+            summary, raw, flagged, env, complete = compare(
+                workload, args, trees, metrics)
             flagged = trace_flagged + flagged
             problems += flagged
             envs += env
             workloads[workload] = {"complete_pairs": complete,
-                                   "metrics": summary, "traced": trace,
-                                   "flagged": flagged}
+                                   "metrics": summary, "raw": raw,
+                                   "traced": trace, "flagged": flagged}
     for problem in problems:
         print(f"FLAGGED {problem}")
     if args.json:

@@ -91,22 +91,18 @@ def _lowest_eigenpairs(parts, Lambda: int, ks, lo: int, hi: int,
     (T, e) = parts, for each k in 1-D ks: energies (hi-lo+1, nk) and the
     unit-norm vectors (keep, nk, 2*Lambda) of the first keep (all by
     default).  eigh_tridiagonal when e is given, with real vectors; else one
-    direct LAPACK call per k in T's dtype, dsyevr or zheevr, with scipy's
-    subset-eigh arguments on one Fortran-order H overwritten per node and the
-    workspace queried once.  A failure raises EigensolverFailure naming k."""
+    dense node solve per k in T's dtype (_real_solver, _complex_solver) on
+    one Fortran-order H overwritten per node.  A failure raises
+    EigensolverFailure naming k."""
     T, e = parts
     n, keep = 2 * Lambda, keep or hi - lo + 1
     kin = _kinetic(Lambda, ks)
     if e is None:
-        name = "zheevr" if np.iscomplexobj(T) else "dsyevr"
-        evr, query = scipy.linalg.lapack.get_lapack_funcs(
-            (name[1:], name[1:] + "_lwork"), (T,))
-        # zheevr's query returns lwork, lrwork and liwork; dsyevr's no lrwork
-        sizes = ("lwork", "lrwork", "liwork")[::1 if name == "zheevr" else 2]
-        work = dict(zip(sizes, (int(x.real) for x in query(n, lower=1)[:-1])))
         H0 = np.asfortranarray(T)
         H = np.empty_like(H0)
         diag = H.ravel(order="K")[::n + 1]  # a view of H's diagonal
+        solve = (_complex_solver(n, lo, hi) if np.iscomplexobj(T)
+                 else _real_solver(n, lo, hi, keep))
     energies = np.empty((hi - lo + 1, ks.size))
     vectors = np.empty((keep, ks.size, n), dtype=float if e is not None else T.dtype)
     for j, k in enumerate(ks):
@@ -119,11 +115,7 @@ def _lowest_eigenpairs(parts, Lambda: int, ks, lo: int, hi: int,
         else:
             np.copyto(H, H0)
             np.add(T.diagonal(), kin[j], out=diag)
-            w, z, _, _, info = evr(H, range="I", lower=1, il=lo + 1, iu=hi + 1,
-                                   overwrite_a=1, **work)
-            if info:
-                raise EigensolverFailure(
-                    f"LAPACK {name} failed at k = {k} (info = {info})")
+            w, z = solve(H, k)
         energies[:, j] = w[:hi - lo + 1]
         vectors[:, j] = z[:, :keep].T
     # normalised 16 nodes at a time, so that the norm's temporaries are a
@@ -133,6 +125,60 @@ def _lowest_eigenpairs(parts, Lambda: int, ks, lo: int, hi: int,
         block = vectors[:, j:j + 16]
         block /= np.linalg.norm(block, axis=2, keepdims=True)
     return energies, vectors
+
+
+def _check_info(name: str, k, info: int) -> None:
+    if info:
+        raise EigensolverFailure(
+            f"LAPACK {name} failed at k = {k} (info = {info})")
+
+
+def _complex_solver(n: int, lo: int, hi: int):
+    """solve(H, k) -> (w, z): eigenpairs lo..hi of one complex H (its lower
+    triangle, overwritten) by one zheevr call with scipy's subset-eigh
+    arguments, the workspace queried once, here."""
+    evr, query = scipy.linalg.lapack.get_lapack_funcs(
+        ("heevr", "heevr_lwork"), dtype=complex)
+    work = dict(zip(("lwork", "lrwork", "liwork"),
+                    (int(x.real) for x in query(n, lower=1)[:-1])))
+
+    def solve(H, k):
+        w, z, _, _, info = evr(H, range="I", lower=1, il=lo + 1, iu=hi + 1,
+                               overwrite_a=1, **work)
+        _check_info("zheevr", k, info)
+        return w, z
+    return solve
+
+
+def _real_solver(n: int, lo: int, hi: int, keep: int):
+    """solve(H, k) -> (w, z): eigenpairs lo..hi of one real H (its lower
+    triangle, overwritten), vectors of the first keep.  dsytrd reduces H to
+    the tridiagonal Q^T H Q with dsyevr's blocked workspace; dsterf gives
+    all its eigenvalues by root-free QR, and lo..hi are taken; dstein finds
+    the keep wanted vectors of the tridiagonal, as one block, by inverse
+    iteration; dormqr applies Q, whose first row and column are e_1, to
+    rows 2..n of them, with a workspace of keep, which picks the unblocked
+    path.  For an index subset dsyevr runs bisection (dstebz) in place of
+    dsterf, which costs about twice as much at n = 64 and is no more
+    accurate on a dense H."""
+    trd, trd_query, sterf, stein, ormqr = scipy.linalg.lapack.get_lapack_funcs(
+        ("sytrd", "sytrd_lwork", "sterf", "stein", "ormqr"), dtype=float)
+    lwork = int(trd_query(n, lower=1)[0])
+    iblock = np.ones(n, dtype=np.intc)
+    isplit = np.zeros(n, dtype=np.intc)
+    isplit[0] = n
+
+    def solve(H, k):
+        c, d, sub, tau, info = trd(H, lower=1, lwork=lwork, overwrite_a=1)
+        _check_info("dsytrd", k, info)
+        w, info = sterf(d, sub)  # on copies: dstein needs d and sub
+        _check_info("dsterf", k, info)
+        z, info = stein(d, sub, w[lo:lo + keep], iblock, isplit)
+        _check_info("dstein", k, info)
+        z[1:], _, info = ormqr("L", "N", c[1:, :-1], tau, z[1:], keep)
+        _check_info("dormqr", k, info)
+        return w[lo:], z
+    return solve
 
 
 def _conditioning(T: np.ndarray, Lambda: int, ks, energies) -> np.ndarray:
@@ -355,10 +401,10 @@ def solve_bands(V: PeriodicPotential, grid: SimulationGrid, Lambda: int,
     """Solve the truncated eigenproblem at every k-node and fix the gauge.
 
     Every node is one _lowest_eigenpairs solve: eigh_tridiagonal on the
-    cosine lattice, and one direct LAPACK call per node elsewhere, whose
-    routine follows T's dtype.  When H(k) is dense with a real lower
+    cosine lattice, and direct LAPACK calls per node elsewhere, whose
+    routines follow T's dtype.  When H(k) is dense with a real lower
     triangle (Kronig-Penney, the free lattice) the nodes are solved with the
-    real T by dsyevr for bands 1..M+1, and the nodes whose conditioning
+    real T (_real_solver) for bands 1..M+1, and the nodes whose conditioning
     (_conditioning, from the gap among those bands) exceeds _REAL_COND_MAX
     are solved again with the complex T by zheevr, whose vectors have a zero
     imaginary part on a real H(k) and are stored by their real part; the

@@ -111,10 +111,12 @@ def _restrict(psi: WaveField, grid) -> WaveField:
 
 def _run_once(config: ExperimentConfig, scheme: str, R: int, dt: float,
               lattice, U):
+    """(final field, step, wall clock, mass drift) of one run to T in
+    N = _step_count(T, dt) steps of T / N, the step returned."""
     grid = build_grid(config.epsilon, R)
     Lambda = _band_sizes(config.Lambda, R, config.M)[0]
     psi0 = sample_gaussian(grid)
-    N = max(1, int(round(config.T / dt)))
+    N = _step_count(config.T, dt)
     tic = time.perf_counter()
     tab = solve_bands(lattice, grid, Lambda, config.M) if scheme == "bd" else None
     cfg = StepperConfig(scheme, "strang", config.T / N, bands=tab,
@@ -122,12 +124,14 @@ def _run_once(config: ExperimentConfig, scheme: str, R: int, dt: float,
     out = evolve(psi0, cfg, config.T, N)
     wall = time.perf_counter() - tic
     drift = float(abs(out.mass_history[-1] - out.mass_history[0]))
-    return out.final, wall, drift
+    return out.final, config.T / N, wall, drift
 
 
 def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
-    """One ErrorReport per scheme; levels follow the configured scenario.
-    One lattice table serves every level: the reference's, the largest."""
+    """One ErrorReport per scheme; levels follow the configured scenario,
+    a temporal level being the step its run took (T / N, N =
+    _step_count(T, dt)), which is dt when dt divides T.  One lattice table
+    serves every level: the reference's, the largest."""
     U = external_from_spec(config.external)
     if config.scenario == "spatial":
         label = "dx/eps"
@@ -145,9 +149,10 @@ def run_convergence_study(config: ExperimentConfig) -> list[ErrorReport]:
     for scheme in config.schemes:
         rows = []
         for R, dt in runs:
-            psi, wall, drift = _run_once(config, scheme, R, dt, lattice, U)
+            psi, step, wall, drift = _run_once(config, scheme, R, dt,
+                                               lattice, U)
             l2, linf = compare_solutions(psi, _restrict(ref, psi.grid))
-            rows.append((1.0 / R if label == "dx/eps" else dt,
+            rows.append((1.0 / R if label == "dx/eps" else step,
                          l2, linf, wall, drift))
         levels, l2s, linfs, walls, drifts = (list(c) for c in zip(*rows))
         reports.append(ErrorReport(

@@ -186,7 +186,8 @@ class ExternalPotential:
     """Slowly varying external potential U(x) on [0, 2*pi].
 
     kind is one of none / linear / harmonic / step, else ValueError.  Linear
-    carries a force-field strength, which must be finite.
+    carries a force-field strength, which must be finite, and so must its
+    samples strength * x on [0, 2*pi].
     """
 
     kind: str
@@ -198,6 +199,11 @@ class ExternalPotential:
         if not np.isfinite(self.strength):
             raise NonFinite(
                 f"non-finite external potential strength {self.strength}")
+        # in Python floats: an overflow is inf, with no numpy warning
+        if self.kind == "linear" and not math.isfinite(
+                float(self.strength) * TWO_PI):
+            raise NonFinite(f"linear external potential strength "
+                            f"{self.strength} overflows on [0, 2*pi]")
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

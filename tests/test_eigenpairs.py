@@ -1,10 +1,12 @@
-"""The one eigenpair loop (eigh_tridiagonal, or one direct LAPACK dsyevr or
-zheevr per k), the real table solve with its complex fallback, the one-pass
-gauge and ChiInterpolator's Chebyshev interpolant with its per-key fallback,
-against the earlier per-k path (one assembled dense complex eigh per k,
-sequential parallel transport), the same solves made node by node through
-scipy's public eigh and eigh_tridiagonal, and the earlier per-point
-chi_values loop, kept here as a test-local oracle."""
+"""The one eigenpair loop (eigh_tridiagonal, or per k either the four direct
+LAPACK calls dsytrd, dsterf, dstein and dormqr of a real H(k) or one zheevr
+of a complex one), the real table solve with its complex fallback, the
+one-pass gauge and ChiInterpolator's Chebyshev interpolant with its per-key
+fallback, against the earlier per-k path (one assembled dense complex eigh
+per k, sequential parallel transport), the same solves made node by node
+through scipy's public eigh and eigh_tridiagonal or through the same four
+scipy.linalg.lapack calls, and the earlier per-point chi_values loop, kept
+here as a test-local oracle."""
 
 import dataclasses
 import functools
@@ -294,30 +296,47 @@ def test_dispatch_picks_tridiagonal_only_for_the_cosine_lattice(
     V = (DENSE.get(lattice) or mathieu)(8)
     _lowest_eigenpairs(_hamiltonian_parts(V, 8), 8, np.array([0.1, 0.2, 0.3]),
                        0, 2)
-    assert calls == ({"dsyevr": 0, "zheevr": 0, "eigh_tridiagonal": 3}
-                     if tridiagonal else
-                     {"dsyevr": 0, "zheevr": 3, "eigh_tridiagonal": 0})
+    assert calls == (_calls(0, 0, 3) if tridiagonal else _calls(0, 3, 0))
+
+
+# the direct LAPACK calls of one real dense node solve, in their order
+REAL_ROUTINES = ("dsytrd", "dsterf", "dstein", "dormqr")
 
 
 def _wrap_direct_solve(monkeypatch, wrapper):
     """Route each direct LAPACK call of bands._lowest_eigenpairs through
     wrapper(name, routine, *args, **kwargs), name being the routine's full
-    LAPACK name, dsyevr or zheevr; scipy's eigh fails if it is reached."""
+    LAPACK name, one of REAL_ROUTINES or zheevr; the workspace queries are
+    not routed.  scipy's eigh fails if it is reached."""
     get = scipy.linalg.lapack.get_lapack_funcs
 
-    def patched(names, arrays=()):
-        solve, lwork = get(names, arrays)
-        name = solve.typecode + names[0]
-        assert name in ("dsyevr", "zheevr")
-        return functools.partial(wrapper, name, solve), lwork
+    def patched(names, arrays=(), dtype=None):
+        routines = get(names, arrays, dtype)
+        out = []
+        for base, routine in zip(names, routines):
+            name = routine.typecode + base
+            if not base.endswith("_lwork"):
+                assert name in (*REAL_ROUTINES, "zheevr")
+                routine = functools.partial(wrapper, name, routine)
+            out.append(routine)
+        return out
     monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", patched)
     monkeypatch.setattr(scipy.linalg, "eigh", _failing)
 
 
+def _calls(real, zheevr, tridiagonal):
+    """The call counts of _count_dense_calls for `real` real dense node
+    solves (one call of each of REAL_ROUTINES), `zheevr` complex ones and
+    `tridiagonal` eigh_tridiagonal calls."""
+    return {**dict.fromkeys(REAL_ROUTINES, real), "zheevr": zheevr,
+            "eigh_tridiagonal": tridiagonal}
+
+
 def _count_dense_calls(monkeypatch):
-    """Count the direct LAPACK calls by their name, dsyevr or zheevr, and the
-    eigh_tridiagonal calls; scipy's eigh must not be reached."""
-    calls = {"dsyevr": 0, "zheevr": 0, "eigh_tridiagonal": 0}
+    """Count the direct LAPACK calls by their name, one of REAL_ROUTINES or
+    zheevr, and the eigh_tridiagonal calls; scipy's eigh must not be
+    reached."""
+    calls = _calls(0, 0, 0)
     tridiagonal = scipy.linalg.eigh_tridiagonal
 
     def counted_direct(name, solve, *args, **kw):
@@ -348,20 +367,21 @@ def _over_conditioned(V, grid, Lambda, M):
 
 @pytest.mark.parametrize("lattice", ["mathieu", "kp", "free", "asymmetric"])
 def test_solve_bands_dispatch(lattice, monkeypatch):
-    """Kronig-Penney and the free lattice make one direct dsyevr call per
-    node and a zheevr call only at the nodes over _REAL_COND_MAX (k = -1/2
-    and 0 on this Kronig-Penney table; on the free one the crossings at -1/2
-    and 0 and the near-crossings at +-7/16); the asymmetric lattice makes
-    zheevr calls only, the cosine lattice tridiagonal calls only."""
+    """Kronig-Penney and the free lattice make one real dense node solve
+    (one call of each of REAL_ROUTINES) per node and a zheevr call only at
+    the nodes over _REAL_COND_MAX (k = -1/2 and 0 on this Kronig-Penney
+    table; on the free one the crossings at -1/2 and 0 and the
+    near-crossings at +-7/16); the asymmetric lattice makes zheevr calls
+    only, the cosine lattice tridiagonal calls only."""
     V = (DENSE.get(lattice) or mathieu)(32)
     grid = build_grid(1.0 / 16, 4)
     calls = _count_dense_calls(monkeypatch)
     solve_bands(V, grid, 32, 8)
     assert calls == {
-        "mathieu": {"dsyevr": 0, "zheevr": 0, "eigh_tridiagonal": 16},
-        "kp": {"dsyevr": 16, "zheevr": 2, "eigh_tridiagonal": 0},
-        "free": {"dsyevr": 16, "zheevr": 4, "eigh_tridiagonal": 0},
-        "asymmetric": {"dsyevr": 0, "zheevr": 16, "eigh_tridiagonal": 0},
+        "mathieu": _calls(0, 0, 16),
+        "kp": _calls(16, 2, 0),
+        "free": _calls(16, 4, 0),
+        "asymmetric": _calls(0, 16, 0),
     }[lattice]
     if lattice in ("kp", "free"):
         assert calls["zheevr"] == _over_conditioned(V, grid, 32, 8)
@@ -374,7 +394,7 @@ def test_zero_conditioning_bound_sends_every_node_to_the_complex_solve(
     monkeypatch.setattr(bands, "_REAL_COND_MAX", 0.0)
     calls = _count_dense_calls(monkeypatch)
     table = solve_bands(V, grid, 16, 4)
-    assert calls == {"dsyevr": 16, "zheevr": 16, "eigh_tridiagonal": 0}
+    assert calls == _calls(16, 16, 0)
     assert np.array_equal(table.energies, energies)
     assert np.max(np.abs(table.vectors - vectors)) <= TOL
 
@@ -391,25 +411,58 @@ def _per_k_solve(H, lo, hi, tridiagonal):
     return vals, vecs / np.linalg.norm(vecs, axis=0)
 
 
-def _per_k_table(lattice, V, grid, Lambda, M):
-    """solve_bands node by node through _per_k_solve: eigh_tridiagonal on the
-    cosine lattice; on an even dense lattice the real eigh of bands
-    1..M+1, and the complex eigh where eps_mach ||H(k)||_inf over the
-    smallest gap among them exceeds _REAL_COND_MAX; the complex eigh on the
-    asymmetric lattice; then the table's gauge."""
+def _real_node_solve(H, lo, hi, keep):
+    """Eigenpairs lo..hi of one real H, vectors of the first keep as unit
+    columns, through the four scipy.linalg.lapack calls of the table's real
+    solve: dsytrd with its queried workspace, dsterf on copies of the
+    tridiagonal, dstein on the keep wanted eigenvalues with the tridiagonal
+    as one block, and dormqr on rows 2..n with a workspace of keep."""
+    lapack, n = scipy.linalg.lapack, len(H)
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    c, d, e, tau, info = lapack.dsytrd(H, lower=1, lwork=lwork)
+    assert info == 0
+    w, info = lapack.dsterf(d.copy(), e.copy())
+    assert info == 0
+    isplit = np.zeros(n, dtype=np.intc)
+    isplit[0] = n
+    z, info = lapack.dstein(d, e, w[lo:lo + keep], np.ones(n, dtype=np.intc),
+                            isplit)
+    assert info == 0
+    rows, _, info = lapack.dormqr("L", "N", c[1:, :n - 1], tau, z[1:], keep)
+    assert info == 0
+    z[1:] = rows
+    return w[lo:hi + 1], z / np.linalg.norm(z, axis=0)
+
+
+def _public_real_solve(H, lo, hi, keep):
+    """_real_node_solve's eigenpairs through scipy's public
+    eigh(driver="evr"), the table's real solve before the four calls."""
+    vals, vecs = scipy.linalg.eigh(H, driver="evr", subset_by_index=[lo, hi])
+    return vals, (vecs / np.linalg.norm(vecs, axis=0))[:, :keep]
+
+
+def _per_k_table(lattice, V, grid, Lambda, M, real_solve=_real_node_solve):
+    """(energies, vectors, kept): solve_bands node by node.  eigh_tridiagonal
+    (_per_k_solve) on the cosine lattice; on an even dense lattice
+    real_solve(H, 0, M, M) of bands 1..M+1, and the complex eigh where
+    eps_mach ||H(k)||_inf over the smallest gap among them exceeds
+    _REAL_COND_MAX; the complex eigh on the asymmetric lattice; then the
+    table's gauge.  kept marks the nodes whose real solve was kept."""
     n = 2 * Lambda
     real = lattice in ("kp", "free")
     energies = np.empty((M, grid.L))
     vectors = np.empty((M, grid.L, n), dtype=complex if lattice ==
                        "asymmetric" else float)
+    kept = np.zeros(grid.L, dtype=bool)
     for l, k in enumerate(grid.k_nodes):
         H = _oracle_hk(V, k, Lambda)
         if real:
-            vals, vecs = _per_k_solve(H.real, 0, min(M, n - 1), False)
+            vals, vecs = real_solve(H.real, 0, min(M, n - 1), M)
             with np.errstate(divide="ignore"):  # a crossing has no gap
                 cond = np.finfo(float).eps * np.abs(H).sum(axis=1).max() \
                     / np.diff(vals).min()
-            if cond > bands._REAL_COND_MAX:
+            kept[l] = cond <= bands._REAL_COND_MAX
+            if not kept[l]:
                 vals, vecs = _per_k_solve(H, 0, M - 1, False)
                 vecs = vecs.real
         else:
@@ -418,7 +471,7 @@ def _per_k_table(lattice, V, grid, Lambda, M):
         vectors[:, l] = vecs[:, :M].T
     for band in vectors:
         bands._transport_gauge(band)
-    return energies, vectors
+    return energies, vectors, kept
 
 
 @pytest.mark.parametrize("lattice,L,Lambda,M", [
@@ -426,17 +479,41 @@ def _per_k_table(lattice, V, grid, Lambda, M):
     ("asymmetric", 7, 16, 4)])
 def test_tables_bitwise_equal_to_per_k_oracle(lattice, L, Lambda, M):
     """Energies and vectors of every table are bitwise the node-by-node
-    solves through scipy's public solvers: the one loop makes the same
-    LAPACK calls with the same arguments, and normalises the same way.  The
-    Kronig-Penney and free tables here take the complex fallback at 2 and 4
-    nodes (test_solve_bands_dispatch)."""
+    solves through scipy's public solvers, and on the real pass of the
+    Kronig-Penney and free tables through the same four scipy.linalg.lapack
+    calls (_real_node_solve): the one loop makes the same LAPACK calls with
+    the same arguments, and normalises the same way.  The Kronig-Penney and
+    free tables here take the complex fallback at 2 and 4 nodes
+    (test_solve_bands_dispatch)."""
     V = (DENSE.get(lattice) or mathieu)(Lambda)
     grid = build_grid(1.0 / L, 4)
     table = solve_bands(V, grid, Lambda, M)
-    energies, vectors = _per_k_table(lattice, V, grid, Lambda, M)
+    energies, vectors, _ = _per_k_table(lattice, V, grid, Lambda, M)
     assert table.vectors.dtype == vectors.dtype
     assert np.array_equal(table.energies, energies)
     assert np.array_equal(table.vectors, vectors)
+
+
+@pytest.mark.parametrize("lattice,L", [
+    ("kp", 7), ("kp", 8), ("kp", 32), ("kp", 1024), ("free", 16)])
+def test_real_pass_matches_public_evr(lattice, L):
+    """The table against the same node-by-node solve with scipy's public
+    eigh(driver="evr") as the real pass (_public_real_solve): both keep the
+    real solve at the same nodes, where the energies and gauged vectors
+    agree within TOL, and the complex fallback nodes have the same energies.
+    Measured on Kronig-Penney at L = 1024: 2.2e-13 in energy and 5.8e-13 in
+    vectors; the free lattice agrees to round-off."""
+    V = DENSE[lattice](32)
+    grid = build_grid(1.0 / L, 4)
+    table = solve_bands(V, grid, 32, 8)
+    energies, vectors, kept = _per_k_table(lattice, V, grid, 32, 8,
+                                           _public_real_solve)
+    assert np.array_equal(_conditioning(V, grid, 32, 8)
+                          <= bands._REAL_COND_MAX, kept)
+    assert kept.any()
+    assert np.max(np.abs(table.energies[:, kept] - energies[:, kept])) <= TOL
+    assert np.max(np.abs(table.vectors[:, kept] - vectors[:, kept])) <= TOL
+    assert np.array_equal(table.energies[:, ~kept], energies[:, ~kept])
 
 
 @pytest.mark.parametrize("lattice", ["mathieu", "kp", "asymmetric"])
@@ -488,7 +565,7 @@ def test_kp_energies_against_extended_precision(k):
     (n = 32) from the real and the complex solve, against the eigenvalues of
     the same float64 matrix at 32 digits (mpmath.eigsy).  Each path's own
     error is within 2 eps_mach ||H(k)||_inf, the size of a backward-stable
-    solver's error; measured: real 1.5e-14 (k = 0) and 1.1e-14 (k = 0.3),
+    solver's error; measured: real 1.8e-14 (k = 0) and 1.0e-14 (k = 0.3),
     complex 2.2e-14 and 1.9e-14, against a bound of 5.7e-14 and 5.5e-14."""
     mpmath = pytest.importorskip("mpmath")
     V, ks = kronig_penney(16), np.array([k])
@@ -504,6 +581,30 @@ def test_kp_energies_against_extended_precision(k):
                   for got in (real, dense)]
     bound = 2 * np.finfo(float).eps * np.abs(H).sum(axis=1).max()
     assert max(errors) <= bound, errors
+
+
+def test_real_pass_energies_no_further_from_40_digits_than_evr():
+    """Bands 1..9 of the real pass of the Lambda = 32 Kronig-Penney table
+    (n = 64) at k = -1/2, 0 and 1/4, the nodes of the eps = 1/1024 table,
+    against the eigenvalues of the same float64 matrix at 40 digits
+    (mpmath.eigsy): at each node the four-call solve's largest error is no
+    larger than that of scipy's eigh(driver="evr"), the real pass before
+    it.  Measured: 3.5e-14, 7.7e-14 and 4.5e-14 against 1.0e-13, 9.6e-14
+    and 7.2e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    V, ks = kronig_penney(32), np.array([-0.5, 0.0, 0.25])
+    T, _ = _hamiltonian_parts(V, 32)
+    new = _lowest_eigenpairs((T.real, None), 32, ks, 0, 8, keep=8)[0]
+    for j, k in enumerate(ks):
+        H = _oracle_hk(V, k, 32).real
+        evr = scipy.linalg.eigh(H, driver="evr", subset_by_index=[0, 8])[0]
+        with mpmath.workdps(40):
+            exact = sorted(mpmath.eigsy(mpmath.matrix(H.tolist()),
+                                        eigvals_only=True))[:9]
+            errors = [max(abs(float(mpmath.mpf(x) - e))
+                          for x, e in zip(got, exact))
+                      for got in (new[:, j], evr)]
+        assert errors[0] <= errors[1], (k, errors)
 
 
 def _anchored_rows(band):
@@ -634,21 +735,32 @@ def test_eigensolver_failures_are_typed(lattice, solver, monkeypatch):
 
 
 def test_direct_solve_failure_names_k(monkeypatch):
-    """A nonzero LAPACK info from the real solve's dsyevr, here at the third
-    node, raises EigensolverFailure naming that node's k and the info."""
+    """A nonzero LAPACK info from any of the real solve's four routines, here
+    at the third node, raises EigensolverFailure naming the routine, that
+    node's k and the info, and the node calls no routine after it.  The
+    injected values are ones each routine can return: dstein's positive
+    info counts the vectors whose inverse iteration did not converge, the
+    realistic failure; dsterf's counts the eigenvalues its QR did not find;
+    dsytrd and dormqr return only a negative info, a bad argument."""
     V, grid = kronig_penney(16), build_grid(1.0 / 16, 4)
-    calls = []
+    for routine, info in (("dsytrd", -4), ("dsterf", 1), ("dstein", 2),
+                          ("dormqr", -7)):
+        calls = []
 
-    def third_fails(name, syevr, *args, **kw):
-        calls.append(name)
-        out = syevr(*args, **kw)
-        return (*out[:-1], 1) if len(calls) == 3 else out
-    _wrap_direct_solve(monkeypatch, third_fails)
-    with pytest.raises(EigensolverFailure,
-                       match=rf"dsyevr failed at k = {grid.k_nodes[2]} "
-                             rf"\(info = 1\)"):
-        solve_bands(V, grid, 16, 4)
-    assert calls == ["dsyevr"] * 3
+        def third_fails(name, solve, *args, **kw):
+            calls.append(name)
+            out = solve(*args, **kw)
+            return (*out[:-1], info) if name == routine \
+                and calls.count(name) == 3 else out
+        with monkeypatch.context() as patch:
+            _wrap_direct_solve(patch, third_fails)
+            with pytest.raises(EigensolverFailure,
+                               match=rf"^LAPACK {routine} failed at "
+                                     rf"k = {grid.k_nodes[2]} "
+                                     rf"\(info = {info}\)$"):
+                solve_bands(V, grid, 16, 4)
+        order = list(REAL_ROUTINES)
+        assert calls == order * 2 + order[:order.index(routine) + 1]
 
 
 @pytest.mark.parametrize("site,info", [
@@ -658,7 +770,7 @@ def test_zheevr_failure_names_k(site, info, monkeypatch):
     """A nonzero LAPACK info, positive or negative, from the first direct
     zheevr call raises EigensolverFailure naming that call's k and the info:
     at the first node of the asymmetric table, at the first fallback node of
-    the Kronig-Penney table (k = -1/2, after every dsyevr call succeeded) and
+    the Kronig-Penney table (k = -1/2, after every real node solve succeeded) and
     at the first node of a Kronig-Penney interpolant (k = 1/2), which
     ChiInterpolator solves when it is built."""
     lattice, what = site.split("-")
@@ -686,7 +798,7 @@ def test_zheevr_failure_names_k(site, info, monkeypatch):
                        match=rf"zheevr failed at k = {k} \(info = {info}\)"):
         solve_bands(V, grid, 32, 8)
     assert calls == (["zheevr"] if lattice == "asymmetric"
-                     else ["dsyevr"] * grid.L + ["zheevr"])
+                     else list(REAL_ROUTINES) * grid.L + ["zheevr"])
 
 
 def _count_tridiagonal_calls(monkeypatch):

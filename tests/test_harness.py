@@ -71,6 +71,30 @@ def test_temporal_study_runs_both_schemes():
     assert all(len(r.orders) == 2 for r in reports)
 
 
+@pytest.mark.parametrize("dt_list,steps,levels", [
+    ((0.03, 0.015), [67, 4, 7], [0.025, 0.1 / 7]),
+    ((0.02, 0.01, 0.005), [200, 5, 10, 20], [0.02, 0.01, 0.005])])
+def test_temporal_levels_are_the_steps_taken(monkeypatch, dt_list, steps,
+                                             levels):
+    """Each run of a temporal study takes N = _step_count(T, dt) steps, the
+    reference's first, and its level is the step it took, T / N, from which
+    the orders are formed: dt = 0.03 and 0.015 do not divide T = 0.1 and run
+    4 and 7 steps, while a dt list that divides T keeps its own values."""
+    from blochstep import harness
+    seen = []
+
+    def counted(psi0, cfg, T, N):
+        seen.append(N)
+        return evolve(psi0, cfg, T, N)
+    monkeypatch.setattr(harness, "evolve", counted)
+    cfg = ExperimentConfig(scenario="temporal", epsilon=1 / 4, R=8, M=4,
+                           Lambda=8, dt_list=dt_list, T=0.1, schemes=("bd",))
+    report = run_convergence_study(cfg)[0]
+    assert seen == steps
+    assert report.levels == levels
+    assert report.orders == observed_orders(levels, report.l2)
+
+
 def test_single_level_study_has_empty_orders(tmp_path):
     cfg = ExperimentConfig(scenario="spatial", epsilon=1 / 8, R=4, M=2,
                            Lambda=8, dt=0.01, T=0.02, schemes=("bd",))
@@ -166,12 +190,17 @@ _SMALL = ["--eps", "0.25", "--R", "8", "--M", "2", "--Lambda", "8"]
      "ValueError: dt = 1e+306 gives a phase of "),
     (["compare", "--T", "1e308"] + _SMALL,
      "ValueError: dt = 1e+306 gives a phase of "),
+    (["evolve", "--external", "linear:1e308", "--T", "0.01"] + _SMALL,
+     "NonFinite: linear external potential strength 1e+308 overflows"),
+    (["evolve", "--external", "linear:1e307", "--T", "0.01"] + _SMALL,
+     "ValueError: dt = 0.0001 gives a phase of "),
 ], ids=["bands", "evolve", "compare", "wkb", "convergence", "bands-eps-0",
         "bands-eps-nan", "convergence-dt-0", "wkb-t-end-negative",
         "wkb-t-end-inf", "evolve-T-nan", "convergence-T-negative",
         "compare-T-nan", "convergence-R-2", "convergence-T-overflow",
         "evolve-T-overflow", "compare-T-overflow",
-        "evolve-T-overflow-default-steps", "compare-T-overflow-default-steps"])
+        "evolve-T-overflow-default-steps", "compare-T-overflow-default-steps",
+        "evolve-linear-overflow", "evolve-linear-1e307-lost-phase"])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejected_input_is_one_line_and_status_2(tmp_path, capsys,
                                                      monkeypatch, argv, error):

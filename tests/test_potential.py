@@ -120,8 +120,11 @@ def test_external_potentials():
     assert abs(Lin(2.0) - 2.0) < 1e-15
 
 
-@pytest.mark.parametrize("spec", ["linear:nan", "linear:inf", "linear:-inf"])
+@pytest.mark.parametrize("spec", ["linear:nan", "linear:inf", "linear:-inf",
+                                  "linear:1e308", "linear:-3e307"])
 def test_non_finite_external_strength_is_typed(spec):
+    """A strength that is not finite, or whose samples strength * x on
+    [0, 2*pi] are not, is refused (with no overflow warning)."""
     with pytest.raises(NonFinite, match="strength"):
         external_from_spec(spec)
     with pytest.raises(NonFinite, match="strength"):
